@@ -15,7 +15,7 @@ from .config import AppConfig, load_app_config
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, load_graph, validate_graph
 from .ingest import align_events, load_procedures, parse_session_log, path_samples
-from .metrics import metric_vector, metrics_csv_rows
+from .metrics import metric_vector, metrics_csv_rows, trajectory_length
 from .pifnet import (
     TrainConfig,
     evaluate,
@@ -184,25 +184,19 @@ def _train_default_model(cfg: AppConfig, seed: int, rows=None):
     return model
 
 
-def _mean_traversal(samples_traces, path_id: str) -> float:
-    from .metrics import trajectory_length
-
-    lengths = [
-        trajectory_length(step.trajectory)
-        for trace in samples_traces
-        for step in trace.steps
-        if step.path_id == path_id and len(step.trajectory) >= 1
-    ]
-    return sum(lengths) / len(lengths) if lengths else 0.0
-
-
 def _path_metric_entries(graph, traces, samples, cfg: AppConfig):
     """Per-path metric vectors; the span uses the mean traversal across
     recorded instances of the path."""
     sim = _similarity(cfg)
+    lengths: dict[str | None, list[float]] = {}
+    for trace in traces:
+        for step in trace.steps:
+            if step.trajectory:
+                lengths.setdefault(step.path_id, []).append(trajectory_length(step.trajectory))
     entries = []
     for path_id in sorted(samples):
-        mean_px = _mean_traversal(traces, path_id)
+        path_lengths = lengths.get(path_id)
+        mean_px = sum(path_lengths) / len(path_lengths) if path_lengths else 0.0
         entries.append(
             (
                 path_id,

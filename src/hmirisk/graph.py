@@ -86,7 +86,8 @@ class InterfaceGraph:
 
     ``elements`` keeps document order (duplicates included, so that
     :func:`validate_graph` can report them); ``by_id`` indexes the first
-    occurrence of each id.
+    occurrence of each id.  A per-screen hit-test index, built once, backs
+    :meth:`hit` and :meth:`screen_elements`.
     """
 
     def __init__(
@@ -106,6 +107,18 @@ class InterfaceGraph:
         for parent, child in self.edges:
             self.parent_of.setdefault(child, parent)
             self.children_of.setdefault(parent, []).append(child)
+        # Per screen, in by_id order: elements, boxes as
+        # (x0, y0, x1, y1, area, id) and centres as (x, y, id).
+        self._on_screen: dict[str, list[InterfaceElement]] = {}
+        self._boxes: dict[str, list[tuple[float, float, float, float, float, str]]] = {}
+        self._centres: dict[str, list[tuple[float, float, str]]] = {}
+        for elem in self.by_id.values():
+            self._on_screen.setdefault(elem.screen_id, []).append(elem)
+            self._centres.setdefault(elem.screen_id, []).append((*elem.position, elem.id))
+            if elem.bbox is not None:
+                bx, by, bw, bh = elem.bbox
+                box = (bx, by, bx + bw, by + bh, bw * bh, elem.id)
+                self._boxes.setdefault(elem.screen_id, []).append(box)
 
     @property
     def layout_diagonal(self) -> float:
@@ -123,7 +136,24 @@ class InterfaceGraph:
         return [e for e in self.by_id.values() if e.id not in self.children_of]
 
     def screen_elements(self, screen_id: str) -> list[InterfaceElement]:
-        return [e for e in self.by_id.values() if e.screen_id == screen_id]
+        return list(self._on_screen.get(screen_id, ()))
+
+    def hit(self, screen_id: str, x: float, y: float, snap_radius: float) -> str | None:
+        """Element on a screen under (x, y): the smallest containing bbox
+        (ties by id), else the nearest center within ``snap_radius`` (ties
+        by id), else None.  Callers check the screen and the point."""
+        best = None
+        for x0, y0, x1, y1, area, elem_id in self._boxes.get(screen_id, ()):
+            if x0 <= x <= x1 and y0 <= y <= y1 and (best is None or (area, elem_id) < best):
+                best = (area, elem_id)
+        if best is not None:
+            return best[1]
+
+        for cx, cy, elem_id in self._centres.get(screen_id, ()):
+            distance = math.hypot(cx - x, cy - y)
+            if distance <= snap_radius and (best is None or (distance, elem_id) < best):
+                best = (distance, elem_id)
+        return None if best is None else best[1]
 
 
 def _as_number(value: Any, elem_id: str, field: str) -> float:

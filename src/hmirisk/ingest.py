@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import InterfaceGraph, path_id_for
 
@@ -43,8 +43,7 @@ class ErrorKind(str, Enum):
     OUTCOME = "outcome"
 
 
-@dataclass(frozen=True)
-class TrackerEvent:
+class TrackerEvent(NamedTuple):
     t_ms: int
     kind: EventKind
     point: tuple[float, float] | None = None
@@ -110,6 +109,10 @@ def load_procedures(document: Mapping[str, Any] | Sequence[Mapping[str, Any]] | 
 
 
 _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
+_KINDS = {kind.value: kind for kind in EventKind}
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
+_JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
@@ -149,6 +152,24 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
     )
 
 
+def _decode_line(line: str, line_no: int) -> dict[str, Any]:
+    """Decode one stripped log line, which must hold exactly one JSON object."""
+    try:
+        record, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError, TypeError):  # TypeError: a bytes line
+        end = -1
+    if end != len(line):
+        # On a miss json.loads decodes the line again: it takes bytes lines
+        # and gives the exact error message.
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {line_no}: not valid JSON ({exc.msg})") from None
+    if type(record) is not dict:
+        raise ParseError(f"line {line_no}: expected a JSON object, got {_JSON_TYPES[type(record)]}")
+    return record
+
+
 def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
     """Parse a JSON-Lines session log, enforcing order and step nesting."""
     if isinstance(source, (str, Path)):
@@ -165,34 +186,56 @@ def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
     events: list[TrackerEvent] = []
     session_id: str | None = None
     participant_id: str | None = None
+    first_ids: tuple = ()  # the first line's raw ids when both are strings
     open_steps: set[str] = set()
     last_t = -1
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {line_no}: not valid JSON ({exc.msg})") from None
-        event = _event_from_record(record, line_no)
+        record = _decode_line(line, line_no)
 
-        for key, seen in (("session_id", session_id), ("participant_id", participant_id)):
-            value = str(record.get(key, ""))
-            if seen is not None and value != seen:
-                raise ParseError(f"line {line_no}: {key} changed from {seen!r} to {value!r}")
-        session_id = str(record.get("session_id", ""))
-        participant_id = str(record.get("participant_id", ""))
+        # Fast path for the common shapes: an int timestamp, int or float
+        # points on moves and clicks, no error annotation.  Anything else,
+        # including every malformed record, goes through _event_from_record.
+        get = record.get
+        kind = get("kind")
+        kind = _KINDS.get(kind) if type(kind) is str else None
+        t_ms = get("t_ms")
+        event = None
+        if kind is not None and type(t_ms) is int and t_ms >= 0 and get("error_kind") is None:
+            if kind in _POINT_KINDS:
+                x, y = get("x"), get("y")
+                if type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS:
+                    event = TrackerEvent(t_ms, kind, (float(x), float(y)), get("screen"), get("step_id"))
+            elif kind is not EventKind.ERROR_ANNOTATION and "x" not in record and "y" not in record:
+                event = TrackerEvent(t_ms, kind, None, get("screen"), get("step_id"))
+        if event is None:
+            event = _event_from_record(record, line_no)
 
-        if event.t_ms < last_t:
-            raise ParseError(f"line {line_no}: non-monotonic timestamp {event.t_ms} after {last_t}")
-        last_t = event.t_ms
+        # Raw ids equal to the first line's strings are equal after str() too.
+        ids = (get("session_id", ""), get("participant_id", ""))
+        if ids != first_ids:
+            if session_id is None:
+                session_id, participant_id = str(ids[0]), str(ids[1])
+                if type(ids[0]) is str and type(ids[1]) is str:
+                    first_ids = ids
+            else:
+                for key, seen, value in (("session_id", session_id, ids[0]), ("participant_id", participant_id, ids[1])):
+                    if str(value) != seen:
+                        raise ParseError(f"line {line_no}: {key} changed from {seen!r} to {str(value)!r}")
 
-        if event.kind is EventKind.STEP_START:
+        t_ms = event.t_ms
+        if t_ms < last_t:
+            raise ParseError(f"line {line_no}: non-monotonic timestamp {t_ms} after {last_t}")
+        last_t = t_ms
+
+        kind = event.kind
+        if kind is EventKind.STEP_START:
             if event.step_id in open_steps:
                 raise ParseError(f"line {line_no}: step {event.step_id!r} started while already open")
             open_steps.add(event.step_id)
-        elif event.kind is EventKind.STEP_END:
+        elif kind is EventKind.STEP_END:
             if event.step_id not in open_steps:
                 raise ParseError(f"line {line_no}: unmatched step_end for {event.step_id!r}")
             open_steps.discard(event.step_id)
@@ -237,26 +280,7 @@ def hit_test(
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point must be finite, got {point}")
-
-    elements = g.screen_elements(screen_id)
-    contained = []
-    for e in elements:
-        if e.bbox is None:
-            continue
-        bx, by, bw, bh = e.bbox
-        if bx <= x <= bx + bw and by <= y <= by + bh:
-            contained.append((bw * bh, e.id))
-    if contained:
-        return min(contained)[1]
-
-    near = [
-        (math.hypot(e.position[0] - x, e.position[1] - y), e.id)
-        for e in elements
-        if math.hypot(e.position[0] - x, e.position[1] - y) <= snap_radius
-    ]
-    if near:
-        return min(near)[1]
-    return None
+    return g.hit(screen_id, x, y, snap_radius)
 
 
 class _OpenStep:
@@ -287,16 +311,11 @@ def align_events(
     steps: list[AlignedStep] = []
     unaligned: list[str] = []
 
-    def windows_for(event: TrackerEvent) -> list[_OpenStep]:
-        if event.step_id is not None:
-            found = open_steps.get(event.step_id)
-            return [found] if found else []
-        return list(open_steps.values())
-
     for event in log.events:
-        if event.kind is EventKind.STEP_START:
+        kind = event.kind
+        if kind is EventKind.STEP_START:
             open_steps[event.step_id] = _OpenStep(event.step_id, event.t_ms)
-        elif event.kind is EventKind.STEP_END:
+        elif kind is EventKind.STEP_END:
             state = open_steps.pop(event.step_id)
             path_id: str | None = None
             if state.last_hit is not None:
@@ -314,16 +333,25 @@ def align_events(
                     trajectory=tuple(state.trajectory),
                 )
             )
-        elif event.kind in _POINT_KINDS:
-            for state in windows_for(event):
+        elif kind in _POINT_KINDS or kind is EventKind.ERROR_ANNOTATION:
+            # The event belongs to its own step's window, or to every open
+            # window when it names no step.
+            if event.step_id is not None:
+                found = open_steps.get(event.step_id)
+                windows = (found,) if found else ()
+            else:
+                windows = tuple(open_steps.values())
+            if kind is EventKind.ERROR_ANNOTATION:
+                for state in windows:
+                    state.errors.append(event.error_kind)
+                continue
+            hit = None
+            if windows and kind is EventKind.CLICK and event.screen_id is not None:
+                hit = hit_test(g, event.screen_id, event.point, snap_radius)
+            for state in windows:
                 state.trajectory.append(event.point)
-                if event.kind is EventKind.CLICK and event.screen_id is not None:
-                    hit = hit_test(g, event.screen_id, event.point, snap_radius)
-                    if hit is not None:
-                        state.last_hit = hit
-        elif event.kind is EventKind.ERROR_ANNOTATION:
-            for state in windows_for(event):
-                state.errors.append(event.error_kind)
+                if hit is not None:
+                    state.last_hit = hit
 
     return AlignedTrace(log.session_id, tuple(steps), tuple(unaligned))
 

@@ -94,6 +94,14 @@ class TestIngest:
         assert len(traces) == 6
         assert "aligned 18 steps" in capsys.readouterr().out
 
+    def test_non_object_line_exits_two(self, graph_file, tmp_path, capsys):
+        sessions = tmp_path / "bad_sessions"
+        sessions.mkdir()
+        (sessions / "a.jsonl").write_text("[1,2]\n")
+        code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 1: expected a JSON object, got array" in capsys.readouterr().err
+
 
 class TestHfe:
     def test_candidates_and_models(self, graph_file, sessions_dir, tmp_path):

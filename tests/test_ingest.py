@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 
-from hmirisk.graph import load_graph
+from hmirisk.graph import ElementKind, InterfaceElement, InterfaceGraph, Screen, load_graph
 from hmirisk.ingest import (
     AlignedStep,
     AlignedTrace,
@@ -14,6 +16,7 @@ from hmirisk.ingest import (
     SessionLog,
     TrackerEvent,
     UnknownScreenError,
+    _event_from_record,
     align_events,
     hit_test,
     load_procedures,
@@ -86,6 +89,56 @@ class TestParseSessionLog:
         )
         with pytest.raises(ParseError, match="session_id changed"):
             parse_session_log(text)
+
+    def test_session_ids_compared_as_text(self):
+        def log(*ids):
+            return [_line(t_ms=i, kind="key", session_id=sid) for i, sid in enumerate(ids)]
+
+        assert parse_session_log(log(5, "5", 5)).session_id == "5"
+        with pytest.raises(ParseError, match="^line 2: session_id changed from '1' to '1.0'$"):
+            parse_session_log(log(1, 1.0))
+        with pytest.raises(ParseError, match="^line 3: session_id changed from 'True' to '1'$"):
+            parse_session_log(log(True, True, 1))
+
+    def test_value_split_across_lines_is_invalid_json(self):
+        start = _line(t_ms=0, kind="step_start", step_id="s1")
+        with pytest.raises(ParseError, match=r"^line 1: not valid JSON \(Expecting value\)$"):
+            parse_session_log(start[:20] + "\n" + start[20:])
+
+    def test_two_objects_on_one_line(self):
+        key = _line(t_ms=0, kind="key")
+        with pytest.raises(ParseError, match=r"^line 2: not valid JSON \(Extra data\)$"):
+            parse_session_log("\n".join([key, key + key]))
+
+    @pytest.mark.parametrize(
+        "text, json_type",
+        [("[1,2]", "array"), ("5", "number"), ('"x"', "string"), ("null", "null"), ("true", "boolean")],
+    )
+    def test_non_object_line_rejected(self, text, json_type):
+        lines = [_line(t_ms=0, kind="key"), text]
+        with pytest.raises(ParseError, match=rf"^line 2: expected a JSON object, got {json_type}$"):
+            parse_session_log("\n".join(lines))
+
+    def test_blank_lines_skipped_but_counted(self):
+        lines = [_line(t_ms=0, kind="step_start", step_id="s1"), "", "   \t", _line(t_ms=5, kind="step_end", step_id="s1")]
+        assert len(parse_session_log("\n".join(lines)).events) == 2
+        with pytest.raises(ParseError, match="^line 4: not valid JSON"):
+            parse_session_log("\n".join(lines[:3] + ["{broken"]))
+
+    def test_integer_coordinates_read_as_floats(self):
+        lines = [_line(t_ms=0, kind="move", x=10, y=20, screen="A")]
+        point = parse_session_log(lines).events[0].point
+        assert point == (10.0, 20.0)
+        assert all(type(v) is float for v in point)
+
+    def test_string_timestamp_accepted(self):
+        assert parse_session_log([_line(t_ms="100", kind="key")]).events[0].t_ms == 100
+
+    def test_matches_reference_parser_on_mutated_logs(self):
+        rng = random.Random(20251018)
+        for _ in range(2000):
+            lines = _mutated_log(rng)
+            assert _outcome(parse_session_log, lines) == _outcome(_reference_parse, lines), lines
 
     def test_serialize_parse_round_trip(self):
         events = (
@@ -162,6 +215,31 @@ class TestHitTest:
         with pytest.raises(ValueError):
             hit_test(two_screen_graph, "A", (float("nan"), 1.0))
 
+
+    def test_inf_point(self, two_screen_graph):
+        with pytest.raises(ValueError):
+            hit_test(two_screen_graph, "A", (1.0, float("inf")))
+
+    def test_declared_screen_without_elements(self):
+        g = InterfaceGraph([], [], [Screen("EMPTY", 100, 100)])
+        assert hit_test(g, "EMPTY", (50.0, 50.0)) is None
+        assert g.screen_elements("EMPTY") == []
+
+    def test_index_matches_brute_force_scan(self):
+        rng = random.Random(7)
+        seen: set[str] = set()
+        for _ in range(20):
+            g = _random_graph(rng)
+            for screen_id in [*g.screens, "UNDECLARED"]:
+                assert g.screen_elements(screen_id) == [e for e in g.by_id.values() if e.screen_id == screen_id]
+            for _ in range(250):
+                screen_id = rng.choice(sorted(g.screens))
+                point = _probe_point(rng, g.screen_elements(screen_id))
+                radius = rng.choice([0.0, 3.0, 12.0, 40.0])
+                expected, cases = _brute_hit(g, screen_id, point, radius)
+                seen |= cases
+                assert hit_test(g, screen_id, point, radius) == expected, (screen_id, point, radius)
+        assert seen == {"edge", "nested", "area-tie", "snap", "snap-tie", "bboxless-snap", "beyond-radius"}
 
 def _session(events):
     return SessionLog("S1", "P1", tuple(events))
@@ -283,3 +361,177 @@ def test_load_procedures_single_and_list(tmp_path):
     file = tmp_path / "procs.json"
     file.write_text(json.dumps([doc, {"procedure_id": "PR_2", "steps": []}]))
     assert [p.procedure_id for p in load_procedures(file)] == ["PR_9", "PR_2"]
+
+
+# --- reference implementations and generators for equivalence tests ---------
+
+
+def _reference_parse(lines):
+    """The plain per-line parser: json.loads and _event_from_record per line."""
+    events = []
+    session_id = participant_id = None
+    open_steps = set()
+    last_t = -1
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {line_no}: not valid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            names = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
+            raise ParseError(f"line {line_no}: expected a JSON object, got {names[type(record)]}")
+        event = _event_from_record(record, line_no)
+        for key, seen in (("session_id", session_id), ("participant_id", participant_id)):
+            value = str(record.get(key, ""))
+            if seen is not None and value != seen:
+                raise ParseError(f"line {line_no}: {key} changed from {seen!r} to {value!r}")
+        session_id = str(record.get("session_id", ""))
+        participant_id = str(record.get("participant_id", ""))
+        if event.t_ms < last_t:
+            raise ParseError(f"line {line_no}: non-monotonic timestamp {event.t_ms} after {last_t}")
+        last_t = event.t_ms
+        if event.kind is EventKind.STEP_START:
+            if event.step_id in open_steps:
+                raise ParseError(f"line {line_no}: step {event.step_id!r} started while already open")
+            open_steps.add(event.step_id)
+        elif event.kind is EventKind.STEP_END:
+            if event.step_id not in open_steps:
+                raise ParseError(f"line {line_no}: unmatched step_end for {event.step_id!r}")
+            open_steps.discard(event.step_id)
+        events.append(event)
+    if open_steps:
+        raise ParseError(f"unmatched step_start for {sorted(open_steps)}")
+    if session_id is None:
+        raise ParseError("log contains no events")
+    return SessionLog(session_id, participant_id or "", tuple(events))
+
+
+def _outcome(parse, lines):
+    try:
+        log = parse(lines)
+    except Exception as exc:  # compare failures by type and message
+        return type(exc), str(exc)
+    return log, [(type(e.t_ms), type(e.point[0]) if e.point else None) for e in log.events]
+
+
+_ODD_VALUES = [0, 7, -3, 2.5, "12", "x", "", True, False, None, [1], {"a": 1}, float("nan"), float("inf"), 10**400]
+
+
+def _mutated_log(rng):
+    """A valid two-step log with a few fields replaced, dropped or added;
+    a third of the logs carry whole-pixel (int) coordinates throughout."""
+    coordinate = rng.choice([rng.uniform, rng.uniform, rng.randint])
+    records = []
+    t = 0
+    for step in ("s1", "s2"):
+        records.append({"t_ms": t, "kind": "step_start", "step_id": step})
+        for kind in ("move", "move", "click"):
+            t += rng.randint(0, 40)
+            records.append({"t_ms": t, "kind": kind, "x": coordinate(0, 800), "y": coordinate(0, 600),
+                            "screen": "A", "step_id": step})
+        if rng.random() < 0.5:
+            records.append({"t_ms": t, "kind": "error_annotation", "error_kind": "execution", "step_id": step})
+        records.append({"t_ms": t + 1, "kind": "key", "step_id": step})
+        t += 5
+        records.append({"t_ms": t, "kind": "step_end", "step_id": step})
+    for record in records:
+        record.update(session_id="S1", participant_id="P1")
+    fields = ["t_ms", "kind", "x", "y", "screen", "step_id", "error_kind", "session_id", "participant_id"]
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        record = rng.choice(records)
+        field = rng.choice(fields)
+        roll = rng.random()
+        if roll < 0.2:
+            record.pop(field, None)
+        elif roll < 0.35:
+            record[field] = rng.choice(["move", "click", "key", "step_start", "step_end", "error_annotation",
+                                        "execution", "outcome", "S1", "P1", "s1", "s2"])
+        elif roll < 0.45 and field in ("t_ms", "x", "y"):
+            record[field] = int(record.get(field) or 0)
+        elif field in ("step_id", "screen") and roll < 0.9:
+            record[field] = rng.choice([0, 7, "", "s1", "s2", "B", None])
+        else:
+            record[field] = rng.choice(_ODD_VALUES)
+    lines = [json.dumps(r) for r in records]
+    if rng.random() < 0.1:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "[1,2]", "5", "{", lines[0] + lines[0]]))
+    return lines
+
+
+def _random_graph(rng):
+    """Elements on an integer grid, so equal areas, box edges and equal
+    snap distances are common; about a quarter have no bbox, and some
+    boxes sit inside others."""
+    screens = [Screen(f"S{i}", 120, 120) for i in range(3)]
+    elements = []
+    ids = rng.sample(range(1000), 60)
+    for n, number in enumerate(ids):
+        screen = screens[n % 3].id
+        bbox = None
+        if rng.random() < 0.75:
+            w, h = rng.choice([(4, 4), (8, 4), (4, 8), (10, 10), (20, 10), (30, 30)])
+            outer = [e.bbox for e in elements if e.screen_id == screen and e.bbox and e.bbox[2] > w and e.bbox[3] > h]
+            if outer and rng.random() < 0.4:
+                ox, oy, ow, oh = rng.choice(outer)
+                x0, y0 = ox + rng.randint(0, int(ow - w)), oy + rng.randint(0, int(oh - h))
+            else:
+                x0, y0 = rng.randint(0, 100), rng.randint(0, 100)
+            bbox = (float(x0), float(y0), float(w), float(h))
+            position = (x0 + w / 2, y0 + h / 2)
+        else:
+            position = (float(rng.randint(0, 120)), float(rng.randint(0, 120)))
+        elements.append(InterfaceElement(f"E{number:03d}", "", ElementKind.CONTROL, screen, position, bbox))
+    return InterfaceGraph(elements, [], screens)
+
+
+def _probe_point(rng, elements):
+    roll = rng.random()
+    if roll < 0.25:  # on a box edge or corner
+        bx, by, bw, bh = rng.choice([e.bbox for e in elements if e.bbox] or [(0.0, 0.0, 1.0, 1.0)])
+        return rng.choice([bx, bx + bw, bx + bw / 2]), rng.choice([by, by + bh, by + bh / 3])
+    if roll < 0.45:  # halfway between two centres, or offset along a grid line
+        a, b = rng.sample([e.position for e in elements], 2)
+        return (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
+    if roll < 0.6:  # near a centre
+        cx, cy = rng.choice(elements).position
+        return cx + rng.choice([-5, -3, 0, 3, 4, 5]), cy + rng.choice([-4, 0, 4])
+    return float(rng.randint(-10, 130)), float(rng.randint(-10, 130))
+
+
+def _brute_hit(g, screen_id, point, snap_radius):
+    """Scan every element of the screen; also name the cases the point exercised."""
+    x, y = point
+    elements = g.screen_elements(screen_id)
+    cases = set()
+    contained = []
+    for e in elements:
+        if e.bbox is None:
+            continue
+        bx, by, bw, bh = e.bbox
+        if bx <= x <= bx + bw and by <= y <= by + bh:
+            contained.append((bw * bh, e.id))
+            if x in (bx, bx + bw) or y in (by, by + bh):
+                cases.add("edge")
+    if contained:
+        areas = sorted(area for area, _ in contained)
+        if len(areas) > 1:
+            cases.add("area-tie" if areas[0] == areas[1] else "nested")
+        return min(contained)[1], cases
+    near = sorted(
+        (math.hypot(e.position[0] - x, e.position[1] - y), e.id, e.bbox is None)
+        for e in elements
+        if math.hypot(e.position[0] - x, e.position[1] - y) <= snap_radius
+    )
+    if not near:
+        if any(math.hypot(e.position[0] - x, e.position[1] - y) <= 40.0 for e in elements):
+            cases.add("beyond-radius")
+        return None, cases
+    cases.add("snap")
+    if len(near) > 1 and near[0][0] == near[1][0]:
+        cases.add("snap-tie")
+    if near[0][2]:
+        cases.add("bboxless-snap")
+    return near[0][1], cases
