@@ -13,12 +13,11 @@ from hmirisk.metrics import metric_vector, metrics_csv_rows
 graph = build_reference_graph()
 sim = name_similarity()
 
-# Straight-line trajectories with the recorded traversal lengths; the
-# screen element counts come from the graph itself.
+# The recorded traversal lengths in pixels; the screen element counts come
+# from the graph itself.
 entries = []
 for row in REFERENCE_METRIC_ROWS[:8]:
-    traversal = row.is_px[0]
-    m = metric_vector(graph, row.path_id, [(0.0, 0.0), (traversal, 0.0)], sim, normalizer_px=NORMALIZER_PX)
+    m = metric_vector(graph, row.path_id, row.is_px[0], sim, normalizer_px=NORMALIZER_PX)
     entries.append((row.path_id, m))
     print(
         f"{row.path_id}: vd 1/{m.raw.n_elements} = {m.vd:.5f}   "

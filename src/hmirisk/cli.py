@@ -15,7 +15,7 @@ from .config import AppConfig, load_app_config
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, load_graph, validate_graph
 from .ingest import align_events, load_procedures, parse_session_log, path_samples
-from .metrics import metric_vector, metrics_csv_rows, trajectory_length
+from .metrics import metric_vector, metrics_csv_rows
 from .pifnet import (
     TrainConfig,
     evaluate,
@@ -27,10 +27,9 @@ from .pifnet import (
     save_model,
     train,
 )
-from .report import assemble_report, write_report_files
+from .report import assemble_report, hfe_to_dict, write_report_files
 from .risk import (
     detect_error_paths,
-    detect_time_deviated,
     identify_hfes,
     load_t95_overrides,
     model_from_samples_or_p95,
@@ -138,21 +137,13 @@ def _session_files(paths: list[str]) -> list[Path]:
     return files
 
 
-def _load_pipeline_inputs(args, cfg: AppConfig):
+def _load_inputs(args):
+    """Graph, procedures, and a generator of aligned traces, one session file at a time."""
     graph = load_graph(args.graph)
-    logs = [parse_session_log(p) for p in _session_files(args.sessions)]
-    step_targets: dict[str, str] = {}
-    procedures = []
-    if getattr(args, "procedures", None):
-        procedures = load_procedures(args.procedures)
-        step_targets = {
-            step.step_id: step.target_path
-            for proc in procedures
-            for step in proc.steps
-            if step.target_path
-        }
-    traces = [align_events(graph, log, step_targets) for log in logs]
-    return graph, logs, procedures, traces, path_samples(traces)
+    procedures = load_procedures(args.procedures) if getattr(args, "procedures", None) else []
+    targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
+    traces = (align_events(graph, parse_session_log(f), targets) for f in _session_files(args.sessions))
+    return graph, procedures, traces
 
 
 def _similarity(cfg: AppConfig):
@@ -184,34 +175,28 @@ def _train_default_model(cfg: AppConfig, seed: int, rows=None):
     return model
 
 
-def _path_metric_entries(graph, traces, samples, cfg: AppConfig):
+def _path_metric_entries(graph, samples, cfg: AppConfig):
     """Per-path metric vectors; the span uses the mean traversal across
     recorded instances of the path."""
     sim = _similarity(cfg)
-    lengths: dict[str | None, list[float]] = {}
-    for trace in traces:
-        for step in trace.steps:
-            if step.trajectory:
-                lengths.setdefault(step.path_id, []).append(trajectory_length(step.trajectory))
     entries = []
     for path_id in sorted(samples):
-        path_lengths = lengths.get(path_id)
-        mean_px = sum(path_lengths) / len(path_lengths) if path_lengths else 0.0
-        entries.append(
-            (
-                path_id,
-                metric_vector(
-                    graph,
-                    path_id,
-                    [(0.0, 0.0), (mean_px, 0.0)],
-                    sim,
-                    theta=cfg.metrics.theta,
-                    normalizer_px=cfg.metrics.normalizer_px,
-                    pairwise=cfg.metrics.pairwise,
-                ),
-            )
+        lengths = samples[path_id].traversals
+        mean_px = sum(lengths) / len(lengths) if lengths else 0.0
+        metric = metric_vector(
+            graph, path_id, mean_px, sim, theta=cfg.metrics.theta, normalizer_px=cfg.metrics.normalizer_px
         )
+        entries.append((path_id, metric))
     return entries
+
+
+def _detect(graph, samples, procedures, cfg: AppConfig):
+    """Category grouping and HFE candidates from the per-path samples."""
+    grouping = {path_id: system_category(graph, path_id) for path_id in samples}
+    detail = time_deviation_detail(samples, grouping, cfg.riskpath.tau, cfg.riskpath.sigma)
+    time_flagged = {p for p, d in detail.items() if d.flagged}
+    errors = detect_error_paths(samples, cfg.riskpath.alpha)
+    return grouping, identify_hfes(errors, time_flagged, graph, procedures, detail)
 
 
 def _out_dir(args) -> Path:
@@ -250,51 +235,20 @@ def _cmd_simulate(args, cfg: AppConfig) -> int:
 
 
 def _cmd_ingest(args, cfg: AppConfig) -> int:
-    graph, logs, procedures, traces, samples = _load_pipeline_inputs(args, cfg)
-    out = _out_dir(args)
-    traces_doc = [
-        {
-            "session_id": t.session_id,
-            "unaligned": list(t.unaligned),
-            "steps": [
-                {
-                    "step_id": s.step_id,
-                    "path_id": s.path_id,
-                    "duration_s": s.duration_s,
-                    "errors": [e.value for e in s.errors],
-                    "trajectory": [list(p) for p in s.trajectory],
-                }
-                for s in t.steps
-            ],
-        }
-        for t in traces
-    ]
-    (out / "traces.json").write_text(json.dumps(traces_doc, indent=2), encoding="utf-8")
-    samples_doc = {
-        path_id: {
-            "durations": s.durations,
-            "attempts": s.attempts,
-            "error_counts": s.error_counts,
-        }
-        for path_id, s in sorted(samples.items())
-    }
-    (out / "samples.json").write_text(json.dumps(samples_doc, indent=2), encoding="utf-8")
-    unaligned = sum(len(t.unaligned) for t in traces)
-    print(f"aligned {sum(len(t.steps) for t in traces)} steps from {len(logs)} session(s); {unaligned} unaligned")
+    _, _, traces = _load_inputs(args)
+    sessions = steps = unaligned = 0
+    for trace in traces:
+        sessions += 1
+        steps += len(trace.steps)
+        unaligned += len(trace.unaligned)
+    print(f"aligned {steps} steps from {sessions} session(s); {unaligned} unaligned")
     return 0
 
 
-def _grouping_for(graph, samples) -> dict[str, str]:
-    return {path_id: system_category(graph, path_id) for path_id in samples}
-
-
 def _cmd_hfe(args, cfg: AppConfig) -> int:
-    graph, _, procedures, traces, samples = _load_pipeline_inputs(args, cfg)
-    grouping = _grouping_for(graph, samples)
-    detail = time_deviation_detail(samples, grouping, cfg.riskpath.tau, cfg.riskpath.sigma)
-    time_flagged = {p for p, d in detail.items() if d.flagged}
-    errors = detect_error_paths(samples, cfg.riskpath.alpha)
-    hfe = identify_hfes(errors, time_flagged, graph, procedures, detail)
+    graph, procedures, traces = _load_inputs(args)
+    samples = path_samples(traces)
+    _, hfe = _detect(graph, samples, procedures, cfg)
 
     overrides = load_t95_overrides(Path(args.t95).read_text(encoding="utf-8")) if args.t95 else {}
     time_models = {}
@@ -308,30 +262,15 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
             "source": "empirical" if durations else "t95",
         }
 
-    doc = {
-        "candidates": [
-            {
-                "path_id": c.path_id,
-                "error_prob": c.error_prob,
-                "error_kinds": sorted(k.value for k in c.error_kinds),
-                "time_flag": c.time_flag,
-                "tail_prob_at_threshold": c.tail_prob_at_threshold,
-                "provenance": sorted(c.provenance),
-            }
-            for c in hfe.candidates
-        ],
-        "per_procedure": hfe.per_procedure,
-        "prioritized_procedures": list(hfe.prioritized_procedures),
-        "time_models": time_models,
-    }
+    doc = {**hfe_to_dict(hfe), "time_models": time_models}
     (_out_dir(args) / "hfe.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     print(f"{len(hfe.candidates)} candidate path(s); prioritized: {', '.join(hfe.prioritized_procedures) or '-'}")
     return 0
 
 
 def _cmd_metrics(args, cfg: AppConfig) -> int:
-    graph, _, _, traces, samples = _load_pipeline_inputs(args, cfg)
-    entries = _path_metric_entries(graph, traces, samples, cfg)
+    graph, _, traces = _load_inputs(args)
+    entries = _path_metric_entries(graph, path_samples(traces), cfg)
     text = "\n".join(metrics_csv_rows(entries)) + "\n"
     (_out_dir(args) / "metrics.csv").write_text(text, encoding="utf-8")
     print(f"metrics for {len(entries)} path(s) written to {args.out}/metrics.csv")
@@ -370,17 +309,14 @@ def _cmd_pif(args, cfg: AppConfig) -> int:
 
 
 def _cmd_report(args, cfg: AppConfig) -> int:
-    graph, _, procedures, traces, samples = _load_pipeline_inputs(args, cfg)
-    grouping = _grouping_for(graph, samples)
-    detail = time_deviation_detail(samples, grouping, cfg.riskpath.tau, cfg.riskpath.sigma)
-    time_flagged = {p for p, d in detail.items() if d.flagged}
-    errors = detect_error_paths(samples, cfg.riskpath.alpha)
-    hfe = identify_hfes(errors, time_flagged, graph, procedures, detail)
+    graph, procedures, traces = _load_inputs(args)
+    samples = path_samples(traces)
+    grouping, hfe = _detect(graph, samples, procedures, cfg)
 
     seed = args.seed if args.seed is not None else cfg.pif.seed
     model = load_model(args.model) if args.model else _train_default_model(cfg, seed)
     assessments = []
-    for path_id, metric in _path_metric_entries(graph, traces, samples, cfg):
+    for path_id, metric in _path_metric_entries(graph, samples, cfg):
         label, probs = predict(model, metric)
         assessments.append((path_id, metric, label, probs))
 

@@ -37,7 +37,6 @@ class RiskSettings:
 class MetricsSettings:
     theta: float = 0.8
     normalizer_px: float | None = None  # None: use the graph layout diagonal
-    pairwise: bool = False
 
 
 @dataclass(frozen=True)

@@ -166,21 +166,14 @@ def _as_number(value: Any, elem_id: str, field: str) -> float:
 
 
 def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
-    """Parse and validate a graph document (mapping, JSON path, or JSON text).
+    """Parse and validate a graph document (a mapping, or the path of a JSON file).
 
     Raises :class:`GraphError` carrying the full violation list when the
     document parses but breaks a structural invariant, so a loaded graph
     always satisfies ``validate_graph(g) == []``.
     """
     if isinstance(document, (str, Path)):
-        text = None
-        try:
-            path = Path(document)
-            if path.exists():
-                text = path.read_text(encoding="utf-8")
-        except (OSError, ValueError):
-            pass
-        document = json.loads(text if text is not None else str(document))
+        document = json.loads(Path(document).read_text(encoding="utf-8"))
     if not isinstance(document, Mapping):
         raise GraphError("graph document must be a JSON object")
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import InterfaceGraph, path_id_for
+from .metrics import trajectory_length
 
 SNAP_RADIUS_PX = 12.0
 
@@ -89,14 +91,9 @@ class Procedure:
 
 
 def load_procedures(document: Mapping[str, Any] | Sequence[Mapping[str, Any]] | str | Path) -> list[Procedure]:
-    """Load one procedure (object) or several (array) from JSON."""
+    """Load one procedure (object) or several (array) from a document or a JSON file path."""
     if isinstance(document, (str, Path)):
-        is_file = False
-        try:
-            is_file = Path(document).exists()
-        except (OSError, ValueError):
-            pass
-        document = json.loads(Path(document).read_text(encoding="utf-8") if is_file else str(document))
+        document = json.loads(Path(document).read_text(encoding="utf-8"))
     raw_list = document if isinstance(document, Sequence) else [document]
     procedures = []
     for raw in raw_list:
@@ -112,6 +109,8 @@ _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
 _KINDS = {kind.value: kind for kind in EventKind}
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
+_ID_TYPES = {str, type(None)}
+_MAX_FLOAT = sys.float_info.max
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -121,6 +120,8 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
         t_ms = int(record["t_ms"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"line {line_no}: {exc}") from None
+    except (TypeError, OverflowError):  # null, array, object or infinite t_ms
+        raise ParseError(f"line {line_no}: malformed timestamp {record['t_ms']!r}") from None
     if t_ms < 0:
         raise ParseError(f"line {line_no}: negative timestamp {t_ms}")
 
@@ -128,8 +129,10 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
     if "x" in record or "y" in record:
         try:
             point = (float(record["x"]), float(record["y"]))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError(f"line {line_no}: malformed point") from None
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            raise ParseError(f"line {line_no}: non-finite point {point}")
     if (point is not None) != (kind in _POINT_KINDS):
         raise ParseError(f"line {line_no}: {kind.value} events {'require' if kind in _POINT_KINDS else 'forbid'} a point")
 
@@ -141,6 +144,9 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
             raise ParseError(f"line {line_no}: unknown error kind {record['error_kind']!r}") from None
     if (error_kind is not None) != (kind is EventKind.ERROR_ANNOTATION):
         raise ParseError(f"line {line_no}: error_kind present iff kind is error_annotation")
+    for key in ("screen", "step_id"):
+        if type(record.get(key)) in (list, dict):
+            raise ParseError(f"line {line_no}: malformed {key} {record[key]!r}")
 
     return TrackerEvent(
         t_ms=t_ms,
@@ -171,15 +177,10 @@ def _decode_line(line: str, line_no: int) -> dict[str, Any]:
 
 
 def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
-    """Parse a JSON-Lines session log, enforcing order and step nesting."""
+    """Parse a JSON-Lines session log, given as a file path or an iterable
+    of lines, enforcing order and step nesting."""
     if isinstance(source, (str, Path)):
-        is_file = False
-        try:
-            is_file = Path(source).exists()
-        except (OSError, ValueError):
-            pass
-        text = Path(source).read_text(encoding="utf-8") if is_file else str(source)
-        lines: Iterable[str] = text.splitlines()
+        lines: Iterable[str] = Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = source
 
@@ -195,21 +196,31 @@ def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
             continue
         record = _decode_line(line, line_no)
 
-        # Fast path for the common shapes: an int timestamp, int or float
-        # points on moves and clicks, no error annotation.  Anything else,
-        # including every malformed record, goes through _event_from_record.
+        # Fast path for the common shapes: an int timestamp, finite int or
+        # float points on moves and clicks, string or absent screen and step
+        # ids, no error annotation.  Anything else, including every
+        # malformed record, goes through _event_from_record.
         get = record.get
         kind = get("kind")
         kind = _KINDS.get(kind) if type(kind) is str else None
         t_ms = get("t_ms")
+        screen, step_id = get("screen"), get("step_id")
         event = None
-        if kind is not None and type(t_ms) is int and t_ms >= 0 and get("error_kind") is None:
+        if (
+            kind is not None and type(t_ms) is int and t_ms >= 0 and get("error_kind") is None
+            and type(screen) in _ID_TYPES and type(step_id) in _ID_TYPES
+        ):
             if kind in _POINT_KINDS:
                 x, y = get("x"), get("y")
-                if type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS:
-                    event = TrackerEvent(t_ms, kind, (float(x), float(y)), get("screen"), get("step_id"))
+                # The range test is False for NaN, infinities and ints too
+                # large for a float.
+                if (
+                    type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
+                    and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT
+                ):
+                    event = TrackerEvent(t_ms, kind, (float(x), float(y)), screen, step_id)
             elif kind is not EventKind.ERROR_ANNOTATION and "x" not in record and "y" not in record:
-                event = TrackerEvent(t_ms, kind, None, get("screen"), get("step_id"))
+                event = TrackerEvent(t_ms, kind, None, screen, step_id)
         if event is None:
             event = _event_from_record(record, line_no)
 
@@ -365,14 +376,11 @@ class PathSamples:
     execution_errors: int = 0  # attempts with >= 1 execution annotation
     outcome_errors: int = 0  # attempts with >= 1 outcome annotation
     error_steps: int = 0  # attempts with >= 1 annotation of any kind
-
-    @property
-    def error_counts(self) -> dict[str, int]:
-        return {"execution": self.execution_errors, "outcome": self.outcome_errors}
+    traversals: list[float] = field(default_factory=list)  # px, attempts with a trajectory
 
 
 def path_samples(traces: Iterable[AlignedTrace]) -> dict[str, PathSamples]:
-    """Merge aligned traces into per-path duration and error samples."""
+    """Fold aligned traces, one at a time, into per-path samples."""
     out: dict[str, PathSamples] = {}
     for trace in traces:
         for step in trace.steps:
@@ -381,6 +389,8 @@ def path_samples(traces: Iterable[AlignedTrace]) -> dict[str, PathSamples]:
             sample = out.setdefault(step.path_id, PathSamples())
             sample.durations.append(step.duration_s)
             sample.attempts += 1
+            if step.trajectory:
+                sample.traversals.append(trajectory_length(step.trajectory))
             kinds = set(step.errors)
             if ErrorKind.EXECUTION in kinds:
                 sample.execution_errors += 1

@@ -7,13 +7,12 @@ Three quantities characterize how hard an interface makes one operation:
 * semantic interference density, the fraction of non-target element
   names whose similarity to the target name strictly exceeds a threshold
   (default 0.8);
-* interaction span, the summed Euclidean length of the recorded cursor
-  trajectory, normalized by the longest traversable distance (defaults
-  to the layout diagonal).
+* interaction span, the traversal length (the summed Euclidean length of
+  the recorded cursor trajectory) normalized by the longest traversable
+  distance (defaults to the layout diagonal).
 
 The interference denominator counts target-vs-other comparisons
-(``n_elements - 1``); an all-pairs variant is available via
-``pairwise=True`` for completeness.
+(``n_elements - 1``).
 """
 from __future__ import annotations
 
@@ -78,54 +77,35 @@ def semantic_interference_density(
     return len(contributing) / len(other_names), contributing
 
 
-def pairwise_interference_density(
-    names: Sequence[str],
-    sim: Callable[[str, str], float],
-    theta: float = SIMILARITY_THRESHOLD,
-) -> tuple[float | None, int, int]:
-    """All-pairs variant: high-similarity pairs over C(n, 2) pairs."""
-    n = len(names)
-    total = n * (n - 1) // 2
-    if total == 0:
-        return None, 0, 0
-    high = sum(
-        1 for i in range(n) for j in range(i + 1, n) if sim(names[i], names[j]) > theta
-    )
-    return high / total, high, total
-
-
 def trajectory_length(points: Sequence[tuple[float, float]]) -> float:
+    """Summed length of the consecutive segments of a cursor trajectory."""
     if len(points) < 1:
         raise ValueError("trajectory needs at least one point")
-    return sum(
-        math.hypot(points[i + 1][0] - points[i][0], points[i + 1][1] - points[i][1])
-        for i in range(len(points) - 1)
-    )
+    return sum(map(math.dist, points[1:], points))
 
 
-def interaction_span(points: Sequence[tuple[float, float]], normalizer_px: float) -> float:
-    """Summed consecutive-segment length divided by the normalizer."""
+def interaction_span(traversal_px: float, normalizer_px: float) -> float:
+    """Traversal length divided by the normalizer."""
     if normalizer_px <= 0:
         raise ValueError(f"normalizer must be positive, got {normalizer_px}")
-    return trajectory_length(points) / normalizer_px
+    return traversal_px / normalizer_px
 
 
 def metric_vector(
     g: InterfaceGraph,
     path: ExecutionPath | str,
-    trajectory: Sequence[tuple[float, float]],
+    traversal_px: float,
     sim: Callable[[str, str], float],
     theta: float = SIMILARITY_THRESHOLD,
     normalizer_px: float | None = None,
-    pairwise: bool = False,
 ) -> MetricVector:
     """Assemble the three metrics for one execution path.
 
     The path's terminal element is the target; density and interference
-    are computed against its screen, the span against the supplied
-    trajectory. An undefined interference ratio (single-element screen)
-    is reported as 0.0 with ``sid_undefined`` set so pipelines need not
-    special-case trivial screens.
+    are computed against its screen, the span from the supplied traversal
+    length in pixels. An undefined interference ratio (single-element
+    screen) is reported as 0.0 with ``sid_undefined`` set so pipelines
+    need not special-case trivial screens.
     """
     resolved = resolve_path(g, path) if isinstance(path, str) else path
     target = g.by_id[resolved.node_chain[-1]]
@@ -133,24 +113,18 @@ def metric_vector(
     vd = visual_density(on_screen, target.id)
 
     others = [e.name for e in on_screen if e.id != target.id]
-    if pairwise:
-        ratio, high, total = pairwise_interference_density([target.name, *others], sim, theta)
-        contributors: tuple[str, ...] = ()
-    else:
-        ratio, contributors = semantic_interference_density(target.name, others, sim, theta)
-        high, total = len(contributors), len(others)
+    ratio, contributors = semantic_interference_density(target.name, others, sim, theta)
 
     normalizer = g.layout_diagonal if normalizer_px is None else normalizer_px
-    traversal = trajectory_length(trajectory)
     return MetricVector(
         vd=vd,
         sid=0.0 if ratio is None else ratio,
-        is_norm=interaction_span(trajectory, normalizer),
+        is_norm=interaction_span(traversal_px, normalizer),
         raw=MetricCounts(
             n_elements=len(on_screen),
-            n_high_similarity=high,
-            n_comparisons=total,
-            traversal_px=traversal,
+            n_high_similarity=len(contributors),
+            n_comparisons=len(others),
+            traversal_px=traversal_px,
             normalizer_px=normalizer,
         ),
         sid_undefined=ratio is None,

@@ -370,23 +370,23 @@ def load_model(path: str | Path) -> PifModel:
 TRAINING_CSV_HEADER = "path_id,vd,sid,is,label"
 
 
-def load_training_csv(source: str | Path) -> list[tuple[tuple[float, float, float], str]]:
-    """Rows of ((vd, sid, is), label) from the `path_id,vd,sid,is,label` CSV."""
-    is_file = False
-    try:
-        is_file = Path(source).exists()
-    except (OSError, ValueError):
-        pass
-    text = Path(source).read_text(encoding="utf-8") if is_file else str(source)
+def load_training_csv(source: str | Path | Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
+    """Rows of ((vd, sid, is), label) from the `path_id,vd,sid,is,label` CSV,
+    given as the path of a file or an iterable of its lines."""
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_text(encoding="utf-8").splitlines()
     rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line or line.startswith("path_id"):
             continue
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"line {line_no}: expected 5 columns, got {len(parts)}")
-        rows.append(((float(parts[1]), float(parts[2]), float(parts[3])), parts[4].strip()))
+        features = (float(parts[1]), float(parts[2]), float(parts[3]))
+        if not all(map(math.isfinite, features)):
+            raise ValueError(f"line {line_no}: non-finite feature in {line!r}")
+        rows.append((features, parts[4].strip()))
     return rows
 
 

@@ -193,6 +193,24 @@ def _metrics_from_dict(d: Mapping[str, Any]) -> MetricVector:
     )
 
 
+def hfe_to_dict(hfe: HfeReport) -> dict[str, Any]:
+    return {
+        "candidates": [
+            {
+                "path_id": c.path_id,
+                "error_prob": c.error_prob,
+                "error_kinds": sorted(k.value for k in c.error_kinds),
+                "time_flag": c.time_flag,
+                "tail_prob_at_threshold": c.tail_prob_at_threshold,
+                "provenance": sorted(c.provenance),
+            }
+            for c in hfe.candidates
+        ],
+        "per_procedure": dict(hfe.per_procedure),
+        "prioritized_procedures": list(hfe.prioritized_procedures),
+    }
+
+
 def report_to_dict(report: RiskReport) -> dict[str, Any]:
     return {
         "schema_version": report.schema_version,
@@ -200,21 +218,7 @@ def report_to_dict(report: RiskReport) -> dict[str, Any]:
         "config_fingerprint": report.config_fingerprint,
         "generated_at": report.generated_at,
         "graph_summary": dict(report.graph_summary),
-        "hfe": {
-            "candidates": [
-                {
-                    "path_id": c.path_id,
-                    "error_prob": c.error_prob,
-                    "error_kinds": sorted(k.value for k in c.error_kinds),
-                    "time_flag": c.time_flag,
-                    "tail_prob_at_threshold": c.tail_prob_at_threshold,
-                    "provenance": sorted(c.provenance),
-                }
-                for c in report.hfe.candidates
-            ],
-            "per_procedure": dict(report.hfe.per_procedure),
-            "prioritized_procedures": list(report.hfe.prioritized_procedures),
-        },
+        "hfe": hfe_to_dict(report.hfe),
         "assessments": [
             {
                 "path_id": a.path_id,

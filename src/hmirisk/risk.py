@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import InterfaceGraph, resolve_path
 from .ingest import ErrorKind, PathSamples, Procedure
@@ -86,13 +86,6 @@ def tail_prob(model: LognormalTimeModel, t: float) -> float:
     return normal_sf((math.log(t) - model.mu) / model.sigma)
 
 
-Grouping = Mapping[str, str] | Callable[[str], str]
-
-
-def _category_of(grouping: Grouping, path_id: str) -> str:
-    return grouping(path_id) if callable(grouping) else grouping[path_id]
-
-
 def system_category(g: InterfaceGraph, path_id: str) -> str:
     """Category of a path: the id of the system root its chain starts at."""
     return resolve_path(g, path_id).node_chain[0]
@@ -110,7 +103,7 @@ class TimeDeviation:
 
 def time_deviation_detail(
     samples: Mapping[str, PathSamples],
-    grouping: Grouping,
+    grouping: Mapping[str, str],
     tau: float = TAU_DEFAULT,
     sigma: float = SIGMA_DEFAULT,
 ) -> dict[str, TimeDeviation]:
@@ -127,7 +120,7 @@ def time_deviation_detail(
     """
     by_category: dict[str, list[str]] = {}
     for path_id in samples:
-        by_category.setdefault(_category_of(grouping, path_id), []).append(path_id)
+        by_category.setdefault(grouping[path_id], []).append(path_id)
 
     out: dict[str, TimeDeviation] = {}
     for category in sorted(by_category):
@@ -160,7 +153,7 @@ def time_deviation_detail(
 
 def detect_time_deviated(
     samples: Mapping[str, PathSamples],
-    grouping: Grouping,
+    grouping: Mapping[str, str],
     tau: float = TAU_DEFAULT,
 ) -> set[str]:
     """Paths whose log median sits tau pooled-stds above their category mean."""

@@ -90,7 +90,7 @@ def test_metric_table_reproduction(designated_sim):
         assert Fraction(len(contributors), len(others)) == Fraction(*row.sid)
         assert ratio == sid_num / sid_den
 
-        span = interaction_span([(0.0, 0.0), (traversal, 0.0)], normalizer)
+        span = interaction_span(traversal, normalizer)
         assert span == pytest.approx(traversal / normalizer, abs=1e-6)
     assert time.monotonic() - started < 1.0
 
@@ -281,7 +281,7 @@ def test_round_trip_integrity():
     total_steps = aligned_steps = 0
     samples_input = []
     for log in logs:
-        reparsed = parse_session_log(serialize_session(log))
+        reparsed = parse_session_log(serialize_session(log).splitlines())
         assert reparsed == log  # zero unmatched events, lossless
         trace = align_events(graph, reparsed)
         assert trace.unaligned == ()

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
+from hmirisk import cli
 from hmirisk.cli import main
-from hmirisk.graph import graph_to_document
+from hmirisk.graph import graph_to_document, load_graph
+from hmirisk.ingest import align_events, parse_session_log
+from hmirisk.metrics import trajectory_length
 from hmirisk.pifnet import training_csv
 
 
@@ -82,17 +86,12 @@ class TestSimulate:
 
 
 class TestIngest:
-    def test_emits_traces_and_samples(self, graph_file, sessions_dir, tmp_path, capsys):
+    def test_prints_counts_and_writes_nothing(self, graph_file, sessions_dir, tmp_path, capsys):
         out = tmp_path / "ingested"
         code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(out)])
         assert code == 0
-        samples = json.loads((out / "samples.json").read_text())
-        assert set(samples) == {"P_11", "P_12", "P_13"}
-        assert samples["P_11"]["attempts"] == 6
-        assert samples["P_11"]["error_counts"]["execution"] == 6
-        traces = json.loads((out / "traces.json").read_text())
-        assert len(traces) == 6
-        assert "aligned 18 steps" in capsys.readouterr().out
+        assert capsys.readouterr().out == "aligned 18 steps from 6 session(s); 0 unaligned\n"
+        assert not out.exists()
 
     def test_non_object_line_exits_two(self, graph_file, tmp_path, capsys):
         sessions = tmp_path / "bad_sessions"
@@ -101,6 +100,14 @@ class TestIngest:
         code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "line 1: expected a JSON object, got array" in capsys.readouterr().err
+
+    def test_malformed_value_exits_two(self, graph_file, tmp_path, capsys):
+        sessions = tmp_path / "bad_sessions"
+        sessions.mkdir()
+        (sessions / "a.jsonl").write_text('{"t_ms": null, "kind": "key"}\n')
+        code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions)])
+        assert code == 2
+        assert "line 1: malformed timestamp None" in capsys.readouterr().err
 
 
 class TestHfe:
@@ -129,6 +136,18 @@ class TestMetrics:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0].startswith("path_id,vd_num")
         assert len(lines) == 4  # header + three paths
+
+    def test_span_is_mean_trajectory_length(self, graph_file, sessions_dir, tmp_path):
+        out = tmp_path / "metrics_out"
+        assert main(["metrics", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(out)]) == 0
+        graph = load_graph(graph_file)
+        lengths: dict[str, list[float]] = {}
+        for file in sorted(sessions_dir.glob("*.jsonl")):
+            for step in align_events(graph, parse_session_log(file)).steps:
+                if step.path_id is not None and step.trajectory:
+                    lengths.setdefault(step.path_id, []).append(trajectory_length(step.trajectory))
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert {row[0]: row[5] for row in rows} == {p: f"{sum(v) / len(v):.2f}" for p, v in lengths.items()}
 
 
 @pytest.fixture
@@ -207,8 +226,43 @@ class TestReport:
         config.write_text(json.dumps({"paths": {"graph": str(graph_file), "sessions": str(sessions_dir)}}))
         out = tmp_path / "from_config"
         assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "samples.json").exists()
+        assert "aligned 18 steps" in capsys.readouterr().out
 
     def test_missing_inputs_exit_two(self, capsys):
         assert main(["ingest", "--out", "/tmp/x"]) == 2
         assert "no session files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["hfe", "--graph", "{tmp}/nograph.json", "--sessions", "{sessions}"], "nograph.json"),
+        (["report", "--graph", "{graph}", "--sessions", "{sessions}", "--procedures", "{tmp}/noprocs.json"], "noprocs.json"),
+        (["metrics", "--graph", "{graph}", "--sessions", "{tmp}/nosession.jsonl"], "nosession.jsonl"),
+        (["pif", "cv", "--data", "{tmp}/nodata.csv"], "nodata.csv"),
+    ],
+    ids=["graph", "procedures", "sessions", "pif-data"],
+)
+def test_missing_file_exits_two_and_names_it(argv, missing, graph_file, sessions_dir, tmp_path, capsys):
+    paths = {"tmp": tmp_path, "graph": graph_file, "sessions": sessions_dir}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "hfe", "metrics"])
+def test_each_session_parsed_once_and_released(command, graph_file, sessions_dir, tmp_path, monkeypatch):
+    parsed: list = []
+    alive: list[weakref.ref] = []
+
+    def parse_tracked(source):
+        assert all(ref() is None for ref in alive), "an earlier SessionLog is still alive"
+        log = parse_session_log(source)
+        parsed.append(source)
+        alive.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(cli, "parse_session_log", parse_tracked)
+    argv = [command, "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert sorted(parsed) == sorted(sessions_dir.glob("*.jsonl"))

@@ -80,6 +80,6 @@ def test_reference_samples_shape():
 
 def test_training_csv_export_parses_back():
     text = dataset.reference_training_csv()
-    rows = load_training_csv(text)
+    rows = load_training_csv(text.splitlines())
     assert len(rows) == 39
     assert rows[0][1] == "HSI0"

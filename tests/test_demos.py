@@ -1,0 +1,15 @@
+"""Every demo runs to completion against the current public API."""
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")

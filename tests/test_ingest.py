@@ -7,6 +7,7 @@ import random
 import pytest
 
 from hmirisk.graph import ElementKind, InterfaceElement, InterfaceGraph, Screen, load_graph
+from hmirisk.metrics import trajectory_length
 from hmirisk.ingest import (
     AlignedStep,
     AlignedTrace,
@@ -41,17 +42,17 @@ class TestParseSessionLog:
                 _line(t_ms=2500, kind="step_end", step_id="s1"),
             ]
         )
-        log = parse_session_log(text)
+        log = parse_session_log(text.splitlines())
         assert log.session_id == "S1" and log.participant_id == "P1"
         assert [e.kind for e in log.events] == [EventKind.STEP_START, EventKind.CLICK, EventKind.STEP_END]
 
     def test_step_end_before_start(self):
         with pytest.raises(ParseError, match="unmatched step_end"):
-            parse_session_log(_line(t_ms=0, kind="step_end", step_id="s1"))
+            parse_session_log([_line(t_ms=0, kind="step_end", step_id="s1")])
 
     def test_unclosed_step(self):
         with pytest.raises(ParseError, match="unmatched step_start"):
-            parse_session_log(_line(t_ms=0, kind="step_start", step_id="s1"))
+            parse_session_log([_line(t_ms=0, kind="step_start", step_id="s1")])
 
     def test_non_monotonic_timestamps(self):
         text = "\n".join(
@@ -61,24 +62,24 @@ class TestParseSessionLog:
             ]
         )
         with pytest.raises(ParseError, match="line 2.*non-monotonic"):
-            parse_session_log(text)
+            parse_session_log(text.splitlines())
 
     def test_malformed_line_reports_number(self):
         text = "\n".join([_line(t_ms=0, kind="step_start", step_id="s1"), "{broken", _line(t_ms=1, kind="step_end", step_id="s1")])
         with pytest.raises(ParseError, match="line 2"):
-            parse_session_log(text)
+            parse_session_log(text.splitlines())
 
     def test_point_required_iff_spatial(self):
         with pytest.raises(ParseError, match="require"):
-            parse_session_log(_line(t_ms=0, kind="move"))
+            parse_session_log([_line(t_ms=0, kind="move")])
         with pytest.raises(ParseError, match="forbid"):
-            parse_session_log(_line(t_ms=0, kind="key", x=1, y=2))
+            parse_session_log([_line(t_ms=0, kind="key", x=1, y=2)])
 
     def test_error_kind_only_on_annotations(self):
         with pytest.raises(ParseError):
-            parse_session_log(_line(t_ms=0, kind="key", error_kind="execution"))
+            parse_session_log([_line(t_ms=0, kind="key", error_kind="execution")])
         with pytest.raises(ParseError):
-            parse_session_log(_line(t_ms=0, kind="error_annotation"))
+            parse_session_log([_line(t_ms=0, kind="error_annotation")])
 
     def test_session_id_must_be_consistent(self):
         text = "\n".join(
@@ -88,7 +89,7 @@ class TestParseSessionLog:
             ]
         )
         with pytest.raises(ParseError, match="session_id changed"):
-            parse_session_log(text)
+            parse_session_log(text.splitlines())
 
     def test_session_ids_compared_as_text(self):
         def log(*ids):
@@ -103,12 +104,12 @@ class TestParseSessionLog:
     def test_value_split_across_lines_is_invalid_json(self):
         start = _line(t_ms=0, kind="step_start", step_id="s1")
         with pytest.raises(ParseError, match=r"^line 1: not valid JSON \(Expecting value\)$"):
-            parse_session_log(start[:20] + "\n" + start[20:])
+            parse_session_log([start[:20], start[20:]])
 
     def test_two_objects_on_one_line(self):
         key = _line(t_ms=0, kind="key")
         with pytest.raises(ParseError, match=r"^line 2: not valid JSON \(Extra data\)$"):
-            parse_session_log("\n".join([key, key + key]))
+            parse_session_log([key, key + key])
 
     @pytest.mark.parametrize(
         "text, json_type",
@@ -117,13 +118,13 @@ class TestParseSessionLog:
     def test_non_object_line_rejected(self, text, json_type):
         lines = [_line(t_ms=0, kind="key"), text]
         with pytest.raises(ParseError, match=rf"^line 2: expected a JSON object, got {json_type}$"):
-            parse_session_log("\n".join(lines))
+            parse_session_log(lines)
 
     def test_blank_lines_skipped_but_counted(self):
         lines = [_line(t_ms=0, kind="step_start", step_id="s1"), "", "   \t", _line(t_ms=5, kind="step_end", step_id="s1")]
-        assert len(parse_session_log("\n".join(lines)).events) == 2
+        assert len(parse_session_log(lines).events) == 2
         with pytest.raises(ParseError, match="^line 4: not valid JSON"):
-            parse_session_log("\n".join(lines[:3] + ["{broken"]))
+            parse_session_log(lines[:3] + ["{broken"])
 
     def test_integer_coordinates_read_as_floats(self):
         lines = [_line(t_ms=0, kind="move", x=10, y=20, screen="A")]
@@ -133,6 +134,25 @@ class TestParseSessionLog:
 
     def test_string_timestamp_accepted(self):
         assert parse_session_log([_line(t_ms="100", kind="key")]).events[0].t_ms == 100
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"t_ms": None, "kind": "key"}, "malformed timestamp None"),
+            ({"t_ms": [1], "kind": "key"}, "malformed timestamp [1]"),
+            ({"t_ms": {"a": 1}, "kind": "key"}, "malformed timestamp {'a': 1}"),
+            ({"t_ms": math.inf, "kind": "key"}, "malformed timestamp inf"),
+            ({"t_ms": 0, "kind": "move", "x": 10**400, "y": 1}, "malformed point"),
+            ({"t_ms": 0, "kind": "move", "x": math.nan, "y": 1}, "non-finite point (nan, 1.0)"),
+            ({"t_ms": 0, "kind": "click", "x": 1.5, "y": -math.inf}, "non-finite point (1.5, -inf)"),
+            ({"t_ms": 0, "kind": "step_start", "step_id": [1]}, "malformed step_id [1]"),
+            ({"t_ms": 0, "kind": "click", "x": 1, "y": 1, "screen": {"a": 1}}, "malformed screen {'a': 1}"),
+        ],
+    )
+    def test_bad_value_is_parse_error(self, record, message):
+        with pytest.raises(ParseError) as info:
+            parse_session_log([_line(**record)])
+        assert str(info.value) == f"line 1: {message}"
 
     def test_matches_reference_parser_on_mutated_logs(self):
         rng = random.Random(20251018)
@@ -149,7 +169,7 @@ class TestParseSessionLog:
             TrackerEvent(20, EventKind.STEP_END, step_id="s1"),
         )
         log = SessionLog("S9", "P3", events)
-        assert parse_session_log(serialize_session(log)) == log
+        assert parse_session_log(serialize_session(log).splitlines()) == log
 
     def test_parse_from_file(self, tmp_path):
         file = tmp_path / "session.jsonl"
@@ -332,7 +352,7 @@ class TestPathSamples:
         t = AlignedTrace("S1", (AlignedStep("a", "P_122", 2.0, (ErrorKind.EXECUTION,), ()),))
         samples = path_samples([t])
         assert samples["P_122"].execution_errors == 1
-        assert samples["P_122"].error_counts == {"execution": 1, "outcome": 0}
+        assert samples["P_122"].outcome_errors == 0
         assert samples["P_122"].error_steps == 1
 
     def test_empty_input(self):
@@ -345,6 +365,20 @@ class TestPathSamples:
         ]
         samples = path_samples(traces)
         assert sum(s.attempts for s in samples.values()) == sum(len(t.steps) for t in traces)
+
+    def test_traversal_per_attempt_with_trajectory(self):
+        a = ((0.0, 0.0), (3.0, 4.0))
+        b = ((1.0, 1.0), (1.0, 3.0), (4.0, 7.0))
+        steps = (
+            AlignedStep("a", "P_1", 1.0, (), a),
+            AlignedStep("b", "P_1", 1.0, (), ()),
+            AlignedStep("c", None, 1.0, (), b),
+            AlignedStep("d", "P_2", 1.0, (), ((2.0, 2.0),)),
+            AlignedStep("e", "P_1", 1.0, (), b),
+        )
+        samples = path_samples([AlignedTrace("S1", steps)])
+        assert samples["P_1"].traversals == [trajectory_length(a), trajectory_length(b)] == [5.0, 7.0]
+        assert samples["P_2"].traversals == [0.0]
 
     def test_step_with_both_kinds_counts_once(self):
         t = AlignedTrace("S1", (AlignedStep("a", "P_1", 2.0, (ErrorKind.EXECUTION, ErrorKind.OUTCOME), ()),))

@@ -10,7 +10,6 @@ from hmirisk.metrics import (
     interaction_span,
     metric_vector,
     metrics_csv_rows,
-    pairwise_interference_density,
     semantic_interference_density,
     trajectory_length,
     visual_density,
@@ -81,34 +80,28 @@ class TestInterferenceDensity:
         ratio, names = semantic_interference_density("T", ["a", "b"], exact, theta=1.0)
         assert ratio == 0.0 and names == ()  # strict comparison: nothing exceeds 1.0
 
-    def test_pairwise_variant(self, designated_sim):
-        ratio, high, total = pairwise_interference_density(["T", "SIM1", "x1"], designated_sim)
-        assert total == 3
-        assert high == 2  # T-SIM1 and SIM1-x1
-        assert ratio == pytest.approx(2 / 3)
-
 
 class TestInteractionSpan:
     def test_three_four_five_triangle(self):
-        assert interaction_span([(0, 0), (3, 4)], 5.0) == 1.0
+        assert interaction_span(trajectory_length([(0, 0), (3, 4)]), 5.0) == 1.0
 
     def test_still_trajectory(self):
-        assert interaction_span([(7, 7), (7, 7)], 10.0) == 0.0
-        assert interaction_span([(7, 7)], 10.0) == 0.0
+        assert interaction_span(trajectory_length([(7, 7), (7, 7)]), 10.0) == 0.0
+        assert interaction_span(trajectory_length([(7, 7)]), 10.0) == 0.0
 
     def test_published_row_ratio(self):
-        assert interaction_span([(0, 0), (511.59, 0)], 2654.05) == pytest.approx(511.59 / 2654.05, abs=1e-12)
+        assert interaction_span(511.59, 2654.05) == pytest.approx(511.59 / 2654.05, abs=1e-12)
 
     def test_non_positive_normalizer(self):
         with pytest.raises(ValueError):
-            interaction_span([(0, 0), (1, 1)], 0.0)
+            interaction_span(trajectory_length([(0, 0), (1, 1)]), 0.0)
 
     def test_scale_invariance_with_diagonal_normalizer(self):
         points = [(10, 20), (110, 220), (50, 90)]
         diag = (800**2 + 600**2) ** 0.5
-        base = interaction_span(points, diag)
+        base = interaction_span(trajectory_length(points), diag)
         c = 3.7
-        scaled = interaction_span([(x * c, y * c) for x, y in points], diag * c)
+        scaled = interaction_span(trajectory_length([(x * c, y * c) for x, y in points]), diag * c)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_additive_under_concatenation(self):
@@ -135,7 +128,7 @@ class TestMetricVector:
     def test_published_row_p110_shape(self, designated_sim):
         # 43 on-screen elements, 1 similar name, 511.59 px traversal
         g = count_fixture_graph(43, 1)
-        m = metric_vector(g, "P_T", [(0, 0), (511.59, 0)], designated_sim, normalizer_px=2654.05)
+        m = metric_vector(g, "P_T", 511.59, designated_sim, normalizer_px=2654.05)
         assert Fraction(1, m.raw.n_elements) == Fraction(1, 43)
         assert Fraction(m.raw.n_high_similarity, m.raw.n_comparisons) == Fraction(1, 42)
         assert m.is_norm == pytest.approx(511.59 / 2654.05, abs=1e-9)
@@ -143,7 +136,7 @@ class TestMetricVector:
 
     def test_untested_procedure_row_shape(self, designated_sim):
         g = count_fixture_graph(33, 1)
-        m = metric_vector(g, "P_T", [(0, 0), (773.94, 0)], designated_sim, normalizer_px=2654.05)
+        m = metric_vector(g, "P_T", 773.94, designated_sim, normalizer_px=2654.05)
         assert (m.vd, m.sid) == (pytest.approx(1 / 33), pytest.approx(1 / 32))
         assert m.is_norm == pytest.approx(0.29161, abs=5e-6)
 
@@ -154,18 +147,18 @@ class TestMetricVector:
                 "elements": [{"id": "T", "name": "only", "kind": "system_root", "screen": "S", "x": 5, "y": 5}],
             }
         )
-        m = metric_vector(g, "P_T", [(3, 3)], designated_sim)
+        m = metric_vector(g, "P_T", 0.0, designated_sim)
         assert m.vd == 1.0
         assert m.sid == 0.0 and m.sid_undefined is True
         assert m.is_norm == 0.0
 
     def test_default_normalizer_is_layout_diagonal(self, two_screen_graph, designated_sim):
-        m = metric_vector(two_screen_graph, "P_11", [(0, 0), (100, 0)], designated_sim)
+        m = metric_vector(two_screen_graph, "P_11", 100.0, designated_sim)
         assert m.raw.normalizer_px == pytest.approx(two_screen_graph.layout_diagonal)
 
     def test_csv_layout(self, designated_sim):
         g = count_fixture_graph(4, 2)
-        m = metric_vector(g, "P_T", [(0, 0), (100, 0)], designated_sim, normalizer_px=1000.0)
+        m = metric_vector(g, "P_T", 100.0, designated_sim, normalizer_px=1000.0)
         rows = metrics_csv_rows([("P_T", m)])
         assert rows[0].startswith("path_id,vd_num,vd_den,sid_num,sid_den")
         assert rows[1].split(",")[:5] == ["P_T", "1", "4", "2", "3"]

@@ -298,3 +298,9 @@ def test_training_csv_round_trip(tmp_path):
     file.write_text(text)
     rows = load_training_csv(file)
     assert rows == [((0.25, 0.0, 0.477), "HSI0"), ((1 / 43, 1 / 42, 0.19276), "HSI1")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_training_csv_rejects_non_finite_feature(value):
+    with pytest.raises(ValueError, match=f"^line 2: non-finite feature in 'P_1,0.25,{value},0.4,HSI0'$"):
+        load_training_csv(["path_id,vd,sid,is,label", f"P_1,0.25,{value},0.4,HSI0"])

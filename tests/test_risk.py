@@ -186,11 +186,6 @@ class TestDetectTimeDeviated:
         assert detail["P_C"].tail_prob_at_threshold > 0.5
         assert detail["P_A"].tail_prob_at_threshold < 0.5
 
-    def test_grouping_callable(self):
-        durations = {"P_A": [2.0, 2.0], "P_B": [2.0, 2.1], "P_C": [8.0, 8.0]}
-        flags = detect_time_deviated(samples_of(durations), lambda p: "c")
-        assert flags == {"P_C"}
-
     def test_zero_duration_steps_excluded_not_fatal(self):
         durations = {"P_A": [0.0, 2.0, 2.0], "P_B": [2.0, 2.1], "P_C": [8.0, 8.0]}
         flags = detect_time_deviated(samples_of(durations), {p: "c" for p in durations})

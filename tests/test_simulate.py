@@ -117,7 +117,7 @@ class TestRoundTrip:
         logs = generate_sessions(two_screen_graph, plan)
         total = unmatched = 0
         for log in logs:
-            parsed = parse_session_log(serialize_session(log))
+            parsed = parse_session_log(serialize_session(log).splitlines())
             assert parsed == log  # lossless parse
             trace = align_events(two_screen_graph, parsed)
             unmatched += len(trace.unaligned)
