@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, dataset
-from .config import AppConfig, load_app_config
+from .config import AppConfig, load_app_config, read_json
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
-from .graph import GraphError, load_graph, validate_graph
+from .graph import GraphError, load_graph
 from .ingest import align_events, load_procedures, parse_session_log, path_samples
 from .metrics import metric_vector, metrics_csv_rows
 from .pifnet import (
@@ -39,10 +40,20 @@ from .risk import (
 from .simulate import generate_sessions, plan_from_document, write_sessions
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    parser.add_argument("--out", default=".", help="output directory")
+_SHARED_FLAGS = {
+    "config": {"help": "JSON config file"},
+    "seed": {"type": int, "help": "override the configured seed"},
+    "out": {"default": ".", "help": "output directory"},
+}
+
+
+def _command(sub, name: str, run, shared: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
+    """A subcommand dispatching to ``run`` with the shared flags it reads."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(run=run)
+    for flag in shared:
+        parser.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,55 +63,54 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="graph utilities")
     graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
-    p_validate = graph_sub.add_parser("validate", help="check a graph file against all invariants")
+    p_validate = _command(
+        graph_sub, "validate", _cmd_graph_validate, (), help="check a graph file against all invariants"
+    )
     p_validate.add_argument("graph_file")
-    _add_common(p_validate)
 
-    p_sim = sub.add_parser("simulate", help="generate synthetic session logs from a plan")
+    p_sim = _command(
+        sub, "simulate", _cmd_simulate, ("config", "seed", "out"), help="generate synthetic session logs from a plan"
+    )
     p_sim.add_argument("--graph", help="graph JSON (falls back to config paths.graph)")
     p_sim.add_argument("--plan", required=True, help="scenario plan JSON")
-    _add_common(p_sim)
 
-    p_ing = sub.add_parser("ingest", help="parse and align session logs")
+    p_ing = _command(sub, "ingest", _cmd_ingest, ("config",), help="parse and align session logs")
     p_ing.add_argument("--graph")
     p_ing.add_argument("--sessions", nargs="+", help="session JSONL files or directories")
     p_ing.add_argument("--procedures", help="procedures JSON (declared step targets)")
-    _add_common(p_ing)
 
-    p_hfe = sub.add_parser("hfe", help="identify risk-informed failure-event candidates")
+    p_hfe = _command(sub, "hfe", _cmd_hfe, ("config", "out"), help="identify risk-informed failure-event candidates")
     p_hfe.add_argument("--graph")
     p_hfe.add_argument("--sessions", nargs="+")
     p_hfe.add_argument("--procedures")
     p_hfe.add_argument("--t95", help="CSV of path_id,t95_seconds fallbacks")
-    _add_common(p_hfe)
 
-    p_met = sub.add_parser("metrics", help="per-path interface metrics from aligned traces")
+    p_met = _command(
+        sub, "metrics", _cmd_metrics, ("config", "out"), help="per-path interface metrics from aligned traces"
+    )
     p_met.add_argument("--graph")
     p_met.add_argument("--sessions", nargs="+")
-    _add_common(p_met)
 
     p_pif = sub.add_parser("pif", help="train, cross-validate, or apply the PIF classifier")
     pif_sub = p_pif.add_subparsers(dest="pif_command", required=True)
-    p_train = pif_sub.add_parser("train")
+    p_train = _command(pif_sub, "train", _cmd_pif_train, ("config", "seed"))
     p_train.add_argument("--data", help="training CSV (path_id,vd,sid,is,label); bundled dataset when omitted")
     p_train.add_argument("--model-out", required=True)
-    _add_common(p_train)
-    p_cv = pif_sub.add_parser("cv")
+    p_cv = _command(pif_sub, "cv", _cmd_pif_cv, ("config", "seed"))
     p_cv.add_argument("--data")
     p_cv.add_argument("--k", type=int, default=None)
-    _add_common(p_cv)
-    p_pred = pif_sub.add_parser("predict")
+    p_pred = _command(pif_sub, "predict", _cmd_pif_predict, ())
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--features", help="comma-separated vd,sid,is")
     p_pred.add_argument("--data", help="CSV of rows to predict")
-    _add_common(p_pred)
 
-    p_rep = sub.add_parser("report", help="run the full pipeline and emit the risk report")
+    p_rep = _command(
+        sub, "report", _cmd_report, ("config", "seed", "out"), help="run the full pipeline and emit the risk report"
+    )
     p_rep.add_argument("--graph")
     p_rep.add_argument("--sessions", nargs="+")
     p_rep.add_argument("--procedures")
     p_rep.add_argument("--model", help="trained classifier; trained on the bundled dataset when omitted")
-    _add_common(p_rep)
     return parser
 
 
@@ -177,12 +187,13 @@ def _train_default_model(cfg: AppConfig, seed: int, rows=None):
 
 def _path_metric_entries(graph, samples, cfg: AppConfig):
     """Per-path metric vectors; the span uses the mean traversal across
-    recorded instances of the path."""
+    recorded instances of the path (an exactly rounded sum, so the same
+    sessions in any order give the same bits)."""
     sim = _similarity(cfg)
     entries = []
     for path_id in sorted(samples):
         lengths = samples[path_id].traversals
-        mean_px = sum(lengths) / len(lengths) if lengths else 0.0
+        mean_px = math.fsum(lengths) / len(lengths) if lengths else 0.0
         metric = metric_vector(
             graph, path_id, mean_px, sim, theta=cfg.metrics.theta, normalizer_px=cfg.metrics.normalizer_px
         )
@@ -214,18 +225,13 @@ def _cmd_graph_validate(args, cfg: AppConfig) -> int:
         if not err.violations:
             print(err)
         return 1
-    violations = validate_graph(graph)
-    for violation in violations:
-        print(f"{violation.element_id or '-'}: {violation.rule}: {violation.detail}")
-    if violations:
-        return 1
     print(f"ok: {len(graph.by_id)} elements, {len(graph.screens)} screens, diagonal {graph.layout_diagonal:.2f} px")
     return 0
 
 
 def _cmd_simulate(args, cfg: AppConfig) -> int:
     graph = load_graph(args.graph)
-    plan_doc = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+    plan_doc = read_json(args.plan)
     if args.seed is not None:
         plan_doc["seed"] = args.seed
     plan = plan_from_document(plan_doc)
@@ -277,20 +283,27 @@ def _cmd_metrics(args, cfg: AppConfig) -> int:
     return 0
 
 
-def _cmd_pif(args, cfg: AppConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.pif.seed
-    if args.pif_command == "train":
-        rows = _training_rows(args.data)
-        model = _train_default_model(cfg, seed, rows)
-        save_model(model, args.model_out)
-        print(f"trained on {len(rows)} rows; training accuracy {evaluate(model, rows):.4f}; saved to {args.model_out}")
-        return 0
-    if args.pif_command == "cv":
-        rows = _training_rows(args.data)
-        k = args.k if args.k is not None else cfg.pif.k_folds
-        result = kfold_cv(rows, k=k, seed=seed, hyper=_hyper(cfg))
-        print(json.dumps({"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
-        return 0
+def _seed(args, cfg: AppConfig) -> int:
+    return args.seed if args.seed is not None else cfg.pif.seed
+
+
+def _cmd_pif_train(args, cfg: AppConfig) -> int:
+    rows = _training_rows(args.data)
+    model = _train_default_model(cfg, _seed(args, cfg), rows)
+    save_model(model, args.model_out)
+    print(f"trained on {len(rows)} rows; training accuracy {evaluate(model, rows):.4f}; saved to {args.model_out}")
+    return 0
+
+
+def _cmd_pif_cv(args, cfg: AppConfig) -> int:
+    rows = _training_rows(args.data)
+    k = args.k if args.k is not None else cfg.pif.k_folds
+    result = kfold_cv(rows, k=k, seed=_seed(args, cfg), hyper=_hyper(cfg))
+    print(json.dumps({"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
+    return 0
+
+
+def _cmd_pif_predict(args, cfg: AppConfig) -> int:
     model = load_model(args.model)
     outputs = []
     if args.features:
@@ -313,8 +326,7 @@ def _cmd_report(args, cfg: AppConfig) -> int:
     samples = path_samples(traces)
     grouping, hfe = _detect(graph, samples, procedures, cfg)
 
-    seed = args.seed if args.seed is not None else cfg.pif.seed
-    model = load_model(args.model) if args.model else _train_default_model(cfg, seed)
+    model = load_model(args.model) if args.model else _train_default_model(cfg, _seed(args, cfg))
     assessments = []
     for path_id, metric in _path_metric_entries(graph, samples, cfg):
         label, probs = predict(model, metric)
@@ -329,23 +341,9 @@ def _cmd_report(args, cfg: AppConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_app_config(args.config)
+        cfg = load_app_config(getattr(args, "config", None))
         _resolve_inputs(args, cfg)
-        if args.command == "graph":
-            return _cmd_graph_validate(args, cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        if args.command == "ingest":
-            return _cmd_ingest(args, cfg)
-        if args.command == "hfe":
-            return _cmd_hfe(args, cfg)
-        if args.command == "metrics":
-            return _cmd_metrics(args, cfg)
-        if args.command == "pif":
-            return _cmd_pif(args, cfg)
-        if args.command == "report":
-            return _cmd_report(args, cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args, cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

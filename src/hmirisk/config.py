@@ -1,8 +1,14 @@
-"""JSON configuration shared by the CLI and the report assembler."""
+"""JSON configuration shared by the CLI and the report assembler.
+
+Every value is checked where it enters: its type must match the field
+(a bool is not a number, a float is not an integer), a number must be
+finite and in range, and an error names the offending ``section.key``.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -55,7 +61,6 @@ class AppConfig:
     riskpath: RiskSettings = field(default_factory=RiskSettings)
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
     pif: PifSettings = field(default_factory=PifSettings)
-    report: dict[str, Any] = field(default_factory=dict)
 
 
 _SECTIONS = {
@@ -66,26 +71,70 @@ _SECTIONS = {
     "pif": PifSettings,
 }
 
+# Base of a field's annotation (a string, as annotations are postponed) ->
+# accepted JSON types and their description.
+_TYPES = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a finite number")}
+
+_RANGES = {
+    "embed.provider": (lambda v: v in ("local", "remote"), "'local' or 'remote'"),
+    "embed.timeout_ms": (lambda v: v > 0, "positive"),
+    "riskpath.tau": (lambda v: v >= 0, "non-negative"),
+    "riskpath.alpha": (lambda v: v >= 0, "non-negative"),
+    "riskpath.sigma": (lambda v: v > 0, "positive"),
+    "metrics.theta": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "metrics.normalizer_px": (lambda v: v > 0, "positive"),
+    "pif.learning_rate": (lambda v: v > 0, "positive"),
+    "pif.epochs": (lambda v: v >= 0, "non-negative"),
+    "pif.dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "pif.k_folds": (lambda v: v >= 2, "at least 2"),
+    "pif.seed": (lambda v: v >= 0, "non-negative"),
+}
+
+
+def _check_value(name: str, annotation: str, value: Any) -> None:
+    if value is None and annotation.endswith("| None"):
+        return
+    types, expected = _TYPES[annotation.split(" |")[0]]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, types) or not finite:
+        raise ValueError(f"config {name}: expected {expected}, got {value!r}")
+    if name in _RANGES and not _RANGES[name][0](value):
+        raise ValueError(f"config {name}: must be {_RANGES[name][1]}, got {value!r}")
+
 
 def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
-    unknown_sections = set(raw) - set(_SECTIONS) - {"report"}
+    if not isinstance(raw, Mapping):
+        raise ValueError("config must be a JSON object")
+    unknown_sections = set(raw) - set(_SECTIONS)
     if unknown_sections:
         raise ValueError(f"unknown config sections {sorted(unknown_sections)}")
     kwargs: dict[str, Any] = {}
     for section, cls in _SECTIONS.items():
         data = raw.get(section, {})
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        if not isinstance(data, Mapping):
+            raise ValueError(f"config section {section!r} must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"config section {section!r} has unknown keys {sorted(unknown)}")
+        for key, value in data.items():
+            _check_value(f"{section}.{key}", fields[key].type, value)
         kwargs[section] = cls(**data)
-    kwargs["report"] = dict(raw.get("report", {}))
     return AppConfig(**kwargs)
+
+
+def read_json(path: str | Path) -> Any:
+    """Decode a JSON file; a decode error names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_app_config(path: str | Path | None) -> AppConfig:
     if path is None:
         return AppConfig()
-    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return config_from_dict(read_json(path))
 
 
 def config_to_dict(cfg: AppConfig) -> dict[str, Any]:

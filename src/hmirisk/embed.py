@@ -120,7 +120,6 @@ class RemoteProvider:
         endpoint: str,
         model: str,
         timeout_ms: int = 10_000,
-        api_key_env: str = API_KEY_ENV,
         max_batch: int = 64,
         retries: int = 3,
         backoff_s: float = 0.5,
@@ -128,7 +127,6 @@ class RemoteProvider:
         self.endpoint = endpoint
         self.model = model
         self.timeout_s = timeout_ms / 1000.0
-        self.api_key_env = api_key_env
         self.max_batch = max_batch
         self.retries = retries
         self.backoff_s = backoff_s
@@ -138,7 +136,7 @@ class RemoteProvider:
     def _post(self, texts: Sequence[str]) -> list[list[float]]:
         payload = json.dumps({"model": self.model, "input": list(texts)}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
+        key = os.environ.get(API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
@@ -157,6 +155,8 @@ class RemoteProvider:
             except EmbeddingTransportError:
                 raise
             except (urllib.error.URLError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an HTTP error status carries the open response
                 last_error = exc
                 if attempt < self.retries:
                     time.sleep(self.backoff_s * (2**attempt))

@@ -11,12 +11,13 @@ All query operations are pure; a graph is immutable after construction.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
+
+from .config import read_json
 
 
 class ElementKind(str, Enum):
@@ -173,7 +174,7 @@ def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
     always satisfies ``validate_graph(g) == []``.
     """
     if isinstance(document, (str, Path)):
-        document = json.loads(Path(document).read_text(encoding="utf-8"))
+        document = read_json(document)
     if not isinstance(document, Mapping):
         raise GraphError("graph document must be a JSON object")
 

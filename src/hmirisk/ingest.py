@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from .config import read_json
 from .graph import InterfaceGraph, path_id_for
 from .metrics import trajectory_length
 
@@ -93,7 +94,7 @@ class Procedure:
 def load_procedures(document: Mapping[str, Any] | Sequence[Mapping[str, Any]] | str | Path) -> list[Procedure]:
     """Load one procedure (object) or several (array) from a document or a JSON file path."""
     if isinstance(document, (str, Path)):
-        document = json.loads(Path(document).read_text(encoding="utf-8"))
+        document = read_json(document)
     raw_list = document if isinstance(document, Sequence) else [document]
     procedures = []
     for raw in raw_list:
@@ -309,7 +310,6 @@ def align_events(
     g: InterfaceGraph,
     log: SessionLog,
     step_targets: Mapping[str, str] | None = None,
-    snap_radius: float = SNAP_RADIUS_PX,
 ) -> AlignedTrace:
     """Resolve each step of a session to a path with duration and errors.
 
@@ -358,7 +358,7 @@ def align_events(
                 continue
             hit = None
             if windows and kind is EventKind.CLICK and event.screen_id is not None:
-                hit = hit_test(g, event.screen_id, event.point, snap_radius)
+                hit = hit_test(g, event.screen_id, event.point)
             for state in windows:
                 state.trajectory.append(event.point)
                 if hit is not None:

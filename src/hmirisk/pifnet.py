@@ -24,6 +24,8 @@ import numpy as np
 
 INPUT_DIM = 3
 HIDDEN_SIZES = (128, 64, 32)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator floor
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch-norm running-statistics update and variance floor
 
 
 @dataclass(frozen=True)
@@ -31,11 +33,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 300
     dropout: float = 0.3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,9 @@ def _forward_train(
         mean = z.mean(axis=0)
         var = z.var(axis=0)
         if update_running:
-            model.running_mean[i] = (1 - cfg.bn_momentum) * model.running_mean[i] + cfg.bn_momentum * mean
-            model.running_var[i] = (1 - cfg.bn_momentum) * model.running_var[i] + cfg.bn_momentum * var
-        inv_std = 1.0 / np.sqrt(var + cfg.bn_eps)
+            model.running_mean[i] = (1 - BN_MOMENTUM) * model.running_mean[i] + BN_MOMENTUM * mean
+            model.running_var[i] = (1 - BN_MOMENTUM) * model.running_var[i] + BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (z - mean) * inv_std
         h = gamma * x_hat + beta
         r = np.maximum(h, 0.0)
@@ -142,12 +139,12 @@ def _forward_train(
     return logits, caches
 
 
-def _forward_eval(model: PifModel, X: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+def _forward_eval(model: PifModel, X: np.ndarray) -> np.ndarray:
     """Inference pass: running batch-norm statistics, dropout off."""
     a = X
     for i in range(len(HIDDEN_SIZES)):
         z = a @ model.params[f"W{i}"] + model.params[f"b{i}"]
-        x_hat = (z - model.running_mean[i]) / np.sqrt(model.running_var[i] + cfg.bn_eps)
+        x_hat = (z - model.running_mean[i]) / np.sqrt(model.running_var[i] + BN_EPS)
         a = np.maximum(model.params[f"gamma{i}"] * x_hat + model.params[f"beta{i}"], 0.0)
     head = len(HIDDEN_SIZES)
     return a @ model.params[f"W{head}"] + model.params[f"b{head}"]
@@ -220,10 +217,15 @@ def _rows_to_arrays(rows: Sequence[tuple], label_order: Sequence[str]):
 def train(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = None) -> list[float]:
     """Fit in place; returns the per-epoch training loss trace.
 
-    A zero-epoch budget leaves the model untouched (empty trace). The
+    A zero-epoch budget leaves the model untouched (empty trace); a
+    negative one, or a dropout outside [0, 1), is an error. The
     standardizer is fitted on these rows before the first pass.
     """
     cfg = hyper or TrainConfig()
+    if cfg.epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {cfg.epochs}")
+    if not 0.0 <= cfg.dropout < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {cfg.dropout}")
     if cfg.epochs == 0:
         return []
     if len(rows) < 2:
@@ -251,32 +253,31 @@ def train(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = No
         loss, grads = loss_and_gradients(model, Xs, y, cfg, masks, update_running=True)
         losses.append(loss)
         for key, grad in grads.items():
-            adam_m[key] = cfg.beta1 * adam_m[key] + (1 - cfg.beta1) * grad
-            adam_v[key] = cfg.beta2 * adam_v[key] + (1 - cfg.beta2) * grad**2
-            m_hat = adam_m[key] / (1 - cfg.beta1**step)
-            v_hat = adam_v[key] / (1 - cfg.beta2**step)
-            model.params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            adam_m[key] = BETA1 * adam_m[key] + (1 - BETA1) * grad
+            adam_v[key] = BETA2 * adam_v[key] + (1 - BETA2) * grad**2
+            m_hat = adam_m[key] / (1 - BETA1**step)
+            v_hat = adam_v[key] / (1 - BETA2**step)
+            model.params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     model.trained = True
     return losses
 
 
-def predict(model: PifModel, features, hyper: TrainConfig | None = None) -> tuple[str, dict[str, float]]:
+def predict(model: PifModel, features) -> tuple[str, dict[str, float]]:
     """Label and class probabilities for one metric vector."""
     if not model.trained or model.standardizer is None:
         raise ValueError("model is not trained")
-    cfg = hyper or TrainConfig()
     x = _as_features(features)
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
-    logits = _forward_eval(model, model.standardizer.transform(x[None, :]), cfg)
+    logits = _forward_eval(model, model.standardizer.transform(x[None, :]))
     probs = _softmax(logits)[0]
     label = model.label_order[int(np.argmax(probs))]
     return label, {lab: float(p) for lab, p in zip(model.label_order, probs)}
 
 
-def evaluate(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = None) -> float:
+def evaluate(model: PifModel, rows: Sequence[tuple]) -> float:
     """Fraction of rows whose predicted label matches."""
-    hits = sum(1 for features, label in rows if predict(model, features, hyper)[0] == label)
+    hits = sum(1 for features, label in rows if predict(model, features)[0] == label)
     return hits / len(rows)
 
 
@@ -313,7 +314,7 @@ def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfi
         test_rows = [rows[i] for i in held_out]
         model = init_model(seed * 1000 + fold_index, label_order)
         train(model, train_rows, hyper)
-        accuracies.append(evaluate(model, test_rows, hyper))
+        accuracies.append(evaluate(model, test_rows))
     mean = sum(accuracies) / len(accuracies)
     variance = sum((a - mean) ** 2 for a in accuracies) / (len(accuracies) - 1)
     return CvResult(tuple(accuracies), mean, math.sqrt(variance))
@@ -383,7 +384,10 @@ def load_training_csv(source: str | Path | Iterable[str]) -> list[tuple[tuple[fl
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"line {line_no}: expected 5 columns, got {len(parts)}")
-        features = (float(parts[1]), float(parts[2]), float(parts[3]))
+        try:
+            features = (float(parts[1]), float(parts[2]), float(parts[3]))
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-numeric feature in {line!r}") from None
         if not all(map(math.isfinite, features)):
             raise ValueError(f"line {line_no}: non-finite feature in {line!r}")
         rows.append((features, parts[4].strip()))

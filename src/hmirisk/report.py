@@ -2,9 +2,9 @@
 
 A path with a predicted PIF level and an error determination lands in
 one of four quadrants: conflict_and_error, conflict_only, error_only, or
-neither. "Conflict present" means the PIF level belongs to a configured
-high-severity set, by default every level whose largest macro-cognitive
-weight is at least 3.
+neither. "Conflict present" means the PIF level belongs to the fixed
+high-severity set: every level whose largest macro-cognitive weight is
+at least 3.
 
 Reports are deterministic given inputs and config (the timestamp is the
 only varying field) and round-trip losslessly through JSON.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .config import AppConfig, config_fingerprint
@@ -40,22 +40,17 @@ class ConflictQuadrant(str, Enum):
 
 
 def default_conflict_set() -> frozenset[str]:
-    """PIF levels whose maximum macro-cognitive weight reaches the floor."""
+    """The conflict set: PIF levels whose maximum macro-cognitive weight reaches the floor."""
     return frozenset(
         label for label, row in PIF_WEIGHT_TABLE.items() if row.max_weight() >= CONFLICT_WEIGHT_FLOOR
     )
 
 
-def conflict_quadrant(
-    pif_label: str,
-    error_observed: bool,
-    conflict_set: Iterable[str] | None = None,
-) -> ConflictQuadrant:
+def conflict_quadrant(pif_label: str, error_observed: bool) -> ConflictQuadrant:
     """Total function over (conflict present?, error observed?)."""
     if pif_label not in PIF_WEIGHT_TABLE:
         raise KeyError(f"unknown PIF level {pif_label!r}")
-    in_conflict = pif_label in (frozenset(conflict_set) if conflict_set is not None else default_conflict_set())
-    if in_conflict:
+    if pif_label in default_conflict_set():
         return ConflictQuadrant.CONFLICT_AND_ERROR if error_observed else ConflictQuadrant.CONFLICT_ONLY
     return ConflictQuadrant.ERROR_ONLY if error_observed else ConflictQuadrant.NEITHER
 
@@ -88,7 +83,6 @@ def assemble_report(
     assessments: Sequence[tuple[str, MetricVector, str | None, Mapping[str, float]]],
     config: AppConfig,
     generated_at: str | None = None,
-    conflict_set: Iterable[str] | None = None,
 ) -> RiskReport:
     """Join HFE candidates with per-path metrics and predictions.
 
@@ -110,7 +104,7 @@ def assemble_report(
         resolve_path(g, path_id)
         quadrant = None
         if label is not None:
-            quadrant = conflict_quadrant(label, path_id in error_paths, conflict_set)
+            quadrant = conflict_quadrant(label, path_id in error_paths)
         rows.append(
             PathAssessment(
                 path_id=path_id,
@@ -299,12 +293,13 @@ def candidates_csv(hfe: HfeReport) -> str:
 
 
 def duration_series_csv(samples: Mapping[str, PathSamples], grouping: Mapping[str, str]) -> str:
-    """Long-format plot data: one row per (category, path, duration)."""
+    """Long-format plot data: one row per (category, path, duration),
+    durations ascending within a path."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["category", "path_id", "duration_s"])
     for path_id in sorted(samples):
-        for duration in samples[path_id].durations:
+        for duration in sorted(samples[path_id].durations):
             writer.writerow([grouping.get(path_id, ""), path_id, f"{duration:.6g}"])
     return buf.getvalue()
 
@@ -312,8 +307,8 @@ def duration_series_csv(samples: Mapping[str, PathSamples], grouping: Mapping[st
 def write_report_files(
     report: RiskReport,
     out_dir: str | Path,
-    samples: Mapping[str, PathSamples] | None = None,
-    grouping: Mapping[str, str] | None = None,
+    samples: Mapping[str, PathSamples],
+    grouping: Mapping[str, str],
 ) -> list[str]:
     """Emit report.json plus CSV summaries; returns written paths."""
     from .metrics import metrics_csv_rows
@@ -333,6 +328,5 @@ def write_report_files(
         "metrics.csv",
         "\n".join(metrics_csv_rows((a.path_id, a.metrics) for a in report.assessments)) + "\n",
     )
-    if samples is not None:
-        emit("durations_by_category.csv", duration_series_csv(samples, grouping or {}))
+    emit("durations_by_category.csv", duration_series_csv(samples, grouping))
     return written

@@ -131,8 +131,8 @@ def time_deviation_detail(
             log.warning("category %r has %d path(s) with durations; skipped", category, len(with_data))
             continue
         pooled = [math.log(d) for p in with_data for d in positive[p]]
-        mean = sum(pooled) / len(pooled)
-        var = sum((x - mean) ** 2 for x in pooled) / len(pooled)
+        mean = math.fsum(pooled) / len(pooled)  # exactly rounded: session order cannot move the bits
+        var = math.fsum((x - mean) ** 2 for x in pooled) / len(pooled)
         std = math.sqrt(var)
         if std == 0.0:
             continue
@@ -261,7 +261,8 @@ def identify_hfes(
 
 
 def load_t95_overrides(text: str) -> dict[str, float]:
-    """Parse the optional `path_id,t95_seconds` override CSV."""
+    """Parse the optional `path_id,t95_seconds` override CSV; each t95 must
+    be a positive finite number of seconds."""
     overrides: dict[str, float] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -270,5 +271,11 @@ def load_t95_overrides(text: str) -> dict[str, float]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {line_no}: expected 'path_id,t95_seconds', got {line!r}")
-        overrides[parts[0].strip()] = float(parts[1])
+        try:
+            t95 = float(parts[1])
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-numeric t95 in {line!r}") from None
+        if not (math.isfinite(t95) and t95 > 0):
+            raise ValueError(f"line {line_no}: t95 must be positive and finite in {line!r}")
+        overrides[parts[0].strip()] = t95
     return overrides

@@ -26,9 +26,9 @@ from .ingest import (
     TrackerEvent,
     serialize_session,
 )
+from .risk import SIGMA_DEFAULT
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
-SIGMA_DEFAULT = 0.28
 WAYPOINT_JITTER_PX = 10.0
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import weakref
 
 import pytest
@@ -87,17 +88,19 @@ class TestSimulate:
 
 class TestIngest:
     def test_prints_counts_and_writes_nothing(self, graph_file, sessions_dir, tmp_path, capsys):
-        out = tmp_path / "ingested"
-        code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(out)])
-        assert code == 0
+        argv = ["ingest", "--graph", str(graph_file), "--sessions", str(sessions_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "ingested")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert main(argv) == 0
         assert capsys.readouterr().out == "aligned 18 steps from 6 session(s); 0 unaligned\n"
-        assert not out.exists()
 
     def test_non_object_line_exits_two(self, graph_file, tmp_path, capsys):
         sessions = tmp_path / "bad_sessions"
         sessions.mkdir()
         (sessions / "a.jsonl").write_text("[1,2]\n")
-        code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions), "--out", str(tmp_path / "out")])
+        code = main(["ingest", "--graph", str(graph_file), "--sessions", str(sessions)])
         assert code == 2
         assert "line 1: expected a JSON object, got array" in capsys.readouterr().err
 
@@ -224,21 +227,27 @@ class TestReport:
     def test_paths_section_supplies_inputs(self, graph_file, sessions_dir, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {"graph": str(graph_file), "sessions": str(sessions_dir)}}))
-        out = tmp_path / "from_config"
-        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["ingest", "--config", str(config)]) == 0
         assert "aligned 18 steps" in capsys.readouterr().out
 
     def test_missing_inputs_exit_two(self, capsys):
-        assert main(["ingest", "--out", "/tmp/x"]) == 2
+        assert main(["ingest"]) == 2
         assert "no session files" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv, missing",
     [
-        (["hfe", "--graph", "{tmp}/nograph.json", "--sessions", "{sessions}"], "nograph.json"),
-        (["report", "--graph", "{graph}", "--sessions", "{sessions}", "--procedures", "{tmp}/noprocs.json"], "noprocs.json"),
-        (["metrics", "--graph", "{graph}", "--sessions", "{tmp}/nosession.jsonl"], "nosession.jsonl"),
+        (["hfe", "--out", "{tmp}/out", "--graph", "{tmp}/nograph.json", "--sessions", "{sessions}"], "nograph.json"),
+        (
+            ["report", "--out", "{tmp}/out", "--graph", "{graph}", "--sessions", "{sessions}",
+             "--procedures", "{tmp}/noprocs.json"],
+            "noprocs.json",
+        ),
+        (
+            ["metrics", "--out", "{tmp}/out", "--graph", "{graph}", "--sessions", "{tmp}/nosession.jsonl"],
+            "nosession.jsonl",
+        ),
         (["pif", "cv", "--data", "{tmp}/nodata.csv"], "nodata.csv"),
     ],
     ids=["graph", "procedures", "sessions", "pif-data"],
@@ -246,8 +255,36 @@ class TestReport:
 def test_missing_file_exits_two_and_names_it(argv, missing, graph_file, sessions_dir, tmp_path, capsys):
     paths = {"tmp": tmp_path, "graph": graph_file, "sessions": sessions_dir}
     argv = [arg.format(**paths) for arg in argv]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert main(argv) == 2
     assert missing in capsys.readouterr().err
+
+
+def test_session_order_does_not_change_outputs(graph_file, plan_file, tmp_path):
+    """The same set of sessions listed in reverse gives the same bytes,
+    apart from the report timestamp."""
+    plan = json.loads(plan_file.read_text())
+    plan["sessions_per_participant"] = 20
+    plan_file.write_text(json.dumps(plan))
+    procedures = tmp_path / "procs.json"
+    procedures.write_text(json.dumps(plan["procedures"]))
+    sessions = tmp_path / "sessions40"
+    assert main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(sessions)]) == 0
+    files = sorted(str(p) for p in sessions.glob("*.jsonl"))
+    outputs = []
+    for i, order in enumerate((files, files[::-1])):
+        out = tmp_path / f"order{i}"
+        for command in ("report", "hfe", "metrics"):
+            argv = [command, "--graph", str(graph_file), "--sessions", *order, "--out", str(out / command)]
+            assert main(argv + ["--procedures", str(procedures)] * (command != "metrics")) == 0
+        outputs.append(
+            {
+                str(p.relative_to(out)): re.sub(rb'"generated_at": "[^"]*"', b"", p.read_bytes())
+                for p in sorted(out.rglob("*"))
+                if p.is_file()
+            }
+        )
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["report", "hfe", "metrics"])
@@ -266,3 +303,78 @@ def test_each_session_parsed_once_and_released(command, graph_file, sessions_dir
     argv = [command, "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     assert sorted(parsed) == sorted(sessions_dir.glob("*.jsonl"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--out", "x"],
+        ["graph", "validate", "g.json", "--seed", "1"],
+        ["hfe", "--seed", "1"],
+        ["pif", "cv", "--out", "x"],
+        ["pif", "predict", "--model", "m.npz", "--out", "x"],
+        ["pif", "predict", "--model", "m.npz", "--config", "c.json"],
+    ],
+    ids=["ingest-out", "validate-seed", "hfe-seed", "cv-out", "predict-out", "predict-config"],
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, values, key",
+    [
+        ("pif", {"epochs": "300"}, "pif.epochs"),
+        ("pif", {"k_folds": 2.5}, "pif.k_folds"),
+        ("pif", {"epochs": -5}, "pif.epochs"),
+        ("pif", {"dropout": 1.0}, "pif.dropout"),
+        ("pif", {"learning_rate": float("nan")}, "pif.learning_rate"),
+        ("embed", {"provider": "remot"}, "embed.provider"),
+        ("riskpath", {"tau": False}, "riskpath.tau"),
+        ("metrics", {"normalizer_px": 0}, "metrics.normalizer_px"),
+    ],
+)
+def test_bad_config_value_exits_two_naming_key(section, values, key, tiny_training_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: values}))
+    assert main(["pif", "cv", "--data", str(tiny_training_csv), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config {key}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["graph", "procedures", "config", "plan"])
+def test_invalid_json_file_is_named(kind, graph_file, plan_file, sessions_dir, tmp_path, capsys):
+    broken = tmp_path / f"broken-{kind}.json"
+    broken.write_text('{"screens": [')
+    argv = {
+        "graph": ["graph", "validate", str(broken)],
+        "procedures": ["ingest", "--graph", str(graph_file), "--procedures", str(broken)],
+        "config": ["ingest", "--graph", str(graph_file), "--config", str(broken)],
+        "plan": ["simulate", "--graph", str(graph_file), "--plan", str(broken), "--out", str(tmp_path / "out")],
+    }[kind]
+    if kind in ("procedures", "config"):
+        argv += ["--sessions", str(sessions_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {broken}: Expecting value: line 1")
+
+
+def test_non_numeric_training_feature_names_line(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("path_id,vd,sid,is,label\nP_1,abc,0,0,HSI0\n")
+    assert main(["pif", "cv", "--data", str(data)]) == 2
+    assert "line 2: non-numeric feature" in capsys.readouterr().err
+
+
+def test_non_finite_t95_exits_two_naming_line(graph_file, sessions_dir, tmp_path, capsys):
+    t95 = tmp_path / "t95.csv"
+    t95.write_text("path_id,t95_seconds\nTP_1,nan\n")
+    out = tmp_path / "hfe_out"
+    argv = ["hfe", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--t95", str(t95), "--out", str(out)]
+    assert main(argv) == 2
+    assert "line 2: t95 must be positive and finite" in capsys.readouterr().err
+    assert not (out / "hfe.json").exists()

@@ -154,10 +154,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def embed_server():
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 class TestRemoteProvider:

@@ -76,6 +76,20 @@ class TestTrain:
         assert model.trained is False
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
+    @pytest.mark.parametrize(
+        "hyper, message",
+        [
+            (TrainConfig(epochs=-5), "epochs must be non-negative"),
+            (TrainConfig(dropout=1.0), "dropout must be in"),
+            (TrainConfig(dropout=-0.1), "dropout must be in"),
+        ],
+    )
+    def test_invalid_hyperparameters_rejected(self, hyper, message):
+        model = init_model(0, LABELS)
+        with pytest.raises(ValueError, match=message):
+            train(model, separable_rows(), hyper)
+        assert model.trained is False
+
     def test_single_class_rejected(self):
         model = init_model(0, LABELS)
         with pytest.raises(ValueError, match="single class"):
@@ -304,3 +318,8 @@ def test_training_csv_round_trip(tmp_path):
 def test_training_csv_rejects_non_finite_feature(value):
     with pytest.raises(ValueError, match=f"^line 2: non-finite feature in 'P_1,0.25,{value},0.4,HSI0'$"):
         load_training_csv(["path_id,vd,sid,is,label", f"P_1,0.25,{value},0.4,HSI0"])
+
+
+def test_training_csv_names_line_of_non_numeric_feature():
+    with pytest.raises(ValueError, match="^line 3: non-numeric feature in 'P_2,abc,0,0,HSI0'$"):
+        load_training_csv(["path_id,vd,sid,is,label", "P_1,0.25,0,0.4,HSI0", "P_2,abc,0,0,HSI0"])

@@ -49,9 +49,6 @@ class TestConflictQuadrant:
         expected = {"HSI2", "HSI5", "HSI6", "HSI7", "HSI10", "HSI11", "HSI12", "HSI13", "HSI14", "HSI15"}
         assert default_conflict_set() == expected
 
-    def test_custom_conflict_set(self):
-        assert conflict_quadrant("HSI1", True, {"HSI1"}) is ConflictQuadrant.CONFLICT_AND_ERROR
-
 
 def metric(vd=0.25, sid=0.0, span=0.1, n=4):
     return MetricVector(

@@ -297,3 +297,18 @@ def test_t95_override_parsing():
     assert load_t95_overrides(text) == {"P_110": 158.5, "P_121": 31.7}
     with pytest.raises(ValueError):
         load_t95_overrides("P_110,1,2\n")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("nan", "t95 must be positive and finite"),
+        ("inf", "t95 must be positive and finite"),
+        ("0", "t95 must be positive and finite"),
+        ("-3", "t95 must be positive and finite"),
+        ("abc", "non-numeric t95"),
+    ],
+)
+def test_t95_override_rejects_bad_value_naming_line(value, message):
+    with pytest.raises(ValueError, match=f"^line 3: {message} in 'TP_1,{value}'$"):
+        load_t95_overrides(f"path_id,t95_seconds\nP_110,158.5\nTP_1,{value}\n")
