@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, dataset
@@ -232,9 +233,12 @@ def _cmd_graph_validate(args, cfg: AppConfig) -> int:
 def _cmd_simulate(args, cfg: AppConfig) -> int:
     graph = load_graph(args.graph)
     plan_doc = read_json(args.plan)
+    try:
+        plan = plan_from_document(plan_doc)
+    except ValueError as err:
+        raise ValueError(f"{args.plan}: {err}") from None
     if args.seed is not None:
-        plan_doc["seed"] = args.seed
-    plan = plan_from_document(plan_doc)
+        plan = replace(plan, seed=args.seed)
     written = write_sessions(generate_sessions(graph, plan), _out_dir(args))
     print(f"wrote {len(written)} session file(s) to {args.out}")
     return 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -91,15 +91,22 @@ _RANGES = {
 }
 
 
-def _check_value(name: str, annotation: str, value: Any) -> None:
+def _checked_value(name: str, annotation: str, value: Any) -> Any:
+    """The value, checked; a number field is stored as a float, so 1 and 1.0
+    give one config and one fingerprint."""
     if value is None and annotation.endswith("| None"):
-        return
-    types, expected = _TYPES[annotation.split(" |")[0]]
-    finite = not isinstance(value, float) or math.isfinite(value)
-    if isinstance(value, bool) or not isinstance(value, types) or not finite:
+        return None
+    base = annotation.split(" |")[0]
+    types, expected = _TYPES[base]
+    # The range test is False for NaN, infinities and ints too large for a float.
+    if (
+        isinstance(value, bool) or not isinstance(value, types)
+        or base == "float" and not -sys.float_info.max <= value <= sys.float_info.max
+    ):
         raise ValueError(f"config {name}: expected {expected}, got {value!r}")
     if name in _RANGES and not _RANGES[name][0](value):
         raise ValueError(f"config {name}: must be {_RANGES[name][1]}, got {value!r}")
+    return float(value) if base == "float" else value
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
@@ -117,9 +124,9 @@ def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
         unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"config section {section!r} has unknown keys {sorted(unknown)}")
-        for key, value in data.items():
-            _check_value(f"{section}.{key}", fields[key].type, value)
-        kwargs[section] = cls(**data)
+        kwargs[section] = cls(
+            **{key: _checked_value(f"{section}.{key}", fields[key].type, value) for key, value in data.items()}
+        )
     return AppConfig(**kwargs)
 
 

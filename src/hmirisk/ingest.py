@@ -92,21 +92,40 @@ class Procedure:
 
 
 def load_procedures(document: Mapping[str, Any] | Sequence[Mapping[str, Any]] | str | Path) -> list[Procedure]:
-    """Load one procedure (object) or several (array) from a document or a JSON file path."""
+    """Load one procedure (object) or several (array) from a document or a
+    JSON file path; an error names the file, the procedure and the field."""
     if isinstance(document, (str, Path)):
-        document = read_json(document)
-    raw_list = document if isinstance(document, Sequence) else [document]
+        decoded = read_json(document)
+        try:
+            return _procedures_from(decoded)
+        except ValueError as err:
+            raise ValueError(f"{document}: {err}") from None
+    return _procedures_from(document)
+
+
+def _procedures_from(document: Any) -> list[Procedure]:
+    raw_list = [document] if isinstance(document, Mapping) else document
+    if not isinstance(raw_list, (list, tuple)) or not all(isinstance(raw, Mapping) for raw in raw_list):
+        raise ValueError("procedures must be a JSON object or an array of objects")
     procedures = []
     for raw in raw_list:
-        steps = tuple(
-            ProcedureStep(str(s["step_id"]), str(s.get("text", "")), s.get("target_path"))
-            for s in raw.get("steps", [])
+        procedure_id, steps = raw.get("procedure_id"), raw.get("steps", [])
+        if type(procedure_id) is not str:
+            raise ValueError(f"procedure_id must be a string, got {procedure_id!r}")
+        if not isinstance(steps, list) or not all(isinstance(s, Mapping) for s in steps):
+            raise ValueError(f"procedure {procedure_id!r}: steps must be an array of objects")
+        for n, s in enumerate(steps, start=1):
+            for key in ("step_id", "text", "target_path"):
+                if type(s.get(key)) is not str and (key == "step_id" or s.get(key) is not None):
+                    raise ValueError(f"procedure {procedure_id!r}, step {n}: {key} must be a string, got {s.get(key)!r}")
+        procedures.append(
+            Procedure(procedure_id, tuple(ProcedureStep(s["step_id"], s.get("text") or "", s.get("target_path")) for s in steps))
         )
-        procedures.append(Procedure(str(raw["procedure_id"]), steps))
     return procedures
 
 
 _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
+_STEP_KINDS = {EventKind.STEP_START, EventKind.STEP_END}
 _KINDS = {kind.value: kind for kind in EventKind}
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
@@ -118,11 +137,12 @@ _scan_once = json.JSONDecoder().scan_once
 def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
     try:
         kind = EventKind(record["kind"])
-        t_ms = int(record["t_ms"])
+        t_ms = record["t_ms"]
+        t_ms = int(t_ms) if type(t_ms) is str else t_ms  # a string of digits is read as its integer
     except (KeyError, ValueError) as exc:
         raise ParseError(f"line {line_no}: {exc}") from None
-    except (TypeError, OverflowError):  # null, array, object or infinite t_ms
-        raise ParseError(f"line {line_no}: malformed timestamp {record['t_ms']!r}") from None
+    if type(t_ms) is not int:  # a float, boolean, null, array or object
+        raise ParseError(f"line {line_no}: malformed timestamp {t_ms!r}")
     if t_ms < 0:
         raise ParseError(f"line {line_no}: negative timestamp {t_ms}")
 
@@ -145,18 +165,15 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
             raise ParseError(f"line {line_no}: unknown error kind {record['error_kind']!r}") from None
     if (error_kind is not None) != (kind is EventKind.ERROR_ANNOTATION):
         raise ParseError(f"line {line_no}: error_kind present iff kind is error_annotation")
-    for key in ("screen", "step_id"):
-        if type(record.get(key)) in (list, dict):
-            raise ParseError(f"line {line_no}: malformed {key} {record[key]!r}")
+    screen, step_id = record.get("screen"), record.get("step_id")
+    if type(screen) in (list, dict):
+        raise ParseError(f"line {line_no}: malformed screen {screen!r}")
+    if step_id is None and kind in _STEP_KINDS:
+        raise ParseError(f"line {line_no}: {kind.value} events require a step_id")
+    if type(step_id) not in _ID_TYPES:
+        raise ParseError(f"line {line_no}: malformed step_id {step_id!r}")
 
-    return TrackerEvent(
-        t_ms=t_ms,
-        kind=kind,
-        point=point,
-        screen_id=record.get("screen"),
-        step_id=record.get("step_id"),
-        error_kind=error_kind,
-    )
+    return TrackerEvent(t_ms=t_ms, kind=kind, point=point, screen_id=screen, step_id=step_id, error_kind=error_kind)
 
 
 def _decode_line(line: str, line_no: int) -> dict[str, Any]:
@@ -199,8 +216,9 @@ def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
 
         # Fast path for the common shapes: an int timestamp, finite int or
         # float points on moves and clicks, string or absent screen and step
-        # ids, no error annotation.  Anything else, including every
-        # malformed record, goes through _event_from_record.
+        # ids (a string step id on step events), no error annotation.
+        # Anything else, including every malformed record, goes through
+        # _event_from_record.
         get = record.get
         kind = get("kind")
         kind = _KINDS.get(kind) if type(kind) is str else None
@@ -220,7 +238,10 @@ def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
                     and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT
                 ):
                     event = TrackerEvent(t_ms, kind, (float(x), float(y)), screen, step_id)
-            elif kind is not EventKind.ERROR_ANNOTATION and "x" not in record and "y" not in record:
+            elif (
+                kind is not EventKind.ERROR_ANNOTATION and "x" not in record and "y" not in record
+                and (step_id is not None or kind not in _STEP_KINDS)
+            ):
                 event = TrackerEvent(t_ms, kind, None, screen, step_id)
         if event is None:
             event = _event_from_record(record, line_no)

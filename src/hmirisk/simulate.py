@@ -1,16 +1,24 @@
 """Synthetic operator sessions with planted durations and error rates.
 
 The generator is the statistical oracle for the detectors: durations are
-drawn from Lognormal(ln median, sigma) per path, errors from independent
-Bernoulli draws per step, and cursor trajectories are piecewise-linear
-with bounded jitter. Everything derives from a counter-based Philox
-stream (64-bit, algorithm pinned by numpy), keyed per session from the
-plan seed, so output is fully reproducible: same plan, same bytes.
+drawn from Lognormal(ln median, sigma) per path by lognormal_durations,
+errors from independent Bernoulli draws per step, and cursor
+trajectories are piecewise-linear with bounded jitter.
+
+generate_sessions checks the plan and resolves each step's target element
+and screen once. Each session then draws all its randomness (durations,
+start gaps, waypoint counts, jitters, click points, error uniforms) in a
+few array calls on its own counter-based Philox key (64-bit, algorithm
+pinned by numpy), hashed from (plan seed, participant, session index), so
+sessions are independent and output is reproducible: same plan, same
+bytes. RNG_ALGORITHM names the stream; whatever changes the bytes a seed
+gives must change it.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -18,18 +26,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import InterfaceGraph, resolve_path
-from .ingest import (
-    ErrorKind,
-    EventKind,
-    Procedure,
-    SessionLog,
-    TrackerEvent,
-    serialize_session,
-)
+from .ingest import ErrorKind, EventKind, Procedure, SessionLog, TrackerEvent, load_procedures, serialize_session
 from .risk import SIGMA_DEFAULT
 
-RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
+RNG_ALGORITHM = "philox4x64 (numpy.random.Philox), stream 2"
 WAYPOINT_JITTER_PX = 10.0
+_MAX_WAYPOINTS = 8
+# A step has at most 12 slots (8 moves, the click, 2 annotations, the end),
+# so 12 ms keeps t_ms strictly increasing.
+_MIN_DURATION_MS = 12
+_MAX_DURATION_S = 1e9  # keeps int64 millisecond clocks far from overflow
+_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -41,11 +48,15 @@ class PathPlan:
     p_outcome: float = 0.0
 
     def validate(self) -> None:
-        if self.median_s <= 0:
-            raise ValueError(f"{self.path_id}: median must be positive, got {self.median_s}")
-        for name, p in (("p_execution", self.p_execution), ("p_outcome", self.p_outcome)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{self.path_id}: {name} must be in [0, 1], got {p}")
+        checks = (
+            ("median_s", self.median_s, 0.0 < self.median_s < math.inf, "a positive finite number"),
+            ("sigma", self.sigma, 0.0 <= self.sigma < math.inf, "a non-negative finite number"),
+            ("p_execution", self.p_execution, 0.0 <= self.p_execution <= 1.0, "in [0, 1]"),
+            ("p_outcome", self.p_outcome, 0.0 <= self.p_outcome <= 1.0, "in [0, 1]"),
+        )
+        for name, value, ok, expected in checks:
+            if not ok:  # NaN fails every comparison
+                raise ValueError(f"path {self.path_id!r}: {name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,12 @@ class ScenarioPlan:
     sessions_per_participant: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("participants", "sessions_per_participant", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:  # by exact type, so bools stay out
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
 
 def session_seed(plan_seed: int, participant: int, session_index: int) -> int:
     """64-bit Philox key derived by hashing (plan seed, participant, session)."""
@@ -63,129 +80,96 @@ def session_seed(plan_seed: int, participant: int, session_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _rng(key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def lognormal_durations(median_s: float, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from Lognormal(ln median, sigma), in seconds."""
-    if median_s <= 0:
+def lognormal_durations(median_s, sigma, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws from Lognormal(ln median, sigma), in seconds; median and sigma
+    are scalars or length-n arrays (one per draw)."""
+    median_s = np.asarray(median_s, dtype=float)
+    if not np.all(median_s > 0):
         raise ValueError(f"median must be positive, got {median_s}")
-    return rng.lognormal(mean=math.log(median_s), sigma=sigma, size=n)
+    return rng.lognormal(mean=np.log(median_s), sigma=sigma, size=n)
 
 
-def _clamp(value: float, low: float, high: float) -> float:
-    return min(max(value, low), high)
+class _Steps:
+    """A plan's procedure steps, checked and resolved once, as per-step arrays."""
 
-
-def _synth_trajectory(
-    start: tuple[float, float],
-    target,
-    screen,
-    rng: np.random.Generator,
-) -> list[tuple[float, float]]:
-    """3-8 jittered waypoints from start to the target center."""
-    n_way = int(rng.integers(3, 9))
-    tx, ty = target.position
-    points = []
-    for k in range(1, n_way + 1):
-        f = k / (n_way + 1)
-        jx = float(rng.uniform(-WAYPOINT_JITTER_PX, WAYPOINT_JITTER_PX))
-        jy = float(rng.uniform(-WAYPOINT_JITTER_PX, WAYPOINT_JITTER_PX))
-        points.append(
-            (
-                _clamp(start[0] + f * (tx - start[0]) + jx, 0.0, screen.width_px),
-                _clamp(start[1] + f * (ty - start[1]) + jy, 0.0, screen.height_px),
-            )
-        )
-    return points
-
-
-def _click_point(target, rng: np.random.Generator) -> tuple[float, float]:
-    if target.bbox is None:
-        return target.position
-    bx, by, bw, bh = target.bbox
-    # stay inside the central 80% of the box
-    return (
-        float(rng.uniform(bx + 0.1 * bw, bx + 0.9 * bw)),
-        float(rng.uniform(by + 0.1 * bh, by + 0.9 * bh)),
-    )
-
-
-def generate_session(
-    g: InterfaceGraph,
-    plan: ScenarioPlan,
-    participant: int,
-    session_index: int,
-) -> SessionLog:
-    rng = _rng(session_seed(plan.seed, participant, session_index))
-    events: list[TrackerEvent] = []
-    t = 0
-    prev_point: tuple[float, float] | None = None
-    prev_screen: str | None = None
-
-    def emit(kind: EventKind, at: int, **kw) -> int:
-        nonlocal t
-        at = max(at, t + 1) if events else max(at, 0)
-        events.append(TrackerEvent(t_ms=at, kind=kind, **kw))
-        t = at
-        return at
-
-    for proc in plan.procedures:
-        for step in proc.steps:
-            if step.target_path is None or step.target_path not in plan.paths:
-                raise ValueError(f"step {step.step_id!r} targets unknown path {step.target_path!r}")
-            path_plan = plan.paths[step.target_path]
+    def __init__(self, g: InterfaceGraph, plan: ScenarioPlan):
+        for path_plan in plan.paths.values():
             path_plan.validate()
-            chain = resolve_path(g, step.target_path).node_chain
-            target = g.by_id[chain[-1]]
-            screen = g.screens[target.screen_id]
+        targets = {path_id: g.by_id[resolve_path(g, path_id).node_chain[-1]] for path_id in plan.paths}
+        steps = [step for proc in plan.procedures for step in proc.steps]
+        rows = []
+        for step in steps:
+            if step.target_path not in targets:
+                raise ValueError(f"step {step.step_id!r} targets unknown path {step.target_path!r}")
+            p, e = plan.paths[step.target_path], targets[step.target_path]
+            screen = g.screens[e.screen_id]
+            box = e.bbox or (*e.position, 0.0, 0.0)  # a bbox-less target is a zero box at its centre
+            rows.append((p.median_s, p.sigma, p.p_execution, p.p_outcome, *e.position, *box, screen.width_px, screen.height_px))
+        table = np.array(rows, dtype=float).reshape(-1, 12)
+        self.step_ids = [step.step_id for step in steps]
+        self.screen_ids = [targets[step.target_path].screen_id for step in steps]
+        self.median_s, self.sigma, self.p_error = table[:, 0], table[:, 1], table[:, 2:4]  # execution, outcome
+        self.target, self.box_origin, self.box_size, self.screen_size = np.split(table[:, 4:], 4, axis=1)
+        # whether the previous step ended on this step's screen
+        self.same_screen = np.array([False] + [a == b for a, b in zip(self.screen_ids, self.screen_ids[1:])])
 
-            duration_ms = max(int(round(float(rng.lognormal(math.log(path_plan.median_s), path_plan.sigma)) * 1000)), 12)
-            start_ms = t + int(rng.integers(200, 1500)) if events else 0
-            emit(EventKind.STEP_START, start_ms, step_id=step.step_id)
 
-            start_pt = prev_point if (prev_point is not None and prev_screen == target.screen_id) else (
-                screen.width_px / 2.0,
-                screen.height_px / 2.0,
-            )
-            waypoints = _synth_trajectory(start_pt, target, screen, rng)
-            click = _click_point(target, rng)
-            # schedule interior events strictly inside (start, start + duration)
-            n_interior = len(waypoints) + 1 + 2  # moves + click + up to two annotations
-            if duration_ms <= n_interior:
-                waypoints = waypoints[: max(duration_ms - 4, 1)]
-                n_interior = len(waypoints) + 3
-            for i, pt in enumerate(waypoints, start=1):
-                at = start_ms + (i * duration_ms) // (n_interior + 1)
-                emit(EventKind.MOVE, at, point=pt, screen_id=target.screen_id, step_id=step.step_id)
-            click_at = start_ms + ((len(waypoints) + 1) * duration_ms) // (n_interior + 1)
-            emit(EventKind.CLICK, click_at, point=click, screen_id=target.screen_id, step_id=step.step_id)
+_ERROR_KINDS = (ErrorKind.EXECUTION, ErrorKind.OUTCOME)
+_WAYPOINT_INDEX = np.arange(1, _MAX_WAYPOINTS + 1)
 
-            if rng.random() < path_plan.p_execution:
-                emit(EventKind.ERROR_ANNOTATION, t + 1, step_id=step.step_id, error_kind=ErrorKind.EXECUTION)
-            if rng.random() < path_plan.p_outcome:
-                emit(EventKind.ERROR_ANNOTATION, t + 1, step_id=step.step_id, error_kind=ErrorKind.OUTCOME)
 
-            emit(EventKind.STEP_END, start_ms + duration_ms, step_id=step.step_id)
-            prev_point, prev_screen = click, target.screen_id
+def _draw_session(steps: _Steps, key: int, session_id: str, participant_id: str) -> SessionLog:
+    """One session: all its randomness in a few array draws, then the events."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    n = len(steps.step_ids)
+    durations = lognormal_durations(steps.median_s, steps.sigma, n, rng)
+    if not np.all(durations < _MAX_DURATION_S):
+        raise ValueError(f"session {session_id}: a drawn step duration reaches {_MAX_DURATION_S:g} s")
+    duration_ms = np.maximum(np.rint(durations * 1000), _MIN_DURATION_MS).astype(np.int64)
+    gaps = rng.integers(200, 1500, n)
+    n_way = rng.integers(3, _MAX_WAYPOINTS + 1, n)
+    jitter = rng.uniform(-WAYPOINT_JITTER_PX, WAYPOINT_JITTER_PX, (n, _MAX_WAYPOINTS, 2))
+    clicks = steps.box_origin + rng.uniform(0.1, 0.9, (n, 2)) * steps.box_size  # central 80% of the box
+    errors = rng.random((n, 2)) < steps.p_error
 
-    return SessionLog(
-        session_id=f"S{participant:02d}-{session_index:03d}",
-        participant_id=f"P{participant:02d}",
-        events=tuple(events),
+    # The first step starts at 0, each later one a gap after the previous end.
+    starts = np.concatenate(([0], duration_ms[:-1] + gaps[1:])).cumsum()
+    # Waypoints run from the previous click when it is on the same screen,
+    # else from the screen centre, toward the target with bounded jitter.
+    origin = np.where(steps.same_screen[:, None], np.roll(clicks, 1, axis=0), steps.screen_size / 2)
+    f = _WAYPOINT_INDEX / (n_way[:, None] + 1.0)
+    points = origin[:, None] + f[..., None] * (steps.target - origin)[:, None] + jitter
+    points = np.clip(points, 0.0, steps.screen_size[:, None])
+    # Moves and the click split the step into n_way + 4 slots; the annotations
+    # follow the click 1 ms apart, before the end.
+    slots = n_way + 4
+    move_ms = starts[:, None] + _WAYPOINT_INDEX * duration_ms[:, None] // slots[:, None]
+    click_ms = starts + (n_way + 1) * duration_ms // slots
+
+    events: list[TrackerEvent] = []
+    rows = zip(
+        steps.step_ids, steps.screen_ids, starts.tolist(), (starts + duration_ms).tolist(), n_way.tolist(),
+        move_ms.tolist(), points.tolist(), click_ms.tolist(), clicks.tolist(), errors.tolist(),
     )
+    for step_id, screen_id, start, end, k, moves, way, t, click, erred in rows:
+        events.append(TrackerEvent(start, EventKind.STEP_START, step_id=step_id))
+        events.extend(TrackerEvent(at, EventKind.MOVE, (x, y), screen_id, step_id) for at, (x, y) in zip(moves[:k], way))
+        events.append(TrackerEvent(t, EventKind.CLICK, tuple(click), screen_id, step_id))
+        for error_kind, happened in zip(_ERROR_KINDS, erred):
+            if happened:
+                t += 1
+                events.append(TrackerEvent(t, EventKind.ERROR_ANNOTATION, step_id=step_id, error_kind=error_kind))
+        events.append(TrackerEvent(end, EventKind.STEP_END, step_id=step_id))
+    return SessionLog(session_id, participant_id, tuple(events))
 
 
 def generate_sessions(g: InterfaceGraph, plan: ScenarioPlan) -> list[SessionLog]:
     """All sessions of the plan, in (participant, session) order."""
-    for path_plan in plan.paths.values():
-        path_plan.validate()
-        resolve_path(g, path_plan.path_id)
+    steps = _Steps(g, plan)
     return [
-        generate_session(g, plan, participant, session)
+        _draw_session(steps, session_seed(plan.seed, participant, index), f"S{participant:02d}-{index:03d}", f"P{participant:02d}")
         for participant in range(plan.participants)
-        for session in range(plan.sessions_per_participant)
+        for index in range(plan.sessions_per_participant)
     ]
 
 
@@ -201,25 +185,47 @@ def write_sessions(logs: Iterable[SessionLog], out_dir: str | Path) -> list[str]
     return written
 
 
-def plan_from_document(document: Mapping, procedures: Sequence[Procedure] | None = None) -> ScenarioPlan:
-    """Build a plan from its JSON mirror (see the plan file schema)."""
-    from .ingest import load_procedures
+def _number(raw: Mapping, key: str, default: float | None = None) -> float:
+    """A numeric field of a plan path entry, as a float; the field's range is PathPlan.validate's."""
+    if key not in raw and default is None:
+        raise ValueError(f"path {raw['path_id']!r}: missing {key}")
+    value = raw.get(key, default)
+    if type(value) not in (int, float) or not -_MAX_FLOAT <= value <= _MAX_FLOAT:  # no bool, NaN or 10**400
+        raise ValueError(f"path {raw['path_id']!r}: {key} must be a finite number, got {value!r}")
+    return float(value)
 
+
+def plan_from_document(document: Mapping, procedures: Sequence[Procedure] | None = None) -> ScenarioPlan:
+    """Build a plan from its JSON mirror (see the plan file schema), checking
+    every value; an error names the offending path."""
+    if not isinstance(document, Mapping):
+        raise ValueError(f"plan must be a JSON object, got {type(document).__name__}")
+    for key in ("paths",) if procedures is not None else ("procedures", "paths"):
+        if key not in document:
+            raise ValueError(f"plan has no {key!r}")
     procs = tuple(procedures) if procedures is not None else tuple(load_procedures(document["procedures"]))
-    paths = {
-        raw["path_id"]: PathPlan(
-            path_id=raw["path_id"],
-            median_s=float(raw["median_s"]),
-            sigma=float(raw.get("sigma", SIGMA_DEFAULT)),
-            p_execution=float(raw.get("p_execution", 0.0)),
-            p_outcome=float(raw.get("p_outcome", 0.0)),
+    raw_paths = document["paths"]
+    if not isinstance(raw_paths, list):
+        raise ValueError(f"plan paths must be an array, got {type(raw_paths).__name__}")
+    paths: dict[str, PathPlan] = {}
+    for raw in raw_paths:
+        if not isinstance(raw, Mapping) or type(raw.get("path_id")) is not str:
+            raise ValueError(f"each plan path must be an object with a string path_id, got {raw!r}")
+        if raw["path_id"] in paths:
+            raise ValueError(f"path {raw['path_id']!r} is listed twice")
+        path_plan = PathPlan(
+            raw["path_id"],
+            _number(raw, "median_s"),
+            _number(raw, "sigma", SIGMA_DEFAULT),
+            _number(raw, "p_execution", 0.0),
+            _number(raw, "p_outcome", 0.0),
         )
-        for raw in document["paths"]
-    }
+        path_plan.validate()
+        paths[path_plan.path_id] = path_plan
     return ScenarioPlan(
         procedures=procs,
         paths=paths,
-        participants=int(document.get("participants", 1)),
-        sessions_per_participant=int(document.get("sessions_per_participant", 1)),
-        seed=int(document.get("seed", 0)),
+        participants=document.get("participants", 1),
+        sessions_per_participant=document.get("sessions_per_participant", 1),
+        seed=document.get("seed", 0),
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import weakref
 
@@ -378,3 +379,85 @@ def test_non_finite_t95_exits_two_naming_line(graph_file, sessions_dir, tmp_path
     assert main(argv) == 2
     assert "line 2: t95 must be positive and finite" in capsys.readouterr().err
     assert not (out / "hfe.json").exists()
+
+
+def _edit_plan(edit):
+    """A plan-document edit: ``edit(plan, first_path)`` changes the fixture plan in place."""
+
+    def apply(plan):
+        edit(plan, plan["paths"][0])
+        return plan
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (lambda plan: [], "plan must be a JSON object, got list"),
+        (_edit_plan(lambda plan, path: plan.pop("paths")), "plan has no 'paths'"),
+        (_edit_plan(lambda plan, path: plan.update(paths={})), "plan paths must be an array, got dict"),
+        (_edit_plan(lambda plan, path: plan["paths"].append(5)), "each plan path must be an object"),
+        (_edit_plan(lambda plan, path: path.update(path_id=11)), "each plan path must be an object with a string path_id"),
+        (_edit_plan(lambda plan, path: plan["paths"].append(path)), "path 'P_11' is listed twice"),
+        (_edit_plan(lambda plan, path: path.pop("median_s")), "path 'P_11': missing median_s"),
+        (_edit_plan(lambda plan, path: path.update(median_s=math.nan)), "path 'P_11': median_s must be a finite number"),
+        (_edit_plan(lambda plan, path: path.update(median_s="2")), "path 'P_11': median_s must be a finite number"),
+        (_edit_plan(lambda plan, path: path.update(median_s=10**400)), "path 'P_11': median_s must be a finite number"),
+        (_edit_plan(lambda plan, path: path.update(median_s=0)), "path 'P_11': median_s must be a positive finite number"),
+        (_edit_plan(lambda plan, path: path.update(sigma=-1)), "path 'P_11': sigma must be a non-negative finite number"),
+        (_edit_plan(lambda plan, path: path.update(sigma=True)), "path 'P_11': sigma must be a finite number"),
+        (_edit_plan(lambda plan, path: path.update(p_outcome=1.5)), "path 'P_11': p_outcome must be in [0, 1]"),
+        (_edit_plan(lambda plan, path: plan.update(participants=2.5)), "participants must be a non-negative integer"),
+        (
+            _edit_plan(lambda plan, path: plan.update(sessions_per_participant=-3)),
+            "sessions_per_participant must be a non-negative integer",
+        ),
+        (_edit_plan(lambda plan, path: plan.update(seed=True)), "seed must be a non-negative integer, got True"),
+        (_edit_plan(lambda plan, path: plan.update(procedures=[1])), "procedures must be a JSON object or an array"),
+        (
+            _edit_plan(lambda plan, path: plan["procedures"][0]["steps"][1].pop("step_id")),
+            "procedure 'PR', step 2: step_id must be a string, got None",
+        ),
+    ],
+)
+def test_bad_plan_exits_two_naming_file(document, message, graph_file, plan_file, tmp_path, capsys):
+    plan_file.write_text(json.dumps(document(json.loads(plan_file.read_text()))))
+    out = tmp_path / "out"
+    assert main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {plan_file}: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_negative_seed_override_exits_two(graph_file, plan_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([1], "procedures must be a JSON object or an array of objects"),
+        ("PR", "procedures must be a JSON object or an array of objects"),
+        ({"steps": []}, "procedure_id must be a string, got None"),
+        ({"procedure_id": "PR", "steps": {"step_id": "s0"}}, "procedure 'PR': steps must be an array of objects"),
+        ({"procedure_id": "PR", "steps": [{"step_id": 5}]}, "procedure 'PR', step 1: step_id must be a string, got 5"),
+        (
+            {"procedure_id": "PR", "steps": [{"step_id": "s0", "target_path": ["P_11"]}]},
+            "procedure 'PR', step 1: target_path must be a string",
+        ),
+    ],
+)
+def test_bad_procedures_exit_two_naming_file(document, message, graph_file, sessions_dir, tmp_path, capsys):
+    procedures = tmp_path / "procs.json"
+    procedures.write_text(json.dumps(document))
+    argv = ["ingest", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--procedures", str(procedures)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {procedures}: {message}")
+    assert "Traceback" not in captured.err

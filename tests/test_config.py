@@ -58,6 +58,21 @@ def test_number_fields_take_integers():
     assert cfg.riskpath.tau == 2 and cfg.metrics.normalizer_px == 2654
 
 
+def test_integer_and_float_give_one_fingerprint():
+    as_int = config_from_dict({"riskpath": {"tau": 1, "alpha": 1, "sigma": 1}, "metrics": {"normalizer_px": 2654}})
+    as_float = config_from_dict({"riskpath": {"tau": 1.0, "alpha": 1.0, "sigma": 1.0}, "metrics": {"normalizer_px": 2654.0}})
+    assert as_int == as_float
+    assert config_fingerprint(as_int) == config_fingerprint(as_float)
+    assert type(as_int.riskpath.tau) is float and type(as_int.metrics.normalizer_px) is float
+    assert config_fingerprint(config_from_dict({"riskpath": {"tau": 1}})) == config_fingerprint(AppConfig())
+    assert type(config_from_dict({"pif": {"epochs": 3}}).pif.epochs) is int
+
+
+def test_number_beyond_float_range_rejected():
+    with pytest.raises(ValueError, match="riskpath.tau: expected a finite number"):
+        config_from_dict({"riskpath": {"tau": 10**400}})
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [

@@ -154,6 +154,32 @@ class TestParseSessionLog:
             parse_session_log([_line(**record)])
         assert str(info.value) == f"line 1: {message}"
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"t_ms": 1.7, "kind": "key"}, "malformed timestamp 1.7"),
+            ({"t_ms": 1.0, "kind": "key"}, "malformed timestamp 1.0"),
+            ({"t_ms": True, "kind": "key"}, "malformed timestamp True"),
+            ({"t_ms": 0, "kind": "step_start"}, "step_start events require a step_id"),
+            ({"t_ms": 0, "kind": "step_end", "step_id": None}, "step_end events require a step_id"),
+            ({"t_ms": 0, "kind": "step_start", "step_id": 5}, "malformed step_id 5"),
+            ({"t_ms": 0, "kind": "key", "step_id": 5}, "malformed step_id 5"),
+            ({"t_ms": 0, "kind": "move", "x": 1, "y": 1, "step_id": False}, "malformed step_id False"),
+        ],
+    )
+    def test_timestamp_is_integer_and_step_id_is_string(self, record, message):
+        with pytest.raises(ParseError) as info:
+            parse_session_log([_line(**record)])
+        assert str(info.value) == f"line 1: {message}"
+
+    def test_numeric_step_id_is_rejected_where_it_appears(self):
+        with pytest.raises(ParseError, match="^line 1: malformed step_id 5$"):
+            parse_session_log([_line(t_ms=0, kind="step_start", step_id=5), _line(t_ms=1, kind="step_end", step_id="5")])
+
+    def test_step_ids_absent_on_non_step_events(self):
+        lines = [_line(t_ms=0, kind="key"), _line(t_ms=1, kind="move", x=1, y=2, step_id=None)]
+        assert [e.step_id for e in parse_session_log(lines).events] == [None, None]
+
     def test_matches_reference_parser_on_mutated_logs(self):
         rng = random.Random(20251018)
         for _ in range(2000):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from hmirisk.ingest import (
     serialize_session,
 )
 from hmirisk.simulate import (
+    RNG_ALGORITHM,
     PathPlan,
     ScenarioPlan,
-    generate_session,
     generate_sessions,
     lognormal_durations,
     plan_from_document,
@@ -90,8 +92,8 @@ class TestGeneration:
             for click, step in zip(clicks, ["P_11", "P_12", "P_13"] * 10):
                 target = two_screen_graph.by_id["N_" + step[2:]]
                 bx, by, bw, bh = target.bbox
-                assert bx <= click.point[0] <= bx + bw
-                assert by <= click.point[1] <= by + bh
+                assert bx + 0.1 * bw <= click.point[0] <= bx + 0.9 * bw
+                assert by + 0.1 * bh <= click.point[1] <= by + 0.9 * bh
 
     def test_unknown_path_rejected(self, two_screen_graph):
         plan = make_plan(two_screen_graph)
@@ -105,6 +107,60 @@ class TestGeneration:
         bad_paths["P_11"] = PathPlan("P_11", median_s=0.0)
         with pytest.raises(ValueError):
             generate_sessions(two_screen_graph, ScenarioPlan(plan.procedures, bad_paths, 1, 1, 0))
+
+    def test_rng_stream_pinned(self, two_screen_graph):
+        """The bytes of one small plan, pinned next to the stream tag.
+
+        A change to how sessions draw their randomness changes this digest.
+        Changing either the digest or RNG_ALGORITHM requires changing the
+        other, and a CHANGES.md note that every seed's bytes changed.
+        """
+        plan = make_plan(two_screen_graph, p_execution=0.5, p_outcome=0.25, participants=2, sessions=2, seed=3)
+        text = "".join(serialize_session(log) for log in generate_sessions(two_screen_graph, plan))
+        assert RNG_ALGORITHM == "philox4x64 (numpy.random.Philox), stream 2"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "903c4f01f7f33883a74f899769e4d290970cda9ff28ea89e10ea49d8fa897d8d"
+        )
+
+    def test_event_schedule_and_waypoint_geometry(self, two_screen_graph):
+        """Moves and the click split a step into n + 4 slots, annotations follow
+        the click 1 ms apart, and waypoint k lies within the jitter of the
+        point k / (n + 1) of the way from the previous click on the same
+        screen (else the screen centre) to the target centre."""
+        plan = make_plan(two_screen_graph, p_execution=0.5, p_outcome=0.5, sessions=20, seed=13)
+        targets = {"s0": "N_11", "s1": "N_12", "s2": "N_13"}
+        for log in generate_sessions(two_screen_graph, plan):
+            previous_click = previous_screen = None
+            for step_id, target_id in targets.items():
+                events = [e for e in log.events if e.step_id == step_id]
+                start, end = events[0].t_ms, events[-1].t_ms
+                moves = [e for e in events if e.kind is EventKind.MOVE]
+                click = next(e for e in events if e.kind is EventKind.CLICK)
+                notes = [e.t_ms for e in events if e.kind is EventKind.ERROR_ANNOTATION]
+                n, duration = len(moves), end - start
+                assert [e.t_ms for e in moves] == [start + i * duration // (n + 4) for i in range(1, n + 1)]
+                assert click.t_ms == start + (n + 1) * duration // (n + 4)
+                assert notes == [click.t_ms + i for i in range(1, len(notes) + 1)]
+
+                target = two_screen_graph.by_id[target_id]
+                screen = two_screen_graph.screens[target.screen_id]
+                if previous_screen == target.screen_id:
+                    origin = previous_click
+                else:
+                    origin = (screen.width_px / 2, screen.height_px / 2)
+                for k, move in enumerate(moves, start=1):
+                    f = k / (n + 1)
+                    for axis in (0, 1):
+                        ideal = origin[axis] + f * (target.position[axis] - origin[axis])
+                        assert abs(move.point[axis] - ideal) <= 10.0 + 1e-9
+                previous_click, previous_screen = click.point, target.screen_id
+
+    @pytest.mark.parametrize("median", [1e16, 1e300])
+    def test_duration_beyond_clock_rejected(self, two_screen_graph, median):
+        plan = make_plan(two_screen_graph)
+        paths = {**plan.paths, "P_12": PathPlan("P_12", median_s=median)}
+        with pytest.raises(ValueError, match="drawn step duration"):
+            generate_sessions(two_screen_graph, ScenarioPlan(plan.procedures, paths, 1, 1, 0))
 
     def test_session_seed_distinct_per_participant_and_index(self):
         seeds = {session_seed(1, p, s) for p in range(10) for s in range(10)}
@@ -142,6 +198,15 @@ class TestRoundTrip:
 
 
 class TestStatistics:
+    def test_per_draw_medians_and_sigmas(self):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        draws = lognormal_durations(np.repeat([1.0, 4.0], 5000), np.repeat([0.1, 0.5], 5000), 10_000, rng)
+        assert 0.98 <= float(np.median(draws[:5000])) <= 1.02
+        assert 3.8 <= float(np.median(draws[5000:])) <= 4.2
+        assert abs(float(np.std(np.log(draws[5000:]))) - 0.5) <= 0.02
+        with pytest.raises(ValueError):
+            lognormal_durations(np.array([1.0, 0.0]), 0.28, 2, rng)
+
     def test_sample_median_of_10k_draws(self):
         rng = np.random.Generator(np.random.Philox(key=123))
         draws = lognormal_durations(2.0, 0.28, 10_000, rng)
