@@ -15,11 +15,10 @@ from pathlib import Path
 from . import __version__, dataset
 from .config import AppConfig, load_app_config, read_json
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
-from .graph import GraphError, load_graph
-from .ingest import align_events, load_procedures, parse_session_log, path_samples
+from .graph import GraphError, UnknownPathError, load_graph
+from .ingest import ParseError, UnknownScreenError, align_events, load_procedures, parse_session_log, path_samples
 from .metrics import metric_vector, metrics_csv_rows
 from .pifnet import (
-    TrainConfig,
     evaluate,
     init_model,
     kfold_cv,
@@ -41,9 +40,18 @@ from .risk import (
 from .simulate import generate_sessions, plan_from_document, write_sessions
 
 
+def _non_negative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _SHARED_FLAGS = {
-    "config": {"help": "JSON config file"},
-    "seed": {"type": int, "help": "override the configured seed"},
+    "config": {"help": "JSON config file (analysis and embedding settings)"},
+    "graph": {"required": True, "help": "graph JSON"},
+    "sessions": {"nargs": "+", "required": True, "help": "session JSONL files or directories"},
+    "procedures": {"help": "procedures JSON (declared step targets)"},
+    "seed": {"type": _non_negative_int, "default": 0, "help": "random seed (default 0)"},
     "out": {"default": ".", "help": "output directory"},
 }
 
@@ -70,27 +78,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("graph_file")
 
     p_sim = _command(
-        sub, "simulate", _cmd_simulate, ("config", "seed", "out"), help="generate synthetic session logs from a plan"
+        sub, "simulate", _cmd_simulate, ("graph", "out"), help="generate synthetic session logs from a plan"
     )
-    p_sim.add_argument("--graph", help="graph JSON (falls back to config paths.graph)")
     p_sim.add_argument("--plan", required=True, help="scenario plan JSON")
+    p_sim.add_argument("--seed", type=_non_negative_int, help="override the plan seed")
 
-    p_ing = _command(sub, "ingest", _cmd_ingest, ("config",), help="parse and align session logs")
-    p_ing.add_argument("--graph")
-    p_ing.add_argument("--sessions", nargs="+", help="session JSONL files or directories")
-    p_ing.add_argument("--procedures", help="procedures JSON (declared step targets)")
+    _command(sub, "ingest", _cmd_ingest, ("graph", "sessions", "procedures"), help="parse and align session logs")
 
-    p_hfe = _command(sub, "hfe", _cmd_hfe, ("config", "out"), help="identify risk-informed failure-event candidates")
-    p_hfe.add_argument("--graph")
-    p_hfe.add_argument("--sessions", nargs="+")
-    p_hfe.add_argument("--procedures")
+    p_hfe = _command(
+        sub, "hfe", _cmd_hfe, ("config", "graph", "sessions", "procedures", "out"),
+        help="identify risk-informed failure-event candidates",
+    )
     p_hfe.add_argument("--t95", help="CSV of path_id,t95_seconds fallbacks")
 
-    p_met = _command(
-        sub, "metrics", _cmd_metrics, ("config", "out"), help="per-path interface metrics from aligned traces"
+    _command(
+        sub, "metrics", _cmd_metrics, ("config", "graph", "sessions", "out"),
+        help="per-path interface metrics from aligned traces",
     )
-    p_met.add_argument("--graph")
-    p_met.add_argument("--sessions", nargs="+")
 
     p_pif = sub.add_parser("pif", help="train, cross-validate, or apply the PIF classifier")
     pif_sub = p_pif.add_subparsers(dest="pif_command", required=True)
@@ -99,40 +103,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model-out", required=True)
     p_cv = _command(pif_sub, "cv", _cmd_pif_cv, ("config", "seed"))
     p_cv.add_argument("--data")
-    p_cv.add_argument("--k", type=int, default=None)
+    p_cv.add_argument("--k", type=int, default=5, help="number of folds (default 5)")
     p_pred = _command(pif_sub, "predict", _cmd_pif_predict, ())
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--features", help="comma-separated vd,sid,is")
     p_pred.add_argument("--data", help="CSV of rows to predict")
 
     p_rep = _command(
-        sub, "report", _cmd_report, ("config", "seed", "out"), help="run the full pipeline and emit the risk report"
+        sub, "report", _cmd_report, ("config", "graph", "sessions", "procedures", "seed", "out"),
+        help="run the full pipeline and emit the risk report",
     )
-    p_rep.add_argument("--graph")
-    p_rep.add_argument("--sessions", nargs="+")
-    p_rep.add_argument("--procedures")
     p_rep.add_argument("--model", help="trained classifier; trained on the bundled dataset when omitted")
     return parser
-
-
-def _resolve_inputs(args, cfg: AppConfig) -> None:
-    """Fill missing file arguments from the config paths section."""
-    fallbacks = {
-        "graph": cfg.paths.graph,
-        "procedures": cfg.paths.procedures,
-        "t95": cfg.paths.t95,
-        "model": cfg.paths.model,
-    }
-    for name, fallback in fallbacks.items():
-        if hasattr(args, name) and getattr(args, name) is None and fallback:
-            setattr(args, name, fallback)
-    if hasattr(args, "sessions") and not args.sessions:
-        if cfg.paths.sessions:
-            args.sessions = [cfg.paths.sessions]
-        else:
-            raise ValueError("no session files given (flag --sessions or config paths.sessions)")
-    if hasattr(args, "graph") and args.graph is None:
-        raise ValueError("no graph file given (flag --graph or config paths.graph)")
 
 
 def _session_files(paths: list[str]) -> list[Path]:
@@ -148,12 +130,20 @@ def _session_files(paths: list[str]) -> list[Path]:
     return files
 
 
+def _aligned(graph, file: Path, targets):
+    """One session file, parsed and aligned; an error names the file."""
+    try:
+        return align_events(graph, parse_session_log(file), targets)
+    except (ParseError, UnknownScreenError, UnicodeDecodeError) as err:
+        raise ValueError(f"{file}: {err}") from None
+
+
 def _load_inputs(args):
     """Graph, procedures, and a generator of aligned traces, one session file at a time."""
     graph = load_graph(args.graph)
     procedures = load_procedures(args.procedures) if getattr(args, "procedures", None) else []
     targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
-    traces = (align_events(graph, parse_session_log(f), targets) for f in _session_files(args.sessions))
+    traces = (_aligned(graph, f, targets) for f in _session_files(args.sessions))
     return graph, procedures, traces
 
 
@@ -172,17 +162,11 @@ def _training_rows(data_arg: str | None):
     return dataset.training_rows()
 
 
-def _hyper(cfg: AppConfig) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.pif.learning_rate, epochs=cfg.pif.epochs, dropout=cfg.pif.dropout
-    )
-
-
 def _train_default_model(cfg: AppConfig, seed: int, rows=None):
     rows = rows if rows is not None else dataset.training_rows()
     labels = sorted({label for _, label in rows})
     model = init_model(seed, labels)
-    train(model, rows, _hyper(cfg))
+    train(model, rows, cfg.pif)
     return model
 
 
@@ -205,7 +189,7 @@ def _path_metric_entries(graph, samples, cfg: AppConfig):
 def _detect(graph, samples, procedures, cfg: AppConfig):
     """Category grouping and HFE candidates from the per-path samples."""
     grouping = {path_id: system_category(graph, path_id) for path_id in samples}
-    detail = time_deviation_detail(samples, grouping, cfg.riskpath.tau, cfg.riskpath.sigma)
+    detail = time_deviation_detail(samples, grouping, cfg.riskpath.tau)
     time_flagged = {p for p, d in detail.items() if d.flagged}
     errors = detect_error_paths(samples, cfg.riskpath.alpha)
     return grouping, identify_hfes(errors, time_flagged, graph, procedures, detail)
@@ -235,11 +219,12 @@ def _cmd_simulate(args, cfg: AppConfig) -> int:
     plan_doc = read_json(args.plan)
     try:
         plan = plan_from_document(plan_doc)
-    except ValueError as err:
+        if args.seed is not None:
+            plan = replace(plan, seed=args.seed)
+        sessions = generate_sessions(graph, plan)
+    except (ValueError, UnknownPathError) as err:
         raise ValueError(f"{args.plan}: {err}") from None
-    if args.seed is not None:
-        plan = replace(plan, seed=args.seed)
-    written = write_sessions(generate_sessions(graph, plan), _out_dir(args))
+    written = write_sessions(sessions, _out_dir(args))
     print(f"wrote {len(written)} session file(s) to {args.out}")
     return 0
 
@@ -260,11 +245,16 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
     samples = path_samples(traces)
     _, hfe = _detect(graph, samples, procedures, cfg)
 
-    overrides = load_t95_overrides(Path(args.t95).read_text(encoding="utf-8")) if args.t95 else {}
+    overrides = {}
+    if args.t95:
+        try:
+            overrides = load_t95_overrides(Path(args.t95).read_text(encoding="utf-8"))
+        except ValueError as err:
+            raise ValueError(f"{args.t95}: {err}") from None
     time_models = {}
     for path_id in sorted(set(samples) | set(overrides)):
         durations = samples[path_id].durations if path_id in samples else None
-        model = model_from_samples_or_p95(durations, overrides.get(path_id), cfg.riskpath.sigma)
+        model = model_from_samples_or_p95(durations, overrides.get(path_id))
         time_models[path_id] = {
             "mu": model.mu,
             "sigma": model.sigma,
@@ -287,13 +277,9 @@ def _cmd_metrics(args, cfg: AppConfig) -> int:
     return 0
 
 
-def _seed(args, cfg: AppConfig) -> int:
-    return args.seed if args.seed is not None else cfg.pif.seed
-
-
 def _cmd_pif_train(args, cfg: AppConfig) -> int:
     rows = _training_rows(args.data)
-    model = _train_default_model(cfg, _seed(args, cfg), rows)
+    model = _train_default_model(cfg, args.seed, rows)
     save_model(model, args.model_out)
     print(f"trained on {len(rows)} rows; training accuracy {evaluate(model, rows):.4f}; saved to {args.model_out}")
     return 0
@@ -301,8 +287,7 @@ def _cmd_pif_train(args, cfg: AppConfig) -> int:
 
 def _cmd_pif_cv(args, cfg: AppConfig) -> int:
     rows = _training_rows(args.data)
-    k = args.k if args.k is not None else cfg.pif.k_folds
-    result = kfold_cv(rows, k=k, seed=_seed(args, cfg), hyper=_hyper(cfg))
+    result = kfold_cv(rows, k=args.k, seed=args.seed, hyper=cfg.pif)
     print(json.dumps({"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
     return 0
 
@@ -311,8 +296,13 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
     model = load_model(args.model)
     outputs = []
     if args.features:
-        values = tuple(float(v) for v in args.features.split(","))
-        label, probs = predict(model, values)
+        try:
+            values = tuple(float(v) for v in args.features.split(","))
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite feature in {args.features!r}")
+            label, probs = predict(model, values)
+        except ValueError as err:
+            raise ValueError(f"--features: {err}") from None
         outputs.append({"features": list(values), "label": label, "probabilities": probs})
     if args.data:
         for features, _ in load_training_csv(args.data):
@@ -330,7 +320,7 @@ def _cmd_report(args, cfg: AppConfig) -> int:
     samples = path_samples(traces)
     grouping, hfe = _detect(graph, samples, procedures, cfg)
 
-    model = load_model(args.model) if args.model else _train_default_model(cfg, _seed(args, cfg))
+    model = load_model(args.model) if args.model else _train_default_model(cfg, args.seed)
     assessments = []
     for path_id, metric in _path_metric_entries(graph, samples, cfg):
         label, probs = predict(model, metric)
@@ -345,10 +335,8 @@ def _cmd_report(args, cfg: AppConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_app_config(getattr(args, "config", None))
-        _resolve_inputs(args, cfg)
-        return args.run(args, cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+        return args.run(args, load_app_config(getattr(args, "config", None)))
+    except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

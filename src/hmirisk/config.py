@@ -15,15 +15,6 @@ from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
-class PathsConfig:
-    graph: str | None = None
-    procedures: str | None = None
-    sessions: str | None = None
-    t95: str | None = None
-    model: str | None = None
-
-
-@dataclass(frozen=True)
 class EmbedConfig:
     provider: str = "local"  # "local" | "remote"
     model: str = ""
@@ -36,7 +27,6 @@ class EmbedConfig:
 class RiskSettings:
     tau: float = 1.0
     alpha: float = 1.0
-    sigma: float = 0.28  # fixed by the duration guidance; override is non-standard
 
 
 @dataclass(frozen=True)
@@ -46,29 +36,27 @@ class MetricsSettings:
 
 
 @dataclass(frozen=True)
-class PifSettings:
+class TrainConfig:
+    """PIF classifier hyperparameters (config section ``pif``)."""
+
     learning_rate: float = 1e-3
     epochs: int = 300
     dropout: float = 0.3
-    k_folds: int = 5
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class AppConfig:
-    paths: PathsConfig = field(default_factory=PathsConfig)
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     riskpath: RiskSettings = field(default_factory=RiskSettings)
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
-    pif: PifSettings = field(default_factory=PifSettings)
+    pif: TrainConfig = field(default_factory=TrainConfig)
 
 
 _SECTIONS = {
-    "paths": PathsConfig,
     "embed": EmbedConfig,
     "riskpath": RiskSettings,
     "metrics": MetricsSettings,
-    "pif": PifSettings,
+    "pif": TrainConfig,
 }
 
 # Base of a field's annotation (a string, as annotations are postponed) ->
@@ -80,14 +68,11 @@ _RANGES = {
     "embed.timeout_ms": (lambda v: v > 0, "positive"),
     "riskpath.tau": (lambda v: v >= 0, "non-negative"),
     "riskpath.alpha": (lambda v: v >= 0, "non-negative"),
-    "riskpath.sigma": (lambda v: v > 0, "positive"),
     "metrics.theta": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "metrics.normalizer_px": (lambda v: v > 0, "positive"),
     "pif.learning_rate": (lambda v: v > 0, "positive"),
     "pif.epochs": (lambda v: v >= 0, "non-negative"),
     "pif.dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "pif.k_folds": (lambda v: v >= 2, "at least 2"),
-    "pif.seed": (lambda v: v >= 0, "non-negative"),
 }
 
 

@@ -12,10 +12,11 @@ All query operations are pure; a graph is immutable after construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .config import read_json
 
@@ -38,6 +39,8 @@ class GraphError(ValueError):
 
 class UnknownPathError(KeyError):
     """Requested path identifier has no terminal node in the graph."""
+
+    __str__ = Exception.__str__  # the message, without the quotes KeyError adds
 
 
 class UnmappableStepError(ValueError):
@@ -157,20 +160,32 @@ class InterfaceGraph:
         return None if best is None else best[1]
 
 
-def _as_number(value: Any, elem_id: str, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GraphError(f"element {elem_id!r}: malformed coordinate {field}={value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise GraphError(f"element {elem_id!r}: non-finite coordinate {field}={value!r}")
-    return number
+def _entries(document: Mapping[str, Any], key: str) -> Sequence[Mapping[str, Any]]:
+    """The array of objects under ``key``; absent means empty."""
+    entries = document.get(key, [])
+    if not isinstance(entries, (list, tuple)) or not all(isinstance(entry, Mapping) for entry in entries):
+        raise GraphError(f"graph {key} must be an array of objects")
+    return entries
+
+
+def _number(raw: Mapping[str, Any], key: str, owner: str) -> float:
+    """A required finite number; an error names the owner and the field."""
+    if key not in raw:
+        raise GraphError(f"{owner}: missing {key}")
+    value = raw[key]
+    # By exact type, so a boolean is not a number; the range test is False
+    # for NaN, infinities and ints too large for a float.
+    if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise GraphError(f"{owner}: {key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
     """Parse and validate a graph document (a mapping, or the path of a JSON file).
 
-    Raises :class:`GraphError` carrying the full violation list when the
-    document parses but breaks a structural invariant, so a loaded graph
+    A malformed document raises :class:`GraphError` naming the screen or
+    element and the field. A document that parses but breaks a structural
+    invariant raises it carrying the full violation list, so a loaded graph
     always satisfies ``validate_graph(g) == []``.
     """
     if isinstance(document, (str, Path)):
@@ -179,27 +194,35 @@ def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
         raise GraphError("graph document must be a JSON object")
 
     screens = []
-    for raw in document.get("screens", []):
+    for n, raw in enumerate(_entries(document, "screens"), start=1):
+        if "id" not in raw:
+            raise GraphError(f"screen {n}: missing id")
         sid = str(raw["id"])
-        screens.append(
-            Screen(sid, _as_number(raw["width_px"], sid, "width_px"), _as_number(raw["height_px"], sid, "height_px"))
-        )
+        size = {key: _number(raw, key, f"screen {sid!r}") for key in ("width_px", "height_px")}
+        for key, value in size.items():
+            if value <= 0:
+                raise GraphError(f"screen {sid!r}: {key} must be positive, got {value:g}")
+        screens.append(Screen(sid, size["width_px"], size["height_px"]))
 
     elements: list[InterfaceElement] = []
     edges: list[tuple[str, str]] = []
-    for raw in document.get("elements", []):
+    for raw in _entries(document, "elements"):
         elem_id = str(raw.get("id", "<missing id>"))
+        owner = f"element {elem_id!r}"
         try:
             kind = ElementKind(raw["kind"])
         except (KeyError, ValueError):
-            raise GraphError(f"element {elem_id!r}: unknown kind {raw.get('kind')!r}") from None
-        position = (_as_number(raw["x"], elem_id, "x"), _as_number(raw["y"], elem_id, "y"))
+            raise GraphError(f"{owner}: unknown kind {raw.get('kind')!r}") from None
+        if "screen" not in raw:
+            raise GraphError(f"{owner}: missing screen")
+        position = (_number(raw, "x", owner), _number(raw, "y", owner))
         bbox = None
         if raw.get("bbox") is not None:
             box = raw["bbox"]
             if not isinstance(box, (list, tuple)) or len(box) != 4:
-                raise GraphError(f"element {elem_id!r}: malformed bbox {box!r}")
-            bbox = tuple(_as_number(v, elem_id, f"bbox[{i}]") for i, v in enumerate(box))
+                raise GraphError(f"{owner}: malformed bbox {box!r}")
+            named = {f"bbox[{i}]": value for i, value in enumerate(box)}
+            bbox = tuple(_number(named, key, owner) for key in named)
         elements.append(
             InterfaceElement(
                 id=elem_id,
@@ -288,7 +311,7 @@ def _terminal_node(g: InterfaceGraph, path_id: str) -> str:
         for candidate in ("N_" + path_id[2:], path_id[2:]):
             if candidate in g.by_id:
                 return candidate
-    raise UnknownPathError(path_id)
+    raise UnknownPathError(f"path {path_id!r} has no terminal node in the graph")
 
 
 def resolve_path(g: InterfaceGraph, path_id: str) -> ExecutionPath:

@@ -31,6 +31,8 @@ class ParseError(ValueError):
 class UnknownScreenError(KeyError):
     """Hit test against a screen the graph does not declare."""
 
+    __str__ = Exception.__str__  # the message, without the quotes KeyError adds
+
 
 class EventKind(str, Enum):
     MOVE = "move"
@@ -138,19 +140,23 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
     try:
         kind = EventKind(record["kind"])
         t_ms = record["t_ms"]
-        t_ms = int(t_ms) if type(t_ms) is str else t_ms  # a string of digits is read as its integer
+        if type(t_ms) is str and t_ms.isascii() and t_ms.isdigit():  # a string of digits is read as its integer
+            t_ms = int(t_ms)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"line {line_no}: {exc}") from None
-    if type(t_ms) is not int:  # a float, boolean, null, array or object
+    if type(t_ms) is not int:  # any other string, a float, boolean, null, array or object
         raise ParseError(f"line {line_no}: malformed timestamp {t_ms!r}")
     if t_ms < 0:
         raise ParseError(f"line {line_no}: negative timestamp {t_ms}")
 
     point = None
     if "x" in record or "y" in record:
+        x, y = record.get("x"), record.get("y")
+        if type(x) not in _JSON_NUMBERS or type(y) not in _JSON_NUMBERS:  # absent, a string, a boolean, ...
+            raise ParseError(f"line {line_no}: malformed point")
         try:
-            point = (float(record["x"]), float(record["y"]))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            point = (float(x), float(y))
+        except OverflowError:  # an integer too large for a float
             raise ParseError(f"line {line_no}: malformed point") from None
         if not (math.isfinite(point[0]) and math.isfinite(point[1])):
             raise ParseError(f"line {line_no}: non-finite point {point}")
@@ -166,7 +172,7 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
     if (error_kind is not None) != (kind is EventKind.ERROR_ANNOTATION):
         raise ParseError(f"line {line_no}: error_kind present iff kind is error_annotation")
     screen, step_id = record.get("screen"), record.get("step_id")
-    if type(screen) in (list, dict):
+    if type(screen) not in _ID_TYPES:
         raise ParseError(f"line {line_no}: malformed screen {screen!r}")
     if step_id is None and kind in _STEP_KINDS:
         raise ParseError(f"line {line_no}: {kind.value} events require a step_id")
@@ -309,7 +315,7 @@ def hit_test(
     """Element under a point: bbox containment first (smallest area wins,
     ties by id), else nearest element center within the snap radius."""
     if screen_id not in g.screens:
-        raise UnknownScreenError(screen_id)
+        raise UnknownScreenError(f"screen {screen_id!r} is not declared in the graph")
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point must be finite, got {point}")

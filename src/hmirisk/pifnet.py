@@ -16,23 +16,19 @@ from __future__ import annotations
 import json
 import math
 import re
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import TrainConfig
+
 INPUT_DIM = 3
 HIDDEN_SIZES = (128, 64, 32)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator floor
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch-norm running-statistics update and variance floor
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 300
-    dropout: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -348,21 +344,26 @@ def save_model(model: PifModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PifModel:
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        if meta["format_version"] != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {meta['format_version']}")
-        model = PifModel(meta["label_order"], meta["seed"])
-        for key in model.params:
-            model.params[key] = data[f"param_{key}"].astype(np.float64)
-        for i in range(len(HIDDEN_SIZES)):
-            model.running_mean[i] = data[f"running_mean{i}"].astype(np.float64)
-            model.running_var[i] = data[f"running_var{i}"].astype(np.float64)
-        if "std_mean" in data:
-            model.standardizer = Standardizer(
-                mean=data["std_mean"].astype(np.float64), std=data["std_std"].astype(np.float64)
-            )
-        model.trained = bool(meta["trained"])
+    """A model written by :func:`save_model`; a file that is not one is an
+    error naming the file."""
+    try:
+        with open(path, "rb") as file, np.load(file) as data:  # the file is closed also when np.load fails
+            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            if meta["format_version"] != MODEL_FORMAT_VERSION:
+                raise ValueError(f"unsupported model format {meta['format_version']}")
+            model = PifModel(meta["label_order"], meta["seed"])
+            for key in model.params:
+                model.params[key] = data[f"param_{key}"].astype(np.float64)
+            for i in range(len(HIDDEN_SIZES)):
+                model.running_mean[i] = data[f"running_mean{i}"].astype(np.float64)
+                model.running_var[i] = data[f"running_var{i}"].astype(np.float64)
+            if "std_mean" in data:
+                model.standardizer = Standardizer(
+                    mean=data["std_mean"].astype(np.float64), std=data["std_std"].astype(np.float64)
+                )
+            model.trained = bool(meta["trained"])
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path}: not a readable model file ({err})") from None
     return model
 
 
@@ -373,9 +374,13 @@ TRAINING_CSV_HEADER = "path_id,vd,sid,is,label"
 
 def load_training_csv(source: str | Path | Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
     """Rows of ((vd, sid, is), label) from the `path_id,vd,sid,is,label` CSV,
-    given as the path of a file or an iterable of its lines."""
+    given as the path of a file or an iterable of its lines; an error names
+    the line, and the file when given one."""
     if isinstance(source, (str, Path)):
-        source = Path(source).read_text(encoding="utf-8").splitlines()
+        try:
+            return load_training_csv(Path(source).read_text(encoding="utf-8").splitlines())
+        except ValueError as err:
+            raise ValueError(f"{source}: {err}") from None
     rows = []
     for line_no, line in enumerate(source, start=1):
         line = line.strip()

@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -195,15 +195,15 @@ def _number(raw: Mapping, key: str, default: float | None = None) -> float:
     return float(value)
 
 
-def plan_from_document(document: Mapping, procedures: Sequence[Procedure] | None = None) -> ScenarioPlan:
+def plan_from_document(document: Mapping) -> ScenarioPlan:
     """Build a plan from its JSON mirror (see the plan file schema), checking
     every value; an error names the offending path."""
     if not isinstance(document, Mapping):
         raise ValueError(f"plan must be a JSON object, got {type(document).__name__}")
-    for key in ("paths",) if procedures is not None else ("procedures", "paths"):
+    for key in ("procedures", "paths"):
         if key not in document:
             raise ValueError(f"plan has no {key!r}")
-    procs = tuple(procedures) if procedures is not None else tuple(load_procedures(document["procedures"]))
+    procs = tuple(load_procedures(document["procedures"]))
     raw_paths = document["paths"]
     if not isinstance(raw_paths, list):
         raise ValueError(f"plan paths must be an array, got {type(raw_paths).__name__}")

@@ -5,6 +5,7 @@ import math
 import re
 import weakref
 
+import numpy as np
 import pytest
 
 from hmirisk import cli
@@ -225,15 +226,11 @@ class TestReport:
         doc = json.loads((out / "hfe.json").read_text())
         assert all("time_path" not in c["provenance"] for c in doc["candidates"])
 
-    def test_paths_section_supplies_inputs(self, graph_file, sessions_dir, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"paths": {"graph": str(graph_file), "sessions": str(sessions_dir)}}))
-        assert main(["ingest", "--config", str(config)]) == 0
-        assert "aligned 18 steps" in capsys.readouterr().out
-
     def test_missing_inputs_exit_two(self, capsys):
-        assert main(["ingest"]) == 2
-        assert "no session files" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --graph, --sessions" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -309,9 +306,9 @@ def test_each_session_parsed_once_and_released(command, graph_file, sessions_dir
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ingest", "--out", "x"],
+        ["ingest", "--graph", "g.json", "--sessions", "s", "--out", "x"],
         ["graph", "validate", "g.json", "--seed", "1"],
-        ["hfe", "--seed", "1"],
+        ["hfe", "--graph", "g.json", "--sessions", "s", "--seed", "1"],
         ["pif", "cv", "--out", "x"],
         ["pif", "predict", "--model", "m.npz", "--out", "x"],
         ["pif", "predict", "--model", "m.npz", "--config", "c.json"],
@@ -329,7 +326,7 @@ def test_flag_a_command_does_not_read_is_a_usage_error(argv, capsys):
     "section, values, key",
     [
         ("pif", {"epochs": "300"}, "pif.epochs"),
-        ("pif", {"k_folds": 2.5}, "pif.k_folds"),
+        ("pif", {"epochs": 2.5}, "pif.epochs"),
         ("pif", {"epochs": -5}, "pif.epochs"),
         ("pif", {"dropout": 1.0}, "pif.dropout"),
         ("pif", {"learning_rate": float("nan")}, "pif.learning_rate"),
@@ -355,7 +352,7 @@ def test_invalid_json_file_is_named(kind, graph_file, plan_file, sessions_dir, t
     argv = {
         "graph": ["graph", "validate", str(broken)],
         "procedures": ["ingest", "--graph", str(graph_file), "--procedures", str(broken)],
-        "config": ["ingest", "--graph", str(graph_file), "--config", str(broken)],
+        "config": ["hfe", "--graph", str(graph_file), "--config", str(broken), "--out", str(tmp_path / "out")],
         "plan": ["simulate", "--graph", str(graph_file), "--plan", str(broken), "--out", str(tmp_path / "out")],
     }[kind]
     if kind in ("procedures", "config"):
@@ -419,6 +416,10 @@ def _edit_plan(edit):
             _edit_plan(lambda plan, path: plan["procedures"][0]["steps"][1].pop("step_id")),
             "procedure 'PR', step 2: step_id must be a string, got None",
         ),
+        (
+            _edit_plan(lambda plan, path: plan["paths"].append({"path_id": "P_99", "median_s": 1.0})),
+            "path 'P_99' has no terminal node in the graph",
+        ),
     ],
 )
 def test_bad_plan_exits_two_naming_file(document, message, graph_file, plan_file, tmp_path, capsys):
@@ -434,9 +435,47 @@ def test_bad_plan_exits_two_naming_file(document, message, graph_file, plan_file
 
 def test_negative_seed_override_exits_two(graph_file, plan_file, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(out), "--seed", "-1"]) == 2
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pif", "train", "--model-out", "m.npz"],
+        ["pif", "cv"],
+        ["report", "--graph", "g.json", "--sessions", "s"],
+    ],
+    ids=["pif-train", "pif-cv", "report"],
+)
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_flag_takes_only_non_negative_integers(argv, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"paths": {"graph": "graph.json"}}, "unknown config sections ['paths']"),
+        ({"riskpath": {"sigma": 0.28}}, "config section 'riskpath' has unknown keys ['sigma']"),
+        ({"pif": {"k_folds": 5}}, "config section 'pif' has unknown keys ['k_folds']"),
+        ({"pif": {"seed": 0}}, "config section 'pif' has unknown keys ['seed']"),
+    ],
+    ids=["paths", "riskpath.sigma", "pif.k_folds", "pif.seed"],
+)
+def test_removed_config_key_exits_two_naming_it(config, message, tiny_training_csv, tmp_path, capsys):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps(config))
+    assert main(["pif", "cv", "--data", str(tiny_training_csv), "--config", str(file)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -461,3 +500,158 @@ def test_bad_procedures_exit_two_naming_file(document, message, graph_file, sess
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {procedures}: {message}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(elements={"N_1": doc["elements"][0]}), "graph elements must be an array of objects"),
+        (lambda doc: doc.update(screens={"A": doc["screens"][0]}), "graph screens must be an array of objects"),
+        (lambda doc: doc["elements"].append(7), "graph elements must be an array of objects"),
+        (lambda doc: doc["elements"][1].pop("x"), "element 'N_11': missing x"),
+        (lambda doc: doc["elements"][1].pop("screen"), "element 'N_11': missing screen"),
+        (lambda doc: doc["elements"][1].update(y=True), "element 'N_11': y must be a finite number, got True"),
+        (lambda doc: doc["elements"][1].update(x=10**400), "element 'N_11': x must be a finite number"),
+        (lambda doc: doc["elements"][1].update(bbox=[0, 0, "w", 1]), "element 'N_11': bbox[2] must be a finite number"),
+        (lambda doc: doc["screens"][0].pop("id"), "screen 1: missing id"),
+        (lambda doc: doc["screens"][1].pop("height_px"), "screen 'B': missing height_px"),
+        (lambda doc: doc["screens"][0].update(width_px=-800), "screen 'A': width_px must be positive, got -800"),
+        (lambda doc: doc["screens"][1].update(height_px=0), "screen 'B': height_px must be positive, got 0"),
+    ],
+)
+def test_malformed_graph_document_names_field(edit, message, graph_file, capsys):
+    doc = json.loads(graph_file.read_text())
+    edit(doc)
+    graph_file.write_text(json.dumps(doc))
+    assert main(["graph", "validate", str(graph_file)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _session_lines(*records):
+    return "".join(json.dumps({"session_id": "S1", "participant_id": "P1", **r}) + "\n" for r in records)
+
+
+@pytest.fixture
+def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path):
+    """Every kind of input file, well-formed and malformed, by placeholder name."""
+    files = {
+        "tmp": tmp_path,
+        "graph": graph_file,
+        "plan": plan_file,
+        "sessions": sessions_dir,
+        "data": tiny_training_csv,
+        "broken": tmp_path / "broken.json",
+        "no_roots": tmp_path / "no_roots.json",
+        "procedures": tmp_path / "procs.json",
+        "t95": tmp_path / "t95.csv",
+        "bad_t95": tmp_path / "bad_t95.csv",
+        "bad_data": tmp_path / "bad_data.csv",
+        "model": tmp_path / "model.npz",
+        "bad_model": tmp_path / "bad_model.npz",
+        "npy_model": tmp_path / "array.npy",
+        "bad_session": tmp_path / "bad_session.jsonl",
+        "unknown_screen": tmp_path / "unknown_screen.jsonl",
+        "unknown_path_plan": tmp_path / "unknown_path_plan.json",
+    }
+    files["broken"].write_text('{"screens": [')
+    files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
+    files["procedures"].write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
+    files["t95"].write_text("path_id,t95_seconds\nP_99,158.5\n")
+    files["bad_t95"].write_text("path_id,t95_seconds\nP_99,soon\n")
+    files["bad_data"].write_text("path_id,vd,sid,is,label\nP_1,0,0\n")
+    files["bad_model"].write_bytes(b"PK\x03\x04 not a model")
+    np.save(files["npy_model"], np.zeros(3))
+    files["bad_session"].write_text(_session_lines({"t_ms": 0, "kind": "key"}, {"t_ms": -5, "kind": "key"}))
+    files["unknown_screen"].write_text(
+        _session_lines(
+            {"t_ms": 0, "kind": "step_start", "step_id": "s0"},
+            {"t_ms": 5, "kind": "click", "x": 1, "y": 1, "screen": "NOPE", "step_id": "s0"},
+            {"t_ms": 9, "kind": "step_end", "step_id": "s0"},
+        )
+    )
+    plan = json.loads(plan_file.read_text())
+    plan["paths"].append({"path_id": "P_99", "median_s": 1.0})
+    files["unknown_path_plan"].write_text(json.dumps(plan))
+    assert main(["pif", "train", "--data", str(tiny_training_csv), "--model-out", str(files["model"])]) == 0
+    return files
+
+
+_SESSIONS = ["--graph", "{graph}", "--sessions"]
+
+# command, argv, expected exit code, what every error line must name
+_EXIT_CODES = {
+    "graph validate": [
+        (["{graph}"], 0, None),
+        (["{tmp}/absent.json"], 2, "{tmp}/absent.json"),
+        (["{broken}"], 2, "{broken}"),
+        (["{no_roots}"], 1, None),
+    ],
+    "simulate": [
+        (["--graph", "{graph}", "--plan", "{plan}", "--out", "{tmp}/sim"], 0, None),
+        (["--graph", "{graph}", "--plan", "{tmp}/absent.json", "--out", "{tmp}/sim"], 2, "{tmp}/absent.json"),
+        (["--graph", "{graph}", "--plan", "{broken}", "--out", "{tmp}/sim"], 2, "{broken}"),
+        (["--graph", "{graph}", "--plan", "{unknown_path_plan}", "--out", "{tmp}/sim"], 2, "{unknown_path_plan}"),
+    ],
+    "ingest": [
+        ([*_SESSIONS, "{sessions}"], 0, None),
+        ([*_SESSIONS, "{tmp}/absent.jsonl"], 2, "{tmp}/absent.jsonl"),
+        ([*_SESSIONS, "{sessions}", "{bad_session}"], 2, "{bad_session}: line 2: negative timestamp -5"),
+        ([*_SESSIONS, "{unknown_screen}"], 2, "{unknown_screen}: screen 'NOPE' is not declared in the graph"),
+    ],
+    "hfe": [
+        ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
+        ([*_SESSIONS, "{sessions}", "--t95", "{tmp}/absent.csv", "--out", "{tmp}/hfe"], 2, "{tmp}/absent.csv"),
+        ([*_SESSIONS, "{sessions}", "--t95", "{bad_t95}", "--out", "{tmp}/hfe"], 2, "{bad_t95}: line 2"),
+    ],
+    "metrics": [
+        ([*_SESSIONS, "{sessions}", "--out", "{tmp}/metrics"], 0, None),
+        (["--graph", "{tmp}/absent.json", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{tmp}/absent.json"),
+        (["--graph", "{broken}", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{broken}"),
+    ],
+    "pif train": [
+        (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),
+        (["--data", "{tmp}/absent.csv", "--model-out", "{tmp}/trained.npz"], 2, "{tmp}/absent.csv"),
+        (["--data", "{bad_data}", "--model-out", "{tmp}/trained.npz"], 2, "{bad_data}: line 2"),
+    ],
+    "pif cv": [
+        (["--data", "{data}", "--k", "3"], 0, None),
+        (["--data", "{data}", "--config", "{tmp}/absent.json"], 2, "{tmp}/absent.json"),
+        (["--data", "{data}", "--config", "{broken}"], 2, "{broken}"),
+    ],
+    "pif predict": [
+        (["--model", "{model}", "--features", "5,5,5"], 0, None),
+        (["--model", "{tmp}/absent.npz", "--features", "5,5,5"], 2, "{tmp}/absent.npz"),
+        (["--model", "{bad_model}", "--features", "5,5,5"], 2, "{bad_model}"),
+        (["--model", "{npy_model}", "--features", "5,5,5"], 2, "{npy_model}"),
+        (["--model", "{model}", "--features", "5,five,5"], 2, "--features"),
+        (["--model", "{model}", "--features", "5,5"], 2, "--features"),
+    ],
+    "report": [
+        ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),
+        ([*_SESSIONS, "{sessions}", "--procedures", "{tmp}/absent.json", "--out", "{tmp}/report"], 2, "{tmp}/absent.json"),
+        ([*_SESSIONS, "{sessions}", "--procedures", "{broken}", "--out", "{tmp}/report"], 2, "{broken}"),
+        ([*_SESSIONS, "{sessions}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, argv, code, named",
+    [(command, *case) for command, cases in _EXIT_CODES.items() for case in cases],
+    ids=[f"{command}-{i}" for command, cases in _EXIT_CODES.items() for i in range(len(cases))],
+)
+def test_exit_code_of_every_command(command, argv, code, named, cli_inputs, capsys):
+    """0 on success, 2 on a missing or malformed input (each error line names
+    the file or flag at fault), 1 when a graph breaks an invariant; never a
+    traceback."""
+    argv = [*command.split(), *(arg.format(**cli_inputs) for arg in argv)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if named is None:
+        assert captured.err == ""
+    else:
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("error: ") and named.format(**cli_inputs) in line for line in lines)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from hmirisk import pifnet
 from hmirisk.config import (
     AppConfig,
+    TrainConfig,
     config_fingerprint,
     config_from_dict,
     load_app_config,
@@ -15,7 +17,6 @@ from hmirisk.config import (
 def test_defaults():
     cfg = AppConfig()
     assert cfg.riskpath.tau == 1.0
-    assert cfg.riskpath.sigma == 0.28
     assert cfg.metrics.theta == 0.8
     assert cfg.metrics.normalizer_px is None
     assert cfg.embed.provider == "local"
@@ -59,8 +60,8 @@ def test_number_fields_take_integers():
 
 
 def test_integer_and_float_give_one_fingerprint():
-    as_int = config_from_dict({"riskpath": {"tau": 1, "alpha": 1, "sigma": 1}, "metrics": {"normalizer_px": 2654}})
-    as_float = config_from_dict({"riskpath": {"tau": 1.0, "alpha": 1.0, "sigma": 1.0}, "metrics": {"normalizer_px": 2654.0}})
+    as_int = config_from_dict({"riskpath": {"tau": 1, "alpha": 1}, "metrics": {"normalizer_px": 2654}})
+    as_float = config_from_dict({"riskpath": {"tau": 1.0, "alpha": 1.0}, "metrics": {"normalizer_px": 2654.0}})
     assert as_int == as_float
     assert config_fingerprint(as_int) == config_fingerprint(as_float)
     assert type(as_int.riskpath.tau) is float and type(as_int.metrics.normalizer_px) is float
@@ -77,14 +78,14 @@ def test_number_beyond_float_range_rejected():
     "raw, message",
     [
         ({"riskpath": {"tau": True}}, "riskpath.tau: expected a finite number, got True"),
-        ({"riskpath": {"sigma": float("inf")}}, "riskpath.sigma: expected a finite number, got inf"),
+        ({"riskpath": {"tau": float("inf")}}, "riskpath.tau: expected a finite number, got inf"),
         ({"riskpath": {"alpha": -1.0}}, "riskpath.alpha: must be non-negative"),
         ({"metrics": {"theta": 0.0}}, "metrics.theta: must be in (0, 1]"),
-        ({"pif": {"k_folds": 2.5}}, "pif.k_folds: expected an integer, got 2.5"),
-        ({"pif": {"seed": -1}}, "pif.seed: must be non-negative"),
+        ({"pif": {"epochs": 2.5}}, "pif.epochs: expected an integer, got 2.5"),
+        ({"pif": {"epochs": -1}}, "pif.epochs: must be non-negative"),
         ({"embed": {"timeout_ms": "10"}}, "embed.timeout_ms: expected an integer"),
         ({"embed": {"cache_dir": 3}}, "embed.cache_dir: expected a string"),
-        ({"paths": []}, "section 'paths' must be a JSON object"),
+        ({"riskpath": []}, "section 'riskpath' must be a JSON object"),
         ([], "config must be a JSON object"),
     ],
 )
@@ -92,3 +93,26 @@ def test_bad_value_rejected_naming_key(raw, message):
     with pytest.raises(ValueError) as exc:
         config_from_dict(raw)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"paths": {"graph": "graph.json"}}, "unknown config sections ['paths']"),
+        ({"riskpath": {"sigma": 0.28}}, "config section 'riskpath' has unknown keys ['sigma']"),
+        ({"pif": {"k_folds": 5}}, "config section 'pif' has unknown keys ['k_folds']"),
+        ({"pif": {"seed": 0}}, "config section 'pif' has unknown keys ['seed']"),
+    ],
+    ids=["paths", "riskpath.sigma", "pif.k_folds", "pif.seed"],
+)
+def test_removed_key_rejected_as_unknown(raw, message):
+    """Inputs and seeds are flags and the lognormal sigma is a constant, so
+    the config keys that once duplicated them are rejected, never ignored."""
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value) == message
+
+
+def test_pif_section_is_the_training_hyperparameters():
+    assert pifnet.TrainConfig is TrainConfig
+    assert config_from_dict({"pif": {"epochs": 7}}).pif == TrainConfig(epochs=7)

@@ -147,6 +147,14 @@ class TestParseSessionLog:
             ({"t_ms": 0, "kind": "click", "x": 1.5, "y": -math.inf}, "non-finite point (1.5, -inf)"),
             ({"t_ms": 0, "kind": "step_start", "step_id": [1]}, "malformed step_id [1]"),
             ({"t_ms": 0, "kind": "click", "x": 1, "y": 1, "screen": {"a": 1}}, "malformed screen {'a': 1}"),
+            ({"t_ms": 0, "kind": "move", "x": True, "y": 1}, "malformed point"),
+            ({"t_ms": 0, "kind": "click", "x": 1, "y": "12"}, "malformed point"),
+            ({"t_ms": 0, "kind": "click", "x": 1, "y": 1, "screen": 5}, "malformed screen 5"),
+            ({"t_ms": 0, "kind": "key", "screen": False}, "malformed screen False"),
+            ({"t_ms": "1_000", "kind": "key"}, "malformed timestamp '1_000'"),
+            ({"t_ms": " 12 ", "kind": "key"}, "malformed timestamp ' 12 '"),
+            ({"t_ms": "-5", "kind": "key"}, "malformed timestamp '-5'"),
+            ({"t_ms": "\u0661\u0662", "kind": "key"}, "malformed timestamp '\u0661\u0662'"),
         ],
     )
     def test_bad_value_is_parse_error(self, record, message):
