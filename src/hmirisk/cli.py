@@ -13,10 +13,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, dataset
-from .config import AppConfig, load_app_config, read_json
+from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
-from .graph import GraphError, UnknownPathError, load_graph
-from .ingest import ParseError, UnknownScreenError, align_events, load_procedures, parse_session_log, path_samples
+from .graph import GraphError, load_graph
+from .ingest import align_events, load_procedures, parse_session_log, path_samples
 from .metrics import metric_vector, metrics_csv_rows
 from .pifnet import (
     evaluate,
@@ -40,10 +40,19 @@ from .risk import (
 from .simulate import generate_sessions, plan_from_document, write_sessions
 
 
-def _non_negative_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int, expected: str):
+    """An argparse type: a decimal integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()) or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+_fold_count = _int_at_least(2, "an integer of at least 2")
 
 
 _SHARED_FLAGS = {
@@ -103,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model-out", required=True)
     p_cv = _command(pif_sub, "cv", _cmd_pif_cv, ("config", "seed"))
     p_cv.add_argument("--data")
-    p_cv.add_argument("--k", type=int, default=5, help="number of folds (default 5)")
+    p_cv.add_argument("--k", type=_fold_count, default=5, help="number of folds (default 5)")
     p_pred = _command(pif_sub, "predict", _cmd_pif_predict, ())
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--features", help="comma-separated vd,sid,is")
@@ -130,20 +139,33 @@ def _session_files(paths: list[str]) -> list[Path]:
     return files
 
 
-def _aligned(graph, file: Path, targets):
-    """One session file, parsed and aligned; an error names the file."""
+def _json(path: str | Path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _lines(path: str | Path) -> list[str]:
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+def _load(path: str | Path, parse, read=_json):
+    """``parse(read(path))``: every input file is read here. A ValueError or
+    KeyError is re-raised naming the file; an OSError names it already."""
     try:
-        return align_events(graph, parse_session_log(file), targets)
-    except (ParseError, UnknownScreenError, UnicodeDecodeError) as err:
-        raise ValueError(f"{file}: {err}") from None
+        return parse(read(path))
+    except (ValueError, KeyError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _load_inputs(args):
     """Graph, procedures, and a generator of aligned traces, one session file at a time."""
-    graph = load_graph(args.graph)
-    procedures = load_procedures(args.procedures) if getattr(args, "procedures", None) else []
+    graph = _load(args.graph, load_graph)
+    procedures = _load(args.procedures, load_procedures) if getattr(args, "procedures", None) else []
     targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
-    traces = (_aligned(graph, f, targets) for f in _session_files(args.sessions))
+
+    def aligned(lines):
+        return align_events(graph, parse_session_log(lines), targets)
+
+    traces = (_load(f, aligned, _lines) for f in _session_files(args.sessions))
     return graph, procedures, traces
 
 
@@ -158,7 +180,7 @@ def _similarity(cfg: AppConfig):
 
 def _training_rows(data_arg: str | None):
     if data_arg:
-        return load_training_csv(data_arg)
+        return _load(data_arg, load_training_csv, _lines)
     return dataset.training_rows()
 
 
@@ -202,8 +224,9 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_graph_validate(args, cfg: AppConfig) -> int:
+    document = _load(args.graph_file, lambda document: document)
     try:
-        graph = load_graph(args.graph_file)
+        graph = load_graph(document)
     except GraphError as err:
         for violation in err.violations:
             print(f"{violation.element_id or '-'}: {violation.rule}: {violation.detail}")
@@ -215,15 +238,13 @@ def _cmd_graph_validate(args, cfg: AppConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: AppConfig) -> int:
-    graph = load_graph(args.graph)
-    plan_doc = read_json(args.plan)
-    try:
-        plan = plan_from_document(plan_doc)
-        if args.seed is not None:
-            plan = replace(plan, seed=args.seed)
-        sessions = generate_sessions(graph, plan)
-    except (ValueError, UnknownPathError) as err:
-        raise ValueError(f"{args.plan}: {err}") from None
+    graph = _load(args.graph, load_graph)
+
+    def sessions_of(document):
+        plan = plan_from_document(document)
+        return generate_sessions(graph, plan if args.seed is None else replace(plan, seed=args.seed))
+
+    sessions = _load(args.plan, sessions_of)
     written = write_sessions(sessions, _out_dir(args))
     print(f"wrote {len(written)} session file(s) to {args.out}")
     return 0
@@ -245,12 +266,7 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
     samples = path_samples(traces)
     _, hfe = _detect(graph, samples, procedures, cfg)
 
-    overrides = {}
-    if args.t95:
-        try:
-            overrides = load_t95_overrides(Path(args.t95).read_text(encoding="utf-8"))
-        except ValueError as err:
-            raise ValueError(f"{args.t95}: {err}") from None
+    overrides = _load(args.t95, load_t95_overrides, _lines) if args.t95 else {}
     time_models = {}
     for path_id in sorted(set(samples) | set(overrides)):
         durations = samples[path_id].durations if path_id in samples else None
@@ -293,7 +309,7 @@ def _cmd_pif_cv(args, cfg: AppConfig) -> int:
 
 
 def _cmd_pif_predict(args, cfg: AppConfig) -> int:
-    model = load_model(args.model)
+    model = _load(args.model, load_model, read=Path)
     outputs = []
     if args.features:
         try:
@@ -305,7 +321,7 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
             raise ValueError(f"--features: {err}") from None
         outputs.append({"features": list(values), "label": label, "probabilities": probs})
     if args.data:
-        for features, _ in load_training_csv(args.data):
+        for features, _ in _load(args.data, load_training_csv, _lines):
             label, probs = predict(model, features)
             outputs.append({"features": list(features), "label": label, "probabilities": probs})
     if not outputs:
@@ -320,7 +336,7 @@ def _cmd_report(args, cfg: AppConfig) -> int:
     samples = path_samples(traces)
     grouping, hfe = _detect(graph, samples, procedures, cfg)
 
-    model = load_model(args.model) if args.model else _train_default_model(cfg, args.seed)
+    model = _load(args.model, load_model, read=Path) if args.model else _train_default_model(cfg, args.seed)
     assessments = []
     for path_id, metric in _path_metric_entries(graph, samples, cfg):
         label, probs = predict(model, metric)
@@ -335,7 +351,8 @@ def _cmd_report(args, cfg: AppConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args, load_app_config(getattr(args, "config", None)))
+        config = getattr(args, "config", None)
+        return args.run(args, _load(config, config_from_dict) if config else AppConfig())
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

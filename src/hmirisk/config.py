@@ -10,7 +10,6 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any, Mapping
 
 
@@ -113,20 +112,6 @@ def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
             **{key: _checked_value(f"{section}.{key}", fields[key].type, value) for key, value in data.items()}
         )
     return AppConfig(**kwargs)
-
-
-def read_json(path: str | Path) -> Any:
-    """Decode a JSON file; a decode error names the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-
-
-def load_app_config(path: str | Path | None) -> AppConfig:
-    if path is None:
-        return AppConfig()
-    return config_from_dict(read_json(path))
 
 
 def config_to_dict(cfg: AppConfig) -> dict[str, Any]:

@@ -15,10 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
-
-from .config import read_json
 
 
 class ElementKind(str, Enum):
@@ -168,6 +165,16 @@ def _entries(document: Mapping[str, Any], key: str) -> Sequence[Mapping[str, Any
     return entries
 
 
+def _string(raw: Mapping[str, Any], key: str, owner: str) -> str:
+    """A required string; an error names the owner and the field."""
+    if key not in raw:
+        raise GraphError(f"{owner}: missing {key}")
+    value = raw[key]
+    if type(value) is not str:
+        raise GraphError(f"{owner}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _number(raw: Mapping[str, Any], key: str, owner: str) -> float:
     """A required finite number; an error names the owner and the field."""
     if key not in raw:
@@ -180,24 +187,20 @@ def _number(raw: Mapping[str, Any], key: str, owner: str) -> float:
     return float(value)
 
 
-def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
-    """Parse and validate a graph document (a mapping, or the path of a JSON file).
+def load_graph(document: Mapping[str, Any]) -> InterfaceGraph:
+    """Parse and validate a decoded graph document.
 
     A malformed document raises :class:`GraphError` naming the screen or
     element and the field. A document that parses but breaks a structural
     invariant raises it carrying the full violation list, so a loaded graph
     always satisfies ``validate_graph(g) == []``.
     """
-    if isinstance(document, (str, Path)):
-        document = read_json(document)
     if not isinstance(document, Mapping):
         raise GraphError("graph document must be a JSON object")
 
     screens = []
     for n, raw in enumerate(_entries(document, "screens"), start=1):
-        if "id" not in raw:
-            raise GraphError(f"screen {n}: missing id")
-        sid = str(raw["id"])
+        sid = _string(raw, "id", f"screen {n}")
         size = {key: _number(raw, key, f"screen {sid!r}") for key in ("width_px", "height_px")}
         for key, value in size.items():
             if value <= 0:
@@ -206,15 +209,14 @@ def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
 
     elements: list[InterfaceElement] = []
     edges: list[tuple[str, str]] = []
-    for raw in _entries(document, "elements"):
-        elem_id = str(raw.get("id", "<missing id>"))
+    for n, raw in enumerate(_entries(document, "elements"), start=1):
+        elem_id = _string(raw, "id", f"element {n}")
         owner = f"element {elem_id!r}"
         try:
             kind = ElementKind(raw["kind"])
         except (KeyError, ValueError):
             raise GraphError(f"{owner}: unknown kind {raw.get('kind')!r}") from None
-        if "screen" not in raw:
-            raise GraphError(f"{owner}: missing screen")
+        screen_id = _string(raw, "screen", owner)
         position = (_number(raw, "x", owner), _number(raw, "y", owner))
         bbox = None
         if raw.get("bbox") is not None:
@@ -226,15 +228,15 @@ def load_graph(document: Mapping[str, Any] | str | Path) -> InterfaceGraph:
         elements.append(
             InterfaceElement(
                 id=elem_id,
-                name=str(raw.get("name", "")),
+                name=_string(raw, "name", owner) if "name" in raw else "",
                 kind=kind,
-                screen_id=str(raw["screen"]),
+                screen_id=screen_id,
                 position=position,
                 bbox=bbox,
             )
         )
         if raw.get("parent") is not None:
-            edges.append((str(raw["parent"]), elem_id))
+            edges.append((_string(raw, "parent", owner), elem_id))
 
     graph = InterfaceGraph(elements, edges, screens)
     violations = validate_graph(graph)

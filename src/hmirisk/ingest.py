@@ -14,10 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
-
-from .config import read_json
 from .graph import InterfaceGraph, path_id_for
 from .metrics import trajectory_length
 
@@ -93,19 +90,9 @@ class Procedure:
     steps: tuple[ProcedureStep, ...]
 
 
-def load_procedures(document: Mapping[str, Any] | Sequence[Mapping[str, Any]] | str | Path) -> list[Procedure]:
-    """Load one procedure (object) or several (array) from a document or a
-    JSON file path; an error names the file, the procedure and the field."""
-    if isinstance(document, (str, Path)):
-        decoded = read_json(document)
-        try:
-            return _procedures_from(decoded)
-        except ValueError as err:
-            raise ValueError(f"{document}: {err}") from None
-    return _procedures_from(document)
-
-
-def _procedures_from(document: Any) -> list[Procedure]:
+def load_procedures(document: Any) -> list[Procedure]:
+    """Load one procedure (object) or several (array) from a decoded
+    document; an error names the procedure and the field."""
     raw_list = [document] if isinstance(document, Mapping) else document
     if not isinstance(raw_list, (list, tuple)) or not all(isinstance(raw, Mapping) for raw in raw_list):
         raise ValueError("procedures must be a JSON object or an array of objects")
@@ -200,14 +187,9 @@ def _decode_line(line: str, line_no: int) -> dict[str, Any]:
     return record
 
 
-def parse_session_log(source: str | Path | Iterable[str]) -> SessionLog:
-    """Parse a JSON-Lines session log, given as a file path or an iterable
-    of lines, enforcing order and step nesting."""
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = source
-
+def parse_session_log(lines: Iterable[str]) -> SessionLog:
+    """Parse the lines of a JSON-Lines session log, enforcing order and step
+    nesting."""
     events: list[TrackerEvent] = []
     session_id: str | None = None
     participant_id: str | None = None

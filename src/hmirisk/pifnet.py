@@ -344,8 +344,8 @@ def save_model(model: PifModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PifModel:
-    """A model written by :func:`save_model`; a file that is not one is an
-    error naming the file."""
+    """A model written by :func:`save_model`; a file that is not one is a
+    ValueError."""
     try:
         with open(path, "rb") as file, np.load(file) as data:  # the file is closed also when np.load fails
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
@@ -363,7 +363,7 @@ def load_model(path: str | Path) -> PifModel:
                 )
             model.trained = bool(meta["trained"])
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
-        raise ValueError(f"{path}: not a readable model file ({err})") from None
+        raise ValueError(f"not a readable model file ({err})") from None
     return model
 
 
@@ -372,17 +372,11 @@ def load_model(path: str | Path) -> PifModel:
 TRAINING_CSV_HEADER = "path_id,vd,sid,is,label"
 
 
-def load_training_csv(source: str | Path | Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
-    """Rows of ((vd, sid, is), label) from the `path_id,vd,sid,is,label` CSV,
-    given as the path of a file or an iterable of its lines; an error names
-    the line, and the file when given one."""
-    if isinstance(source, (str, Path)):
-        try:
-            return load_training_csv(Path(source).read_text(encoding="utf-8").splitlines())
-        except ValueError as err:
-            raise ValueError(f"{source}: {err}") from None
+def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
+    """Rows of ((vd, sid, is), label) from the lines of the
+    `path_id,vd,sid,is,label` CSV; an error names the line."""
     rows = []
-    for line_no, line in enumerate(source, start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("path_id"):
             continue

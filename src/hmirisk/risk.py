@@ -50,27 +50,21 @@ def sample_median_lower(values: Sequence[float]) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def fit_time_model(durations: Sequence[float], sigma: float = SIGMA_DEFAULT) -> LognormalTimeModel:
-    """Lognormal model with mu = ln(sample median) and fixed sigma."""
+def fit_time_model(durations: Sequence[float]) -> LognormalTimeModel:
+    """Lognormal model with mu = ln(sample median) and the fixed sigma."""
     if not durations:
         raise ValueError("cannot fit a time model on an empty sample")
     if any(d <= 0 for d in durations):
         raise ValueError("durations must be positive")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return LognormalTimeModel(mu=math.log(sample_median_lower(durations)), sigma=sigma)
+    return LognormalTimeModel(mu=math.log(sample_median_lower(durations)))
 
 
-def model_from_samples_or_p95(
-    durations: Sequence[float] | None,
-    t95: float | None = None,
-    sigma: float = SIGMA_DEFAULT,
-) -> LognormalTimeModel:
+def model_from_samples_or_p95(durations: Sequence[float] | None, t95: float | None = None) -> LognormalTimeModel:
     """Empirical fit when durations exist; t95 conversion as the fallback."""
     if durations:
-        return fit_time_model(durations, sigma)
+        return fit_time_model(durations)
     if t95 is not None:
-        return LognormalTimeModel(mu=math.log(median_from_p95(t95)), sigma=sigma)
+        return LognormalTimeModel(mu=math.log(median_from_p95(t95)))
     raise ValueError("need durations or a t95 value")
 
 
@@ -105,7 +99,6 @@ def time_deviation_detail(
     samples: Mapping[str, PathSamples],
     grouping: Mapping[str, str],
     tau: float = TAU_DEFAULT,
-    sigma: float = SIGMA_DEFAULT,
 ) -> dict[str, TimeDeviation]:
     """Per-path deviation z-scores against pooled category log durations.
 
@@ -138,7 +131,7 @@ def time_deviation_detail(
             continue
         threshold_s = math.exp(mean + tau * std)
         for p in with_data:
-            model = fit_time_model(positive[p], sigma)
+            model = fit_time_model(positive[p])
             z = (model.mu - mean) / std
             out[p] = TimeDeviation(
                 path_id=p,
@@ -260,11 +253,11 @@ def identify_hfes(
     return HfeReport(tuple(candidates), per_procedure, prioritized)
 
 
-def load_t95_overrides(text: str) -> dict[str, float]:
-    """Parse the optional `path_id,t95_seconds` override CSV; each t95 must
-    be a positive finite number of seconds."""
+def load_t95_overrides(lines: Iterable[str]) -> dict[str, float]:
+    """Parse the lines of the optional `path_id,t95_seconds` override CSV;
+    each t95 must be a positive finite number of seconds."""
     overrides: dict[str, float] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.lower().startswith("path_id"):
             continue

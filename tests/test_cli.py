@@ -145,10 +145,10 @@ class TestMetrics:
     def test_span_is_mean_trajectory_length(self, graph_file, sessions_dir, tmp_path):
         out = tmp_path / "metrics_out"
         assert main(["metrics", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(out)]) == 0
-        graph = load_graph(graph_file)
+        graph = load_graph(json.loads(graph_file.read_text()))
         lengths: dict[str, list[float]] = {}
         for file in sorted(sessions_dir.glob("*.jsonl")):
-            for step in align_events(graph, parse_session_log(file)).steps:
+            for step in align_events(graph, parse_session_log(file.read_text().splitlines())).steps:
                 if step.path_id is not None and step.trajectory:
                     lengths.setdefault(step.path_id, []).append(trajectory_length(step.trajectory))
         rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
@@ -290,17 +290,18 @@ def test_each_session_parsed_once_and_released(command, graph_file, sessions_dir
     parsed: list = []
     alive: list[weakref.ref] = []
 
-    def parse_tracked(source):
+    def parse_tracked(lines):
         assert all(ref() is None for ref in alive), "an earlier SessionLog is still alive"
-        log = parse_session_log(source)
-        parsed.append(source)
+        log = parse_session_log(lines)
+        parsed.append(log.session_id)
         alive.append(weakref.ref(log))
         return log
 
     monkeypatch.setattr(cli, "parse_session_log", parse_tracked)
     argv = [command, "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert sorted(parsed) == sorted(sessions_dir.glob("*.jsonl"))
+    # Each session file holds one session, named after the file.
+    assert sorted(parsed) == sorted(file.stem for file in sessions_dir.glob("*.jsonl"))
 
 
 @pytest.mark.parametrize(
@@ -341,7 +342,7 @@ def test_bad_config_value_exits_two_naming_key(section, values, key, tiny_traini
     assert main(["pif", "cv", "--data", str(tiny_training_csv), "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: config {key}: ")
+    assert captured.err.startswith(f"error: {config}: config {key}: ")
     assert "Traceback" not in captured.err
 
 
@@ -433,6 +434,16 @@ def test_bad_plan_exits_two_naming_file(document, message, graph_file, plan_file
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "1", "-1", "x"])
+def test_fold_count_takes_only_integers_of_at_least_two(k, tiny_training_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pif", "cv", "--data", str(tiny_training_csv), "--k", k])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --k: must be an integer of at least 2, got '{k}'" in err
+    assert "Traceback" not in err
+
+
 def test_negative_seed_override_exits_two(graph_file, plan_file, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -475,7 +486,7 @@ def test_removed_config_key_exits_two_naming_it(config, message, tiny_training_c
     file = tmp_path / "config.json"
     file.write_text(json.dumps(config))
     assert main(["pif", "cv", "--data", str(tiny_training_csv), "--config", str(file)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {file}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -517,6 +528,12 @@ def test_bad_procedures_exit_two_naming_file(document, message, graph_file, sess
         (lambda doc: doc["screens"][1].pop("height_px"), "screen 'B': missing height_px"),
         (lambda doc: doc["screens"][0].update(width_px=-800), "screen 'A': width_px must be positive, got -800"),
         (lambda doc: doc["screens"][1].update(height_px=0), "screen 'B': height_px must be positive, got 0"),
+        (lambda doc: doc["elements"][1].pop("id"), "element 2: missing id"),
+        (lambda doc: doc["elements"][1].update(id=True), "element 2: id must be a string, got True"),
+        (lambda doc: doc["elements"][1].update(name=None), "element 'N_11': name must be a string, got None"),
+        (lambda doc: doc["elements"][1].update(screen=0), "element 'N_11': screen must be a string, got 0"),
+        (lambda doc: doc["elements"][1].update(parent=1), "element 'N_11': parent must be a string, got 1"),
+        (lambda doc: doc["screens"][0].update(id=5), "screen 1: id must be a string, got 5"),
     ],
 )
 def test_malformed_graph_document_names_field(edit, message, graph_file, capsys):
@@ -544,6 +561,8 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "data": tiny_training_csv,
         "broken": tmp_path / "broken.json",
         "no_roots": tmp_path / "no_roots.json",
+        "no_x_graph": tmp_path / "no_x_graph.json",
+        "negative_tau": tmp_path / "negative_tau.json",
         "procedures": tmp_path / "procs.json",
         "t95": tmp_path / "t95.csv",
         "bad_t95": tmp_path / "bad_t95.csv",
@@ -557,6 +576,10 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
+    no_x = json.loads(graph_file.read_text())
+    no_x["elements"][1].pop("x")
+    files["no_x_graph"].write_text(json.dumps(no_x))
+    files["negative_tau"].write_text(json.dumps({"riskpath": {"tau": -1}}))
     files["procedures"].write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
     files["t95"].write_text("path_id,t95_seconds\nP_99,158.5\n")
     files["bad_t95"].write_text("path_id,t95_seconds\nP_99,soon\n")
@@ -599,6 +622,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{tmp}/absent.jsonl"], 2, "{tmp}/absent.jsonl"),
         ([*_SESSIONS, "{sessions}", "{bad_session}"], 2, "{bad_session}: line 2: negative timestamp -5"),
         ([*_SESSIONS, "{unknown_screen}"], 2, "{unknown_screen}: screen 'NOPE' is not declared in the graph"),
+        (["--graph", "{no_x_graph}", "--sessions", "{sessions}"], 2, "{no_x_graph}: element 'N_11': missing x"),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
@@ -609,6 +633,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--out", "{tmp}/metrics"], 0, None),
         (["--graph", "{tmp}/absent.json", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{tmp}/absent.json"),
         (["--graph", "{broken}", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{broken}"),
+        (["--graph", "{no_roots}", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{no_roots}: invalid graph"),
     ],
     "pif train": [
         (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),
@@ -619,6 +644,7 @@ _EXIT_CODES = {
         (["--data", "{data}", "--k", "3"], 0, None),
         (["--data", "{data}", "--config", "{tmp}/absent.json"], 2, "{tmp}/absent.json"),
         (["--data", "{data}", "--config", "{broken}"], 2, "{broken}"),
+        (["--data", "{data}", "--config", "{negative_tau}"], 2, "{negative_tau}: config riskpath.tau: must be non-negative"),
     ],
     "pif predict": [
         (["--model", "{model}", "--features", "5,5,5"], 0, None),
@@ -643,9 +669,9 @@ _EXIT_CODES = {
     ids=[f"{command}-{i}" for command, cases in _EXIT_CODES.items() for i in range(len(cases))],
 )
 def test_exit_code_of_every_command(command, argv, code, named, cli_inputs, capsys):
-    """0 on success, 2 on a missing or malformed input (each error line names
-    the file or flag at fault), 1 when a graph breaks an invariant; never a
-    traceback."""
+    """0 on success, 2 on a missing or malformed input (each error line starts
+    with the file or flag at fault, or is the OS's missing-file message, which
+    names the file), 1 when a graph breaks an invariant; never a traceback."""
     argv = [*command.split(), *(arg.format(**cli_inputs) for arg in argv)]
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -653,5 +679,7 @@ def test_exit_code_of_every_command(command, argv, code, named, cli_inputs, caps
     if named is None:
         assert captured.err == ""
     else:
-        lines = captured.err.splitlines()
-        assert lines and all(line.startswith("error: ") and named.format(**cli_inputs) in line for line in lines)
+        lines, named = captured.err.splitlines(), named.format(**cli_inputs)
+        assert lines and all(
+            line.startswith(f"error: {named}") or line.startswith("error: [Errno 2] ") and named in line for line in lines
+        )

@@ -10,7 +10,6 @@ from hmirisk.config import (
     TrainConfig,
     config_fingerprint,
     config_from_dict,
-    load_app_config,
 )
 
 
@@ -26,14 +25,14 @@ def test_defaults():
 def test_partial_document_fills_defaults(tmp_path):
     file = tmp_path / "config.json"
     file.write_text(json.dumps({"riskpath": {"tau": 2.0}, "metrics": {"normalizer_px": 2654.05}}))
-    cfg = load_app_config(file)
+    cfg = config_from_dict(json.loads(file.read_text()))
     assert cfg.riskpath.tau == 2.0
     assert cfg.riskpath.alpha == 1.0
     assert cfg.metrics.normalizer_px == 2654.05
 
 
 def test_none_path_gives_defaults():
-    assert load_app_config(None) == AppConfig()
+    assert config_from_dict({}) == AppConfig()
 
 
 def test_unknown_section_rejected():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
+import math
+import random
 
 import pytest
 
@@ -87,7 +90,7 @@ class TestLoadGraph:
     def test_json_path_round_trip(self, tmp_path):
         file = tmp_path / "graph.json"
         file.write_text(json.dumps(small_document()))
-        g = load_graph(file)
+        g = load_graph(json.loads(file.read_text()))
         assert validate_graph(g) == []
         again = load_graph(graph_to_document(g))
         assert {e.id for e in again.by_id.values()} == {e.id for e in g.by_id.values()}
@@ -196,3 +199,61 @@ class TestMapProcedureStep:
 
 def test_layout_diagonal_union(two_screen_graph):
     assert two_screen_graph.layout_diagonal == pytest.approx((800**2 + 600**2) ** 0.5)
+
+
+# Values a fuzzed field can take: every JSON type, plus the non-finite and
+# too-large numbers a Python decoder accepts.
+_FUZZ_VALUES = (None, True, False, 0, -1, 2.5, "", "S", "P1", [], {}, [1, 2, 3, 4], math.nan, math.inf, -math.inf, 10**400)
+_FUZZ_KEYS = ("screens", "elements", "id", "name", "kind", "screen", "x", "y", "bbox", "parent", "width_px", "height_px")
+
+
+def _mutate(document, rng: random.Random) -> None:
+    """One random edit in place: drop, duplicate or retype a field or an
+    array entry anywhere in the document."""
+    containers = []
+    stack = [document]
+    while stack:
+        node = stack.pop()
+        containers.append(node)
+        stack.extend(child for child in (node.values() if isinstance(node, dict) else node) if isinstance(child, (dict, list)))
+    node = rng.choice(containers)
+    if not node:
+        return
+    key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+    edit = rng.choice(("drop", "duplicate", "retype"))
+    if edit == "drop":
+        del node[key]
+    elif edit == "duplicate" and isinstance(node, dict):
+        node[rng.choice(_FUZZ_KEYS)] = copy.deepcopy(node[key])
+    elif edit == "duplicate":
+        node.insert(key, copy.deepcopy(node[key]))
+    else:
+        node[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+
+
+def test_fuzzed_documents_load_or_raise_graph_error():
+    """Every mutated document either raises GraphError or loads into a graph
+    whose ids, names and screens are strings taken unchanged from the document
+    and whose positions are finite; no other exception escapes."""
+    rng = random.Random(0)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(1000):
+        document = small_document()
+        for _ in range(rng.randint(1, 3)):
+            _mutate(document, rng)
+        try:
+            g = load_graph(document)
+        except GraphError:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["loaded"] += 1
+        assert all(type(sid) is str for sid in g.screens)
+        for e in g.elements:
+            assert type(e.id) is str and type(e.name) is str and type(e.screen_id) is str, e
+            assert all(map(math.isfinite, e.position + (e.bbox or ()))), e
+        assert all(type(parent) is str and type(child) is str for parent, child in g.edges)
+        for raw in document["elements"]:
+            e = g.by_id.get(raw["id"])
+            assert e is not None and (e.name, e.screen_id) == (raw.get("name", ""), raw["screen"]), raw
+            assert g.parent_of.get(e.id) == raw.get("parent"), raw
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0, outcomes

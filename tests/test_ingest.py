@@ -215,7 +215,7 @@ class TestParseSessionLog:
                 ]
             )
         )
-        assert len(parse_session_log(file).events) == 2
+        assert len(parse_session_log(file.read_text().splitlines()).events) == 2
 
 
 class TestHitTest:
@@ -428,7 +428,7 @@ def test_load_procedures_single_and_list(tmp_path):
 
     file = tmp_path / "procs.json"
     file.write_text(json.dumps([doc, {"procedure_id": "PR_2", "steps": []}]))
-    assert [p.procedure_id for p in load_procedures(file)] == ["PR_9", "PR_2"]
+    assert [p.procedure_id for p in load_procedures(json.loads(file.read_text()))] == ["PR_9", "PR_2"]
 
 
 # --- reference implementations and generators for equivalence tests ---------

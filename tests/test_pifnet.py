@@ -310,7 +310,7 @@ def test_training_csv_round_trip(tmp_path):
     text = training_csv(entries)
     file = tmp_path / "train.csv"
     file.write_text(text)
-    rows = load_training_csv(file)
+    rows = load_training_csv(file.read_text().splitlines())
     assert rows == [((0.25, 0.0, 0.477), "HSI0"), ((1 / 43, 1 / 42, 0.19276), "HSI1")]
 
 

@@ -294,9 +294,9 @@ def test_39_path_pattern_recall_over_seeds():
 
 def test_t95_override_parsing():
     text = "path_id,t95_seconds\nP_110,158.5\nP_121, 31.7\n"
-    assert load_t95_overrides(text) == {"P_110": 158.5, "P_121": 31.7}
+    assert load_t95_overrides(text.splitlines()) == {"P_110": 158.5, "P_121": 31.7}
     with pytest.raises(ValueError):
-        load_t95_overrides("P_110,1,2\n")
+        load_t95_overrides(["P_110,1,2"])
 
 
 @pytest.mark.parametrize(
@@ -311,4 +311,4 @@ def test_t95_override_parsing():
 )
 def test_t95_override_rejects_bad_value_naming_line(value, message):
     with pytest.raises(ValueError, match=f"^line 3: {message} in 'TP_1,{value}'$"):
-        load_t95_overrides(f"path_id,t95_seconds\nP_110,158.5\nTP_1,{value}\n")
+        load_t95_overrides(["path_id,t95_seconds", "P_110,158.5", f"TP_1,{value}"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestRoundTrip:
         plan = make_plan(two_screen_graph, participants=2, sessions=2)
         written = write_sessions(generate_sessions(two_screen_graph, plan), tmp_path)
         assert len(written) == 4
-        reparsed = parse_session_log(written[0])
+        reparsed = parse_session_log(Path(written[0]).read_text().splitlines())
         assert len(reparsed.events) > 0
 
 
