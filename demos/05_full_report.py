@@ -47,7 +47,7 @@ for row in REFERENCE_METRIC_ROWS:
     assessments.append((row.path_id, metric, label, probs))
 
 report = assemble_report(graph, hfe, assessments, config)
-print(f"conflict summary: {report.conflict_summary}")
+print(f"conflict summary: {report['conflict_summary']}")
 
 written = write_report_files(report, "report_out", samples, grouping)
 print("wrote:")

@@ -81,9 +81,6 @@ from .pifnet import (  # noqa: F401
 from .simulate import PathPlan, ScenarioPlan, generate_sessions  # noqa: F401
 from .report import (  # noqa: F401
     ConflictQuadrant,
-    RiskReport,
     assemble_report,
     conflict_quadrant,
-    report_from_dict,
-    report_to_dict,
 )

@@ -17,8 +17,9 @@ from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, load_graph
 from .ingest import align_events, load_procedures, parse_session_log, path_samples
-from .metrics import metric_vector, metrics_csv_rows
+from .metrics import metric_to_dict, metric_vector, metrics_csv_rows
 from .pifnet import (
+    PIF_WEIGHT_TABLE,
     evaluate,
     init_model,
     kfold_cv,
@@ -179,9 +180,18 @@ def _similarity(cfg: AppConfig):
 
 
 def _training_rows(data_arg: str | None):
-    if data_arg:
-        return _load(data_arg, load_training_csv, _lines)
-    return dataset.training_rows()
+    if not data_arg:
+        return dataset.training_rows()
+
+    def rows_of(lines):
+        rows = load_training_csv(lines)
+        if len(rows) < 2:
+            raise ValueError(f"need at least 2 training rows, got {len(rows)}")
+        if len({label for _, label in rows}) < 2:
+            raise ValueError("training rows contain a single class")
+        return rows
+
+    return _load(data_arg, rows_of, _lines)
 
 
 def _train_default_model(cfg: AppConfig, seed: int, rows=None):
@@ -287,7 +297,7 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
 def _cmd_metrics(args, cfg: AppConfig) -> int:
     graph, _, traces = _load_inputs(args)
     entries = _path_metric_entries(graph, path_samples(traces), cfg)
-    text = "\n".join(metrics_csv_rows(entries)) + "\n"
+    text = "\n".join(metrics_csv_rows((path_id, metric_to_dict(m)) for path_id, m in entries)) + "\n"
     (_out_dir(args) / "metrics.csv").write_text(text, encoding="utf-8")
     print(f"metrics for {len(entries)} path(s) written to {args.out}/metrics.csv")
     return 0
@@ -303,6 +313,8 @@ def _cmd_pif_train(args, cfg: AppConfig) -> int:
 
 def _cmd_pif_cv(args, cfg: AppConfig) -> int:
     rows = _training_rows(args.data)
+    if args.k > len(rows):
+        raise ValueError(f"--k: {args.k} exceeds the {len(rows)} training rows")
     result = kfold_cv(rows, k=args.k, seed=args.seed, hyper=cfg.pif)
     print(json.dumps({"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
     return 0
@@ -336,7 +348,14 @@ def _cmd_report(args, cfg: AppConfig) -> int:
     samples = path_samples(traces)
     grouping, hfe = _detect(graph, samples, procedures, cfg)
 
-    model = _load(args.model, load_model, read=Path) if args.model else _train_default_model(cfg, args.seed)
+    def pif_level_model(path):
+        model = load_model(path)
+        unknown = [label for label in model.label_order if label not in PIF_WEIGHT_TABLE]
+        if unknown:
+            raise ValueError(f"model labels {', '.join(unknown)} are not PIF levels")
+        return model
+
+    model = _load(args.model, pif_level_model, read=Path) if args.model else _train_default_model(cfg, args.seed)
     assessments = []
     for path_id, metric in _path_metric_entries(graph, samples, cfg):
         label, probs = predict(model, metric)

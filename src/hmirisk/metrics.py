@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .graph import ExecutionPath, InterfaceGraph, resolve_path
 
@@ -132,16 +132,35 @@ def metric_vector(
     )
 
 
+def metric_to_dict(m: MetricVector) -> dict[str, Any]:
+    """The JSON form of a metric vector, as ``report.json`` holds it."""
+    return {
+        "vd": m.vd,
+        "sid": m.sid,
+        "is": m.is_norm,
+        "raw": {
+            "n_elements": m.raw.n_elements,
+            "n_high_similarity": m.raw.n_high_similarity,
+            "n_comparisons": m.raw.n_comparisons,
+            "traversal_px": m.raw.traversal_px,
+            "normalizer_px": m.raw.normalizer_px,
+        },
+        "sid_undefined": m.sid_undefined,
+        "sid_contributors": list(m.sid_contributors),
+    }
+
+
 METRICS_CSV_HEADER = "path_id,vd_num,vd_den,sid_num,sid_den,is_num_px,is_den_px,vd,sid,is"
 
 
-def metrics_csv_rows(entries: Iterable[tuple[str, MetricVector]]) -> list[str]:
-    """Render (path_id, MetricVector) pairs in the fraction-style CSV layout."""
+def metrics_csv_rows(entries: Iterable[tuple[str, Mapping[str, Any]]]) -> list[str]:
+    """Render (path_id, :func:`metric_to_dict` form) pairs in the fraction-style CSV layout."""
     rows = [METRICS_CSV_HEADER]
     for path_id, m in entries:
+        raw = m["raw"]
         rows.append(
-            f"{path_id},1,{m.raw.n_elements},{m.raw.n_high_similarity},{m.raw.n_comparisons},"
-            f"{m.raw.traversal_px:.2f},{m.raw.normalizer_px:.2f},"
-            f"{m.vd:.6g},{m.sid:.6g},{m.is_norm:.6g}"
+            f"{path_id},1,{raw['n_elements']},{raw['n_high_similarity']},{raw['n_comparisons']},"
+            f"{raw['traversal_px']:.2f},{raw['normalizer_px']:.2f},"
+            f"{m['vd']:.6g},{m['sid']:.6g},{m['is']:.6g}"
         )
     return rows

@@ -402,9 +402,6 @@ def training_csv(entries: Iterable[tuple[str, tuple[float, float, float], str]])
 
 # --- PIF weight table -----------------------------------------------------
 
-MACRO_FUNCTIONS = ("D", "U", "DM", "E", "T")
-
-
 @dataclass(frozen=True)
 class PifWeights:
     label: str

@@ -6,15 +6,15 @@ neither. "Conflict present" means the PIF level belongs to the fixed
 high-severity set: every level whose largest macro-cognitive weight is
 at least 3.
 
-Reports are deterministic given inputs and config (the timestamp is the
-only varying field) and round-trip losslessly through JSON.
+A report is the plain JSON document ``data/risk_report.schema.json``
+describes. It is deterministic given inputs and config (the timestamp is
+the only varying field).
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -22,11 +22,11 @@ from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .config import AppConfig, config_fingerprint
-from .graph import InterfaceGraph
+from .graph import InterfaceGraph, resolve_path
 from .ingest import ErrorKind, PathSamples
-from .metrics import MetricCounts, MetricVector
+from .metrics import MetricVector, metric_to_dict, metrics_csv_rows
 from .pifnet import PIF_WEIGHT_TABLE
-from .risk import HfeReport, PathRisk
+from .risk import HfeReport
 
 SCHEMA_VERSION = 1
 CONFLICT_WEIGHT_FLOOR = 3.0
@@ -39,42 +39,19 @@ class ConflictQuadrant(str, Enum):
     NEITHER = "neither"
 
 
-def default_conflict_set() -> frozenset[str]:
-    """The conflict set: PIF levels whose maximum macro-cognitive weight reaches the floor."""
-    return frozenset(
-        label for label, row in PIF_WEIGHT_TABLE.items() if row.max_weight() >= CONFLICT_WEIGHT_FLOOR
-    )
+# The conflict set: PIF levels whose maximum macro-cognitive weight reaches the floor.
+CONFLICT_SET = frozenset(
+    label for label, row in PIF_WEIGHT_TABLE.items() if row.max_weight() >= CONFLICT_WEIGHT_FLOOR
+)
 
 
 def conflict_quadrant(pif_label: str, error_observed: bool) -> ConflictQuadrant:
     """Total function over (conflict present?, error observed?)."""
     if pif_label not in PIF_WEIGHT_TABLE:
         raise KeyError(f"unknown PIF level {pif_label!r}")
-    if pif_label in default_conflict_set():
+    if pif_label in CONFLICT_SET:
         return ConflictQuadrant.CONFLICT_AND_ERROR if error_observed else ConflictQuadrant.CONFLICT_ONLY
     return ConflictQuadrant.ERROR_ONLY if error_observed else ConflictQuadrant.NEITHER
-
-
-@dataclass(frozen=True)
-class PathAssessment:
-    path_id: str
-    metrics: MetricVector
-    pif_label: str | None
-    probabilities: dict[str, float]
-    error_observed: bool
-    quadrant: ConflictQuadrant | None
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    schema_version: int
-    tool_version: str
-    config_fingerprint: str
-    generated_at: str
-    graph_summary: dict[str, Any]
-    hfe: HfeReport
-    assessments: tuple[PathAssessment, ...]
-    conflict_summary: dict[str, Any]
 
 
 def assemble_report(
@@ -83,15 +60,14 @@ def assemble_report(
     assessments: Sequence[tuple[str, MetricVector, str | None, Mapping[str, float]]],
     config: AppConfig,
     generated_at: str | None = None,
-) -> RiskReport:
-    """Join HFE candidates with per-path metrics and predictions.
+) -> dict[str, Any]:
+    """The report document ``risk_report.schema.json`` describes: HFE
+    candidates joined with per-path metrics and predictions.
 
     ``assessments`` rows are (path_id, metrics, predicted label or None,
     class probabilities). Every candidate and assessed path must exist
     in the graph; the quadrant is assigned wherever a label exists.
     """
-    from .graph import resolve_path
-
     error_paths = {c.path_id for c in hfe.candidates if "error_path" in c.provenance}
     outcome_paths = {
         c.path_id for c in hfe.candidates if ErrorKind.OUTCOME in c.error_kinds
@@ -102,89 +78,46 @@ def assemble_report(
     rows = []
     for path_id, metric, label, probs in assessments:
         resolve_path(g, path_id)
-        quadrant = None
-        if label is not None:
-            quadrant = conflict_quadrant(label, path_id in error_paths)
+        error_observed = path_id in error_paths
         rows.append(
-            PathAssessment(
-                path_id=path_id,
-                metrics=metric,
-                pif_label=label,
-                probabilities=dict(probs),
-                error_observed=path_id in error_paths,
-                quadrant=quadrant,
-            )
+            {
+                "path_id": path_id,
+                "metrics": metric_to_dict(metric),
+                "pif_label": label,
+                "probabilities": dict(probs),
+                "error_observed": error_observed,
+                "quadrant": None if label is None else conflict_quadrant(label, error_observed).value,
+            }
         )
-    rows.sort(key=lambda r: r.path_id)
+    rows.sort(key=lambda r: r["path_id"])
 
     by_quadrant = {q.value: 0 for q in ConflictQuadrant}
     for row in rows:
-        if row.quadrant is not None:
-            by_quadrant[row.quadrant.value] += 1
-    assessed = {row.path_id: row for row in rows}
+        if row["quadrant"] is not None:
+            by_quadrant[row["quadrant"]] += 1
+    quadrant_of = {row["path_id"]: row["quadrant"] for row in rows}
     outcome_in_conflict = sum(
-        1
-        for path_id in outcome_paths
-        if assessed.get(path_id) is not None
-        and assessed[path_id].quadrant is ConflictQuadrant.CONFLICT_AND_ERROR
+        1 for path_id in outcome_paths if quadrant_of.get(path_id) == ConflictQuadrant.CONFLICT_AND_ERROR.value
     )
 
-    return RiskReport(
-        schema_version=SCHEMA_VERSION,
-        tool_version=__version__,
-        config_fingerprint=config_fingerprint(config),
-        generated_at=generated_at if generated_at is not None else datetime.now(timezone.utc).isoformat(),
-        graph_summary={
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "config_fingerprint": config_fingerprint(config),
+        "generated_at": generated_at if generated_at is not None else datetime.now(timezone.utc).isoformat(),
+        "graph_summary": {
             "elements": len(g.by_id),
             "screens": len(g.screens),
             "layout_diagonal_px": g.layout_diagonal,
         },
-        hfe=hfe,
-        assessments=tuple(rows),
-        conflict_summary={
+        "hfe": hfe_to_dict(hfe),
+        "assessments": rows,
+        "conflict_summary": {
             "by_quadrant": by_quadrant,
             "outcome_error_paths": len(outcome_paths),
             "outcome_error_in_conflict": outcome_in_conflict,
         },
-    )
-
-
-# --- JSON round trip ------------------------------------------------------
-
-
-def _metrics_to_dict(m: MetricVector) -> dict[str, Any]:
-    return {
-        "vd": m.vd,
-        "sid": m.sid,
-        "is": m.is_norm,
-        "raw": {
-            "n_elements": m.raw.n_elements,
-            "n_high_similarity": m.raw.n_high_similarity,
-            "n_comparisons": m.raw.n_comparisons,
-            "traversal_px": m.raw.traversal_px,
-            "normalizer_px": m.raw.normalizer_px,
-        },
-        "sid_undefined": m.sid_undefined,
-        "sid_contributors": list(m.sid_contributors),
     }
-
-
-def _metrics_from_dict(d: Mapping[str, Any]) -> MetricVector:
-    raw = d["raw"]
-    return MetricVector(
-        vd=d["vd"],
-        sid=d["sid"],
-        is_norm=d["is"],
-        raw=MetricCounts(
-            n_elements=raw["n_elements"],
-            n_high_similarity=raw["n_high_similarity"],
-            n_comparisons=raw["n_comparisons"],
-            traversal_px=raw["traversal_px"],
-            normalizer_px=raw["normalizer_px"],
-        ),
-        sid_undefined=d["sid_undefined"],
-        sid_contributors=tuple(d["sid_contributors"]),
-    )
 
 
 def hfe_to_dict(hfe: HfeReport) -> dict[str, Any]:
@@ -205,88 +138,27 @@ def hfe_to_dict(hfe: HfeReport) -> dict[str, Any]:
     }
 
 
-def report_to_dict(report: RiskReport) -> dict[str, Any]:
-    return {
-        "schema_version": report.schema_version,
-        "tool_version": report.tool_version,
-        "config_fingerprint": report.config_fingerprint,
-        "generated_at": report.generated_at,
-        "graph_summary": dict(report.graph_summary),
-        "hfe": hfe_to_dict(report.hfe),
-        "assessments": [
-            {
-                "path_id": a.path_id,
-                "metrics": _metrics_to_dict(a.metrics),
-                "pif_label": a.pif_label,
-                "probabilities": dict(a.probabilities),
-                "error_observed": a.error_observed,
-                "quadrant": a.quadrant.value if a.quadrant is not None else None,
-            }
-            for a in report.assessments
-        ],
-        "conflict_summary": json.loads(json.dumps(report.conflict_summary)),
-    }
-
-
-def report_from_dict(d: Mapping[str, Any]) -> RiskReport:
-    hfe = HfeReport(
-        candidates=tuple(
-            PathRisk(
-                path_id=c["path_id"],
-                error_prob=c["error_prob"],
-                error_kinds=frozenset(ErrorKind(k) for k in c["error_kinds"]),
-                time_flag=c["time_flag"],
-                tail_prob_at_threshold=c["tail_prob_at_threshold"],
-                provenance=frozenset(c["provenance"]),
-            )
-            for c in d["hfe"]["candidates"]
-        ),
-        per_procedure=dict(d["hfe"]["per_procedure"]),
-        prioritized_procedures=tuple(d["hfe"]["prioritized_procedures"]),
-    )
-    assessments = tuple(
-        PathAssessment(
-            path_id=a["path_id"],
-            metrics=_metrics_from_dict(a["metrics"]),
-            pif_label=a["pif_label"],
-            probabilities=dict(a["probabilities"]),
-            error_observed=a["error_observed"],
-            quadrant=ConflictQuadrant(a["quadrant"]) if a["quadrant"] is not None else None,
-        )
-        for a in d["assessments"]
-    )
-    return RiskReport(
-        schema_version=d["schema_version"],
-        tool_version=d["tool_version"],
-        config_fingerprint=d["config_fingerprint"],
-        generated_at=d["generated_at"],
-        graph_summary=dict(d["graph_summary"]),
-        hfe=hfe,
-        assessments=assessments,
-        conflict_summary=dict(d["conflict_summary"]),
-    )
-
-
-def report_json(report: RiskReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+def report_json(report: Mapping[str, Any]) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 # --- file emission --------------------------------------------------------
 
 
-def candidates_csv(hfe: HfeReport) -> str:
+def candidates_csv(hfe: Mapping[str, Any]) -> str:
+    """The candidates of an :func:`hfe_to_dict` document, one CSV row each."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["path_id", "error_prob", "error_kinds", "time_flag", "tail_prob_at_threshold", "provenance"])
-    for c in hfe.candidates:
+    for c in hfe["candidates"]:
         writer.writerow(
             [
-                c.path_id,
-                f"{c.error_prob:.6g}",
-                "|".join(sorted(k.value for k in c.error_kinds)),
-                int(c.time_flag),
-                f"{c.tail_prob_at_threshold:.6g}",
-                "|".join(sorted(c.provenance)),
+                c["path_id"],
+                f"{c['error_prob']:.6g}",
+                "|".join(c["error_kinds"]),
+                int(c["time_flag"]),
+                f"{c['tail_prob_at_threshold']:.6g}",
+                "|".join(c["provenance"]),
             ]
         )
     return buf.getvalue()
@@ -305,14 +177,13 @@ def duration_series_csv(samples: Mapping[str, PathSamples], grouping: Mapping[st
 
 
 def write_report_files(
-    report: RiskReport,
+    report: Mapping[str, Any],
     out_dir: str | Path,
     samples: Mapping[str, PathSamples],
     grouping: Mapping[str, str],
 ) -> list[str]:
-    """Emit report.json plus CSV summaries; returns written paths."""
-    from .metrics import metrics_csv_rows
-
+    """Emit report.json plus CSV summaries of an :func:`assemble_report`
+    document; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -323,10 +194,10 @@ def write_report_files(
         written.append(str(path))
 
     emit("report.json", report_json(report) + "\n")
-    emit("candidates.csv", candidates_csv(report.hfe))
+    emit("candidates.csv", candidates_csv(report["hfe"]))
     emit(
         "metrics.csv",
-        "\n".join(metrics_csv_rows((a.path_id, a.metrics) for a in report.assessments)) + "\n",
+        "\n".join(metrics_csv_rows((a["path_id"], a["metrics"]) for a in report["assessments"])) + "\n",
     )
     emit("durations_by_category.csv", duration_series_csv(samples, grouping))
     return written

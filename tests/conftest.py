@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from hmirisk.graph import load_graph
+from hmirisk.cli import main
+from hmirisk.graph import graph_to_document, load_graph
 
 
 @pytest.fixture
@@ -69,3 +72,44 @@ def designated_sim():
         return 0.1
 
     return sim
+
+
+@pytest.fixture
+def graph_file(two_screen_graph, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph_to_document(two_screen_graph)))
+    return path
+
+
+@pytest.fixture
+def plan_file(tmp_path):
+    plan = {
+        "procedures": [
+            {
+                "procedure_id": "PR",
+                "steps": [
+                    {"step_id": "s0", "text": "check pump speed", "target_path": "P_11"},
+                    {"step_id": "s1", "text": "check pump pressure", "target_path": "P_12"},
+                    {"step_id": "s2", "text": "check valve position", "target_path": "P_13"},
+                ],
+            }
+        ],
+        "paths": [
+            {"path_id": "P_11", "median_s": 2.0, "p_execution": 1.0},
+            {"path_id": "P_12", "median_s": 2.0},
+            {"path_id": "P_13", "median_s": 8.0},
+        ],
+        "participants": 2,
+        "sessions_per_participant": 3,
+        "seed": 5,
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return path
+
+
+@pytest.fixture
+def sessions_dir(graph_file, plan_file, tmp_path):
+    out = tmp_path / "sessions"
+    assert main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(out)]) == 0
+    return out

@@ -10,51 +10,10 @@ import pytest
 
 from hmirisk import cli
 from hmirisk.cli import main
-from hmirisk.graph import graph_to_document, load_graph
+from hmirisk.graph import load_graph
 from hmirisk.ingest import align_events, parse_session_log
 from hmirisk.metrics import trajectory_length
-from hmirisk.pifnet import training_csv
-
-
-@pytest.fixture
-def graph_file(two_screen_graph, tmp_path):
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(graph_to_document(two_screen_graph)))
-    return path
-
-
-@pytest.fixture
-def plan_file(tmp_path):
-    plan = {
-        "procedures": [
-            {
-                "procedure_id": "PR",
-                "steps": [
-                    {"step_id": "s0", "text": "check pump speed", "target_path": "P_11"},
-                    {"step_id": "s1", "text": "check pump pressure", "target_path": "P_12"},
-                    {"step_id": "s2", "text": "check valve position", "target_path": "P_13"},
-                ],
-            }
-        ],
-        "paths": [
-            {"path_id": "P_11", "median_s": 2.0, "p_execution": 1.0},
-            {"path_id": "P_12", "median_s": 2.0},
-            {"path_id": "P_13", "median_s": 8.0},
-        ],
-        "participants": 2,
-        "sessions_per_participant": 3,
-        "seed": 5,
-    }
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan))
-    return path
-
-
-@pytest.fixture
-def sessions_dir(graph_file, plan_file, tmp_path):
-    out = tmp_path / "sessions"
-    assert main(["simulate", "--graph", str(graph_file), "--plan", str(plan_file), "--out", str(out)]) == 0
-    return out
+from hmirisk.pifnet import init_model, save_model, training_csv
 
 
 class TestGraphValidate:
@@ -567,9 +526,12 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "t95": tmp_path / "t95.csv",
         "bad_t95": tmp_path / "bad_t95.csv",
         "bad_data": tmp_path / "bad_data.csv",
+        "one_class": tmp_path / "one_class.csv",
+        "one_row": tmp_path / "one_row.csv",
         "model": tmp_path / "model.npz",
         "bad_model": tmp_path / "bad_model.npz",
         "npy_model": tmp_path / "array.npy",
+        "ab_model": tmp_path / "ab.npz",
         "bad_session": tmp_path / "bad_session.jsonl",
         "unknown_screen": tmp_path / "unknown_screen.jsonl",
         "unknown_path_plan": tmp_path / "unknown_path_plan.json",
@@ -584,8 +546,11 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     files["t95"].write_text("path_id,t95_seconds\nP_99,158.5\n")
     files["bad_t95"].write_text("path_id,t95_seconds\nP_99,soon\n")
     files["bad_data"].write_text("path_id,vd,sid,is,label\nP_1,0,0\n")
+    files["one_class"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\nP_2,1,1,1,HSI0\n")
+    files["one_row"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\n")
     files["bad_model"].write_bytes(b"PK\x03\x04 not a model")
     np.save(files["npy_model"], np.zeros(3))
+    save_model(init_model(0, ("A", "B")), files["ab_model"])
     files["bad_session"].write_text(_session_lines({"t_ms": 0, "kind": "key"}, {"t_ms": -5, "kind": "key"}))
     files["unknown_screen"].write_text(
         _session_lines(
@@ -639,12 +604,16 @@ _EXIT_CODES = {
         (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),
         (["--data", "{tmp}/absent.csv", "--model-out", "{tmp}/trained.npz"], 2, "{tmp}/absent.csv"),
         (["--data", "{bad_data}", "--model-out", "{tmp}/trained.npz"], 2, "{bad_data}: line 2"),
+        (["--data", "{one_class}", "--model-out", "{tmp}/trained.npz"], 2, "{one_class}: training rows contain a single class"),
+        (["--data", "{one_row}", "--model-out", "{tmp}/trained.npz"], 2, "{one_row}: need at least 2 training rows"),
     ],
     "pif cv": [
         (["--data", "{data}", "--k", "3"], 0, None),
         (["--data", "{data}", "--config", "{tmp}/absent.json"], 2, "{tmp}/absent.json"),
         (["--data", "{data}", "--config", "{broken}"], 2, "{broken}"),
         (["--data", "{data}", "--config", "{negative_tau}"], 2, "{negative_tau}: config riskpath.tau: must be non-negative"),
+        (["--k", "50"], 2, "--k: 50 exceeds the 39 training rows"),
+        (["--data", "{one_class}"], 2, "{one_class}: training rows contain a single class"),
     ],
     "pif predict": [
         (["--model", "{model}", "--features", "5,5,5"], 0, None),
@@ -659,6 +628,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--procedures", "{tmp}/absent.json", "--out", "{tmp}/report"], 2, "{tmp}/absent.json"),
         ([*_SESSIONS, "{sessions}", "--procedures", "{broken}", "--out", "{tmp}/report"], 2, "{broken}"),
         ([*_SESSIONS, "{sessions}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
+        ([*_SESSIONS, "{sessions}", "--model", "{ab_model}", "--out", "{tmp}/report"], 2, "{ab_model}: model labels A, B are not PIF levels"),
     ],
 }
 

@@ -8,6 +8,7 @@ from hmirisk.graph import load_graph
 from hmirisk.metrics import (
     MetricVector,
     interaction_span,
+    metric_to_dict,
     metric_vector,
     metrics_csv_rows,
     semantic_interference_density,
@@ -159,6 +160,6 @@ class TestMetricVector:
     def test_csv_layout(self, designated_sim):
         g = count_fixture_graph(4, 2)
         m = metric_vector(g, "P_T", 100.0, designated_sim, normalizer_px=1000.0)
-        rows = metrics_csv_rows([("P_T", m)])
+        rows = metrics_csv_rows([("P_T", metric_to_dict(m))])
         assert rows[0].startswith("path_id,vd_num,vd_den,sid_num,sid_den")
         assert rows[1].split(",")[:5] == ["P_T", "1", "4", "2", "3"]
