@@ -6,9 +6,9 @@ an overview screen with four system buttons, navigation groups below,
 and parameter leaves at the bottom. Every element is reachable from a
 system root, and each element induces one execution path.
 """
-from hmirisk import map_procedure_step, resolve_path, validate_graph
 from hmirisk.dataset import build_reference_graph
 from hmirisk.embed import name_similarity
+from hmirisk.graph import map_procedure_step, resolve_path, validate_graph
 
 graph = build_reference_graph()
 print(f"elements: {len(graph.by_id)}, screens: {len(graph.screens)}")

@@ -5,9 +5,8 @@ Plant three error-prone paths (30% vs 1% background) and three slow
 paths (1.6x median) among twenty, generate 200 operator sessions, align
 them back to the graph, and let the detectors recover the planted sets.
 """
-from hmirisk import align_events, path_samples
 from hmirisk.graph import ElementKind, InterfaceElement, InterfaceGraph, Screen
-from hmirisk.ingest import Procedure, ProcedureStep
+from hmirisk.ingest import Procedure, ProcedureStep, align_events, path_samples
 from hmirisk.risk import detect_error_paths, detect_time_deviated, identify_hfes
 from hmirisk.simulate import PathPlan, ScenarioPlan, generate_sessions
 
@@ -58,5 +57,5 @@ print(f"\nplanted slow paths: {sorted(planted_time)}")
 print(f"time-deviated:      {sorted(flagged)}")
 
 report = identify_hfes(errors, flagged, graph, [procedure])
-tagged = {c.path_id: sorted(c.provenance) for c in report.candidates if c.error_prob >= 0.1 or c.time_flag}
+tagged = {c["path_id"]: c["provenance"] for c in report["candidates"] if c["error_prob"] >= 0.1 or c["time_flag"]}
 print(f"\nhigh-risk candidates: {tagged}")

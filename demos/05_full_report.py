@@ -29,7 +29,7 @@ detail = time_deviation_detail(samples, grouping)
 flagged = {p for p, d in detail.items() if d.flagged}
 errors = detect_error_paths(samples)
 hfe = identify_hfes(errors, flagged, graph, reference_procedures(), detail)
-print(f"{len(hfe.candidates)} HFE candidates; procedure priority: {', '.join(hfe.prioritized_procedures)}")
+print(f"{len(hfe['candidates'])} HFE candidates; procedure priority: {', '.join(hfe['prioritized_procedures'])}")
 
 rows = training_rows()
 model = init_model(seed=0, label_order=sorted({label for _, label in rows}))

@@ -27,9 +27,10 @@ from .pifnet import (
     load_training_csv,
     predict,
     save_model,
+    stratified_folds,
     train,
 )
-from .report import assemble_report, hfe_to_dict, write_report_files
+from .report import assemble_report, write_report_files
 from .risk import (
     detect_error_paths,
     identify_hfes,
@@ -288,9 +289,9 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
             "source": "empirical" if durations else "t95",
         }
 
-    doc = {**hfe_to_dict(hfe), "time_models": time_models}
+    doc = {**hfe, "time_models": time_models}
     (_out_dir(args) / "hfe.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    print(f"{len(hfe.candidates)} candidate path(s); prioritized: {', '.join(hfe.prioritized_procedures) or '-'}")
+    print(f"{len(hfe['candidates'])} candidate path(s); prioritized: {', '.join(hfe['prioritized_procedures']) or '-'}")
     return 0
 
 
@@ -315,6 +316,15 @@ def _cmd_pif_cv(args, cfg: AppConfig) -> int:
     rows = _training_rows(args.data)
     if args.k > len(rows):
         raise ValueError(f"--k: {args.k} exceeds the {len(rows)} training rows")
+    labels = [label for _, label in rows]
+    for fold, held_out in enumerate(stratified_folds(labels, args.k, args.seed), start=1):
+        held = set(held_out)
+        kept = {label for i, label in enumerate(labels) if i not in held}
+        if len(kept) < 2:
+            source = args.data or "the bundled training rows"
+            raise ValueError(
+                f"--k: {args.k} folds of {source} leave training split {fold} with the single label {kept.pop()}"
+            )
     result = kfold_cv(rows, k=args.k, seed=args.seed, hyper=cfg.pif)
     print(json.dumps({"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
     return 0

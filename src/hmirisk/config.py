@@ -70,7 +70,7 @@ _RANGES = {
     "metrics.theta": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "metrics.normalizer_px": (lambda v: v > 0, "positive"),
     "pif.learning_rate": (lambda v: v > 0, "positive"),
-    "pif.epochs": (lambda v: v >= 0, "non-negative"),
+    "pif.epochs": (lambda v: v > 0, "positive"),
     "pif.dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
 }
 
@@ -114,11 +114,7 @@ def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
     return AppConfig(**kwargs)
 
 
-def config_to_dict(cfg: AppConfig) -> dict[str, Any]:
-    return asdict(cfg)
-
-
 def config_fingerprint(cfg: AppConfig) -> str:
     """SHA-256 over the canonical JSON form (sorted keys, no whitespace)."""
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

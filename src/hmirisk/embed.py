@@ -47,10 +47,6 @@ class EmbeddingVector:
     values: tuple[float, ...]
     provider_tag: str
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 def _normalize_text(text: str) -> str:
     normalized = unicodedata.normalize("NFC", text).strip()

@@ -343,23 +343,54 @@ def save_model(model: PifModel, path: str | Path) -> None:
         np.savez(fh, **float32)
 
 
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
+    """Array ``name`` of a model archive as float64, its ``.npy`` header
+    checked before any data is read; ``shape`` None reads a byte string no
+    longer than the member itself, as uint8."""
+    info = archive.getinfo(f"{name}.npy")
+    with archive.open(info) as fp:
+        version = np.lib.format.read_magic(fp)
+        if version not in _NPY_HEADER_READERS:
+            raise ValueError(f"{name}: unsupported .npy format version {version}")
+        claimed, _, dtype = _NPY_HEADER_READERS[version](fp)
+        if shape is None:
+            fits = dtype == np.uint8 and len(claimed) == 1 and claimed[0] <= info.file_size
+            expected = f"at most {info.file_size} bytes"
+        else:
+            fits = dtype.kind == "f" and claimed == shape
+            expected = f"a float array of shape {shape}"
+        if not fits:
+            raise ValueError(f"{name}: {dtype} array of shape {claimed}, expected {expected}")
+        fp.seek(0)
+        array = np.lib.format.read_array(fp, allow_pickle=False)
+    return array if shape is None else array.astype(np.float64)
+
+
 def load_model(path: str | Path) -> PifModel:
     """A model written by :func:`save_model`; a file that is not one is a
-    ValueError."""
+    ValueError. Every array must have the shape the network of the file's
+    labels implies, checked before the array is read."""
     try:
-        with open(path, "rb") as file, np.load(file) as data:  # the file is closed also when np.load fails
-            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        with zipfile.ZipFile(path) as archive:
+            meta = json.loads(bytes(_read_member(archive, "meta_json", None)).decode("utf-8"))
             if meta["format_version"] != MODEL_FORMAT_VERSION:
                 raise ValueError(f"unsupported model format {meta['format_version']}")
             model = PifModel(meta["label_order"], meta["seed"])
-            for key in model.params:
-                model.params[key] = data[f"param_{key}"].astype(np.float64)
-            for i in range(len(HIDDEN_SIZES)):
-                model.running_mean[i] = data[f"running_mean{i}"].astype(np.float64)
-                model.running_var[i] = data[f"running_var{i}"].astype(np.float64)
-            if "std_mean" in data:
+            for key, value in model.params.items():
+                model.params[key] = _read_member(archive, f"param_{key}", value.shape)
+            for i, width in enumerate(HIDDEN_SIZES):
+                model.running_mean[i] = _read_member(archive, f"running_mean{i}", (width,))
+                model.running_var[i] = _read_member(archive, f"running_var{i}", (width,))
+            if "std_mean.npy" in archive.namelist():
                 model.standardizer = Standardizer(
-                    mean=data["std_mean"].astype(np.float64), std=data["std_std"].astype(np.float64)
+                    mean=_read_member(archive, "std_mean", (INPUT_DIM,)),
+                    std=_read_member(archive, "std_std", (INPUT_DIM,)),
                 )
             model.trained = bool(meta["trained"])
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:

@@ -7,8 +7,10 @@ high-severity set: every level whose largest macro-cognitive weight is
 at least 3.
 
 A report is the plain JSON document ``data/risk_report.schema.json``
-describes. It is deterministic given inputs and config (the timestamp is
-the only varying field).
+describes. Its ``hfe`` block is the document that
+:func:`hmirisk.risk.identify_hfes` builds, the one form of the HFE
+candidates. A report is deterministic given inputs and config (the
+timestamp is the only varying field).
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .graph import InterfaceGraph, resolve_path
 from .ingest import ErrorKind, PathSamples
 from .metrics import MetricVector, metric_to_dict, metrics_csv_rows
 from .pifnet import PIF_WEIGHT_TABLE
-from .risk import HfeReport
 
 SCHEMA_VERSION = 1
 CONFLICT_WEIGHT_FLOOR = 3.0
@@ -56,24 +57,24 @@ def conflict_quadrant(pif_label: str, error_observed: bool) -> ConflictQuadrant:
 
 def assemble_report(
     g: InterfaceGraph,
-    hfe: HfeReport,
+    hfe: Mapping[str, Any],
     assessments: Sequence[tuple[str, MetricVector, str | None, Mapping[str, float]]],
     config: AppConfig,
     generated_at: str | None = None,
 ) -> dict[str, Any]:
-    """The report document ``risk_report.schema.json`` describes: HFE
-    candidates joined with per-path metrics and predictions.
+    """The report document ``risk_report.schema.json`` describes: the
+    :func:`~hmirisk.risk.identify_hfes` document ``hfe``, as given, joined
+    with per-path metrics and predictions.
 
     ``assessments`` rows are (path_id, metrics, predicted label or None,
     class probabilities). Every candidate and assessed path must exist
     in the graph; the quadrant is assigned wherever a label exists.
     """
-    error_paths = {c.path_id for c in hfe.candidates if "error_path" in c.provenance}
-    outcome_paths = {
-        c.path_id for c in hfe.candidates if ErrorKind.OUTCOME in c.error_kinds
-    }
-    for candidate in hfe.candidates:
-        resolve_path(g, candidate.path_id)
+    candidates = hfe["candidates"]
+    error_paths = {c["path_id"] for c in candidates if "error_path" in c["provenance"]}
+    outcome_paths = {c["path_id"] for c in candidates if ErrorKind.OUTCOME.value in c["error_kinds"]}
+    for candidate in candidates:
+        resolve_path(g, candidate["path_id"])
 
     rows = []
     for path_id, metric, label, probs in assessments:
@@ -110,31 +111,13 @@ def assemble_report(
             "screens": len(g.screens),
             "layout_diagonal_px": g.layout_diagonal,
         },
-        "hfe": hfe_to_dict(hfe),
+        "hfe": hfe,
         "assessments": rows,
         "conflict_summary": {
             "by_quadrant": by_quadrant,
             "outcome_error_paths": len(outcome_paths),
             "outcome_error_in_conflict": outcome_in_conflict,
         },
-    }
-
-
-def hfe_to_dict(hfe: HfeReport) -> dict[str, Any]:
-    return {
-        "candidates": [
-            {
-                "path_id": c.path_id,
-                "error_prob": c.error_prob,
-                "error_kinds": sorted(k.value for k in c.error_kinds),
-                "time_flag": c.time_flag,
-                "tail_prob_at_threshold": c.tail_prob_at_threshold,
-                "provenance": sorted(c.provenance),
-            }
-            for c in hfe.candidates
-        ],
-        "per_procedure": dict(hfe.per_procedure),
-        "prioritized_procedures": list(hfe.prioritized_procedures),
     }
 
 
@@ -146,7 +129,8 @@ def report_json(report: Mapping[str, Any]) -> str:
 
 
 def candidates_csv(hfe: Mapping[str, Any]) -> str:
-    """The candidates of an :func:`hfe_to_dict` document, one CSV row each."""
+    """The candidates of an :func:`~hmirisk.risk.identify_hfes` document,
+    one CSV row each."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["path_id", "error_prob", "error_kinds", "time_flag", "tail_prob_at_threshold", "provenance"])

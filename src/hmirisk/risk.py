@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .graph import InterfaceGraph, resolve_path
 from .ingest import ErrorKind, PathSamples, Procedure
@@ -186,59 +186,45 @@ def detect_error_paths(
     return out
 
 
-@dataclass(frozen=True)
-class PathRisk:
-    path_id: str
-    error_prob: float
-    error_kinds: frozenset[ErrorKind]
-    time_flag: bool
-    tail_prob_at_threshold: float
-    provenance: frozenset[str]  # subset of {"error_path", "time_path"}
-
-
-@dataclass(frozen=True)
-class HfeReport:
-    candidates: tuple[PathRisk, ...]
-    per_procedure: dict[str, int]
-    prioritized_procedures: tuple[str, ...]
-
-
 def identify_hfes(
     error_paths: Mapping[str, ErrorPathStats],
     time_paths: Iterable[str],
     g: InterfaceGraph,
     procedures: Sequence[Procedure] = (),
     time_detail: Mapping[str, TimeDeviation] | None = None,
-) -> HfeReport:
+) -> dict[str, Any]:
     """Union error-prone and time-deviated paths into HFE candidates.
 
-    Provenance records which detector(s) produced each candidate.
-    Procedures are ranked by how many distinct candidate terminal nodes
-    their steps touch (descending count, ties by procedure id).
+    Returns the ``hfe`` document of ``risk_report.schema.json``:
+    ``candidates`` sorted by path id, each with its ``provenance`` (the
+    detector(s) that produced it); ``per_procedure``, the number of
+    distinct candidate terminal nodes each procedure's steps touch; and
+    ``prioritized_procedures``, ranked by that count (descending, ties by
+    procedure id).
     """
     time_set = set(time_paths)
+    time_detail = time_detail or {}
     candidates = []
     for path_id in sorted(set(error_paths) | time_set):
         resolve_path(g, path_id)  # cross-reference check: must exist in this graph
-        provenance = set()
-        if path_id in error_paths:
-            provenance.add("error_path")
-        if path_id in time_set:
-            provenance.add("time_path")
         stats = error_paths.get(path_id)
-        detail = (time_detail or {}).get(path_id)
+        detail = time_detail.get(path_id)
+        time_flag = path_id in time_set
+        provenance = ["error_path"] if stats else []
+        if time_flag:
+            provenance.append("time_path")
         candidates.append(
-            PathRisk(
-                path_id=path_id,
-                error_prob=stats.error_prob if stats else 0.0,
-                error_kinds=stats.kinds if stats else frozenset(),
-                time_flag=path_id in time_set,
-                tail_prob_at_threshold=detail.tail_prob_at_threshold if detail else 0.0,
-                provenance=frozenset(provenance),
-            )
+            {
+                "path_id": path_id,
+                "error_prob": stats.error_prob if stats else 0.0,
+                "error_kinds": sorted(k.value for k in stats.kinds) if stats else [],
+                "time_flag": time_flag,
+                "tail_prob_at_threshold": detail.tail_prob_at_threshold if detail else 0.0,
+                "provenance": provenance,
+            }
         )
 
-    candidate_nodes = {resolve_path(g, c.path_id).node_chain[-1] for c in candidates}
+    candidate_nodes = {resolve_path(g, c["path_id"]).node_chain[-1] for c in candidates}
     per_procedure: dict[str, int] = {}
     for proc in procedures:
         touched = set()
@@ -249,8 +235,11 @@ def identify_hfes(
             if node in candidate_nodes:
                 touched.add(node)
         per_procedure[proc.procedure_id] = len(touched)
-    prioritized = tuple(sorted(per_procedure, key=lambda pid: (-per_procedure[pid], pid)))
-    return HfeReport(tuple(candidates), per_procedure, prioritized)
+    return {
+        "candidates": candidates,
+        "per_procedure": per_procedure,
+        "prioritized_procedures": sorted(per_procedure, key=lambda pid: (-per_procedure[pid], pid)),
+    }
 
 
 def load_t95_overrides(lines: Iterable[str]) -> dict[str, float]:

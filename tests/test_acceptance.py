@@ -131,15 +131,15 @@ def test_hfe_identification():
     assert flagged == TIME_SET
 
     report = identify_hfes(errors, flagged, graph, dataset.reference_procedures())
-    assert {c.path_id for c in report.candidates} == ERROR_SET | TIME_SET
-    for candidate in report.candidates:
+    assert {c["path_id"] for c in report["candidates"]} == ERROR_SET | TIME_SET
+    for candidate in report["candidates"]:
         expected = set()
-        if candidate.path_id in ERROR_SET:
+        if candidate["path_id"] in ERROR_SET:
             expected.add("error_path")
-        if candidate.path_id in TIME_SET:
+        if candidate["path_id"] in TIME_SET:
             expected.add("time_path")
-        assert candidate.provenance == frozenset(expected)
-        assert candidate.time_flag == (candidate.path_id in TIME_SET)
+        assert set(candidate["provenance"]) == expected
+        assert candidate["time_flag"] == (candidate["path_id"] in TIME_SET)
 
 
 # --- 4 ----------------------------------------------------------------------

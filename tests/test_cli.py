@@ -522,16 +522,19 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "no_roots": tmp_path / "no_roots.json",
         "no_x_graph": tmp_path / "no_x_graph.json",
         "negative_tau": tmp_path / "negative_tau.json",
+        "zero_epochs": tmp_path / "zero_epochs.json",
         "procedures": tmp_path / "procs.json",
         "t95": tmp_path / "t95.csv",
         "bad_t95": tmp_path / "bad_t95.csv",
         "bad_data": tmp_path / "bad_data.csv",
         "one_class": tmp_path / "one_class.csv",
         "one_row": tmp_path / "one_row.csv",
+        "skew": tmp_path / "skew.csv",
         "model": tmp_path / "model.npz",
         "bad_model": tmp_path / "bad_model.npz",
         "npy_model": tmp_path / "array.npy",
         "ab_model": tmp_path / "ab.npz",
+        "narrow_model": tmp_path / "narrow.npz",
         "bad_session": tmp_path / "bad_session.jsonl",
         "unknown_screen": tmp_path / "unknown_screen.jsonl",
         "unknown_path_plan": tmp_path / "unknown_path_plan.json",
@@ -542,15 +545,20 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     no_x["elements"][1].pop("x")
     files["no_x_graph"].write_text(json.dumps(no_x))
     files["negative_tau"].write_text(json.dumps({"riskpath": {"tau": -1}}))
+    files["zero_epochs"].write_text(json.dumps({"pif": {"epochs": 0}}))
     files["procedures"].write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
     files["t95"].write_text("path_id,t95_seconds\nP_99,158.5\n")
     files["bad_t95"].write_text("path_id,t95_seconds\nP_99,soon\n")
     files["bad_data"].write_text("path_id,vd,sid,is,label\nP_1,0,0\n")
     files["one_class"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\nP_2,1,1,1,HSI0\n")
     files["one_row"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\n")
+    files["skew"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\nP_2,1,1,1,HSI0\nP_3,2,2,2,HSI0\nP_4,3,3,3,HSI1\n")
     files["bad_model"].write_bytes(b"PK\x03\x04 not a model")
     np.save(files["npy_model"], np.zeros(3))
     save_model(init_model(0, ("A", "B")), files["ab_model"])
+    narrow = init_model(0, ("HSI0", "HSI1"))
+    narrow.params["W0"] = narrow.params["W0"][:, :127]
+    save_model(narrow, files["narrow_model"])
     files["bad_session"].write_text(_session_lines({"t_ms": 0, "kind": "key"}, {"t_ms": -5, "kind": "key"}))
     files["unknown_screen"].write_text(
         _session_lines(
@@ -606,6 +614,7 @@ _EXIT_CODES = {
         (["--data", "{bad_data}", "--model-out", "{tmp}/trained.npz"], 2, "{bad_data}: line 2"),
         (["--data", "{one_class}", "--model-out", "{tmp}/trained.npz"], 2, "{one_class}: training rows contain a single class"),
         (["--data", "{one_row}", "--model-out", "{tmp}/trained.npz"], 2, "{one_row}: need at least 2 training rows"),
+        (["--config", "{zero_epochs}", "--model-out", "{tmp}/trained.npz"], 2, "{zero_epochs}: config pif.epochs: must be positive, got 0"),
     ],
     "pif cv": [
         (["--data", "{data}", "--k", "3"], 0, None),
@@ -614,6 +623,7 @@ _EXIT_CODES = {
         (["--data", "{data}", "--config", "{negative_tau}"], 2, "{negative_tau}: config riskpath.tau: must be non-negative"),
         (["--k", "50"], 2, "--k: 50 exceeds the 39 training rows"),
         (["--data", "{one_class}"], 2, "{one_class}: training rows contain a single class"),
+        (["--data", "{skew}", "--k", "2"], 2, "--k: 2 folds of {skew} leave training split 2 with the single label HSI0"),
     ],
     "pif predict": [
         (["--model", "{model}", "--features", "5,5,5"], 0, None),
@@ -622,6 +632,7 @@ _EXIT_CODES = {
         (["--model", "{npy_model}", "--features", "5,5,5"], 2, "{npy_model}"),
         (["--model", "{model}", "--features", "5,five,5"], 2, "--features"),
         (["--model", "{model}", "--features", "5,5"], 2, "--features"),
+        (["--model", "{narrow_model}", "--features", "5,5,5"], 2, "{narrow_model}: not a readable model file (param_W0: float32 array of shape (3, 127), expected a float array of shape (3, 128))"),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),
@@ -629,6 +640,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--procedures", "{broken}", "--out", "{tmp}/report"], 2, "{broken}"),
         ([*_SESSIONS, "{sessions}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
         ([*_SESSIONS, "{sessions}", "--model", "{ab_model}", "--out", "{tmp}/report"], 2, "{ab_model}: model labels A, B are not PIF levels"),
+        ([*_SESSIONS, "{sessions}", "--model", "{narrow_model}", "--out", "{tmp}/report"], 2, "{narrow_model}: not a readable model file (param_W0: float32 array of shape (3, 127), expected a float array of shape (3, 128))"),
     ],
 }
 

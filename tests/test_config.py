@@ -81,11 +81,12 @@ def test_number_beyond_float_range_rejected():
         ({"riskpath": {"alpha": -1.0}}, "riskpath.alpha: must be non-negative"),
         ({"metrics": {"theta": 0.0}}, "metrics.theta: must be in (0, 1]"),
         ({"pif": {"epochs": 2.5}}, "pif.epochs: expected an integer, got 2.5"),
-        ({"pif": {"epochs": -1}}, "pif.epochs: must be non-negative"),
+        ({"pif": {"epochs": -1}}, "pif.epochs: must be positive, got -1"),
         ({"embed": {"timeout_ms": "10"}}, "embed.timeout_ms: expected an integer"),
         ({"embed": {"cache_dir": 3}}, "embed.cache_dir: expected a string"),
         ({"riskpath": []}, "section 'riskpath' must be a JSON object"),
         ([], "config must be a JSON object"),
+        ({"pif": {"epochs": 0}}, "pif.epochs: must be positive, got 0"),
     ],
 )
 def test_bad_value_rejected_naming_key(raw, message):

@@ -3,7 +3,11 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +261,19 @@ def test_fuzzed_documents_load_or_raise_graph_error():
             assert e is not None and (e.name, e.screen_id) == (raw.get("name", ""), raw["screen"]), raw
             assert g.parent_of.get(e.id) == raw.get("parent"), raw
     assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0, outcomes
+
+
+def test_pipeline_modules_import_without_embedding_or_network_code():
+    """The package root re-exports nothing, so importing the graph, ingest,
+    risk and simulator modules loads neither the embedding module nor
+    urllib.request."""
+    import hmirisk
+
+    code = (
+        "import sys\n"
+        "import hmirisk.graph, hmirisk.ingest, hmirisk.risk, hmirisk.simulate\n"
+        "print(sorted(m for m in ('hmirisk.embed', 'urllib.request') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hmirisk.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import math
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -264,6 +267,28 @@ class TestPersistence:
         model = init_model(1, LABELS)
         save_model(model, tmp_path / "raw.npz")
         assert load_model(tmp_path / "raw.npz").trained is False
+
+    def test_shape_claimed_in_header_checked_before_reading(self, tmp_path):
+        """A member whose .npy header claims 10**13 floats is rejected by
+        name without allocating them."""
+        good, bad = tmp_path / "good.npz", tmp_path / "huge.npz"
+        save_model(init_model(1, LABELS), good)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f4", "fortran_order": False, "shape": (10_000_000_000_000,)}
+        )
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                data = header.getvalue() + bytes(16) if name == "param_W0.npy" else src.read(name)
+                dst.writestr(name, data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"param_W0: float32 array of shape \(10000000000000,\)"):
+                load_model(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 class TestPifWeights:

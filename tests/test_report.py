@@ -17,11 +17,10 @@ from hmirisk.report import (
     candidates_csv,
     conflict_quadrant,
     duration_series_csv,
-    hfe_to_dict,
     report_json,
     write_report_files,
 )
-from hmirisk.risk import HfeReport, PathRisk, detect_error_paths, identify_hfes
+from hmirisk.risk import detect_error_paths, identify_hfes
 
 
 class TestConflictQuadrant:
@@ -97,9 +96,14 @@ class TestAssembleReport:
         assert sorted(ids) == sorted(set(ids))
 
     def test_unknown_candidate_path_rejected(self, two_screen_graph):
-        bogus = HfeReport(
-            (PathRisk("P_99", 0.5, frozenset(), False, 0.0, frozenset({"error_path"})),), {}, ()
-        )
+        bogus = {
+            "candidates": [
+                {"path_id": "P_99", "error_prob": 0.5, "error_kinds": [], "time_flag": False,
+                 "tail_prob_at_threshold": 0.0, "provenance": ["error_path"]}
+            ],
+            "per_procedure": {},
+            "prioritized_procedures": [],
+        }
         with pytest.raises(KeyError):
             assemble_report(two_screen_graph, bogus, [], AppConfig(), generated_at="t0")
 
@@ -130,7 +134,7 @@ class TestFiles:
     def test_candidates_csv_layout(self, two_screen_graph):
         errors = detect_error_paths(samples_with_error("P_11"))
         hfe = identify_hfes(errors, {"P_11"}, two_screen_graph)
-        lines = candidates_csv(hfe_to_dict(hfe)).strip().splitlines()
+        lines = candidates_csv(hfe).strip().splitlines()
         assert lines[0].startswith("path_id,error_prob")
         assert lines[1].startswith("P_11,")
         assert "error_path|time_path" in lines[1]
@@ -243,7 +247,8 @@ def test_schema_uses_only_checked_keywords():
 
 
 def _empty_report(graph):
-    doc = assemble_report(graph, HfeReport((), {}, ()), [], AppConfig(), generated_at="t0")
+    empty_hfe = {"candidates": [], "per_procedure": {}, "prioritized_procedures": []}
+    doc = assemble_report(graph, empty_hfe, [], AppConfig(), generated_at="t0")
     assert doc["hfe"]["candidates"] == [] and doc["assessments"] == []
     return doc
 
@@ -276,6 +281,19 @@ def test_cli_report_matches_schema(graph_file, plan_file, sessions_dir, tmp_path
     doc = json.loads((out / "report.json").read_text())
     assert doc["hfe"]["candidates"] and len(doc["assessments"]) == 3
     assert schema_errors(doc, SCHEMA) == []
+
+
+def test_cli_hfe_matches_schema(graph_file, plan_file, sessions_dir, tmp_path):
+    """hfe.json written by ``hmirisk hfe`` is the report's ``hfe`` block
+    plus its time models."""
+    procedures = tmp_path / "procedures.json"
+    procedures.write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
+    out = tmp_path / "out"
+    argv = ["--graph", str(graph_file), "--sessions", str(sessions_dir), "--procedures", str(procedures)]
+    assert main(["hfe", *argv, "--out", str(out)]) == 0
+    doc = json.loads((out / "hfe.json").read_text())
+    assert doc["candidates"] and doc["per_procedure"] and doc["time_models"]
+    assert schema_errors(doc, SCHEMA["properties"]["hfe"]) == []
 
 
 @pytest.mark.parametrize(

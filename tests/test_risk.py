@@ -228,17 +228,17 @@ class TestIdentifyHfes:
     def test_disjoint_union_provenance(self, two_screen_graph):
         errors = detect_error_paths(samples_of({"P_11": [1.0] * 3}, {"P_11": (1, 0)}))
         report = identify_hfes(errors, {"P_12"}, two_screen_graph)
-        by_id = {c.path_id: c for c in report.candidates}
-        assert by_id["P_11"].provenance == frozenset({"error_path"})
-        assert by_id["P_12"].provenance == frozenset({"time_path"})
-        assert by_id["P_12"].time_flag is True
-        assert by_id["P_11"].time_flag is False
+        by_id = {c["path_id"]: c for c in report["candidates"]}
+        assert set(by_id["P_11"]["provenance"]) == {"error_path"}
+        assert set(by_id["P_12"]["provenance"]) == {"time_path"}
+        assert by_id["P_12"]["time_flag"] is True
+        assert by_id["P_11"]["time_flag"] is False
 
     def test_same_path_gets_both_tags(self, two_screen_graph):
         errors = detect_error_paths(samples_of({"P_11": [1.0] * 3}, {"P_11": (1, 0)}))
         report = identify_hfes(errors, {"P_11"}, two_screen_graph)
-        assert len(report.candidates) == 1
-        assert report.candidates[0].provenance == frozenset({"error_path", "time_path"})
+        assert len(report["candidates"]) == 1
+        assert set(report["candidates"][0]["provenance"]) == {"error_path", "time_path"}
 
     def test_per_procedure_counts_distinct_candidate_nodes(self, two_screen_graph):
         procedures = [
@@ -251,15 +251,15 @@ class TestIdentifyHfes:
         ]
         errors = detect_error_paths(samples_of({"P_11": [1.0] * 3}, {"P_11": (1, 0)}))
         report = identify_hfes(errors, {"P_12"}, two_screen_graph, procedures)
-        assert report.per_procedure == {"PROC_A": 2, "PROC_B": 1, "PROC_C": 0}
-        assert report.prioritized_procedures == ("PROC_A", "PROC_B", "PROC_C")
+        assert report["per_procedure"] == {"PROC_A": 2, "PROC_B": 1, "PROC_C": 0}
+        assert report["prioritized_procedures"] == ["PROC_A", "PROC_B", "PROC_C"]
 
     def test_candidates_sorted_and_unique(self, two_screen_graph):
         errors = detect_error_paths(
             samples_of({"P_12": [1.0] * 2, "P_11": [1.0] * 2}, {"P_12": (1, 0), "P_11": (1, 0)})
         )
         report = identify_hfes(errors, {"P_13", "P_11"}, two_screen_graph)
-        ids = [c.path_id for c in report.candidates]
+        ids = [c["path_id"] for c in report["candidates"]]
         assert ids == sorted(ids) and len(ids) == len(set(ids)) == 3
 
 
