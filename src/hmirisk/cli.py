@@ -16,7 +16,7 @@ from . import __version__, dataset
 from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, load_graph
-from .ingest import align_events, load_procedures, parse_session_log, path_samples
+from .ingest import align_lines, load_procedures, path_samples
 from .metrics import metric_to_dict, metric_vector, metrics_csv_rows
 from .pifnet import (
     PIF_WEIGHT_TABLE,
@@ -165,7 +165,7 @@ def _load_inputs(args):
     targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
 
     def aligned(lines):
-        return align_events(graph, parse_session_log(lines), targets)
+        return align_lines(graph, lines, targets)
 
     traces = (_load(f, aligned, _lines) for f in _session_files(args.sessions))
     return graph, procedures, traces
@@ -193,6 +193,22 @@ def _training_rows(data_arg: str | None):
         return rows
 
     return _load(data_arg, rows_of, _lines)
+
+
+def _trained_model(path: str, pif_levels: bool = False):
+    """The trained model in the file at ``path``; with ``pif_levels`` its
+    labels must be PIF levels."""
+
+    def checked(file):
+        model = load_model(file)
+        unknown = [label for label in model.label_order if label not in PIF_WEIGHT_TABLE]
+        if pif_levels and unknown:
+            raise ValueError(f"model labels {', '.join(unknown)} are not PIF levels")
+        if not model.trained or model.standardizer is None:
+            raise ValueError("model is not trained")
+        return model
+
+    return _load(path, checked, read=Path)
 
 
 def _train_default_model(cfg: AppConfig, seed: int, rows=None):
@@ -331,7 +347,7 @@ def _cmd_pif_cv(args, cfg: AppConfig) -> int:
 
 
 def _cmd_pif_predict(args, cfg: AppConfig) -> int:
-    model = _load(args.model, load_model, read=Path)
+    model = _trained_model(args.model)
     outputs = []
     if args.features:
         try:
@@ -357,15 +373,7 @@ def _cmd_report(args, cfg: AppConfig) -> int:
     graph, procedures, traces = _load_inputs(args)
     samples = path_samples(traces)
     grouping, hfe = _detect(graph, samples, procedures, cfg)
-
-    def pif_level_model(path):
-        model = load_model(path)
-        unknown = [label for label in model.label_order if label not in PIF_WEIGHT_TABLE]
-        if unknown:
-            raise ValueError(f"model labels {', '.join(unknown)} are not PIF levels")
-        return model
-
-    model = _load(args.model, pif_level_model, read=Path) if args.model else _train_default_model(cfg, args.seed)
+    model = _trained_model(args.model, pif_levels=True) if args.model else _train_default_model(cfg, args.seed)
     assessments = []
     for path_id, metric in _path_metric_entries(graph, samples, cfg):
         label, probs = predict(model, metric)

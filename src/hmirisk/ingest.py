@@ -116,6 +116,7 @@ def load_procedures(document: Any) -> list[Procedure]:
 _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
 _STEP_KINDS = {EventKind.STEP_START, EventKind.STEP_END}
 _KINDS = {kind.value: kind for kind in EventKind}
+_ERROR_KINDS = {kind.value: kind for kind in ErrorKind}
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
 _ID_TYPES = {str, type(None)}
@@ -374,6 +375,153 @@ def align_events(
                     state.last_hit = hit
 
     return AlignedTrace(log.session_id, tuple(steps), tuple(unaligned))
+
+
+def align_lines(
+    g: InterfaceGraph,
+    lines: list[str],
+    step_targets: Mapping[str, str] | None = None,
+) -> AlignedTrace:
+    """``align_events(g, parse_session_log(lines), step_targets)`` for the
+    lines of one session log, in one pass over its records.
+
+    The lines are decoded in one call, then records of the common shapes are
+    checked and aligned as they come, keeping only the open steps; no
+    TrackerEvent or SessionLog is built. A line that is not one object with
+    its only braces at its ends, any other record, a failed order, nesting
+    or id check, or a click on an undeclared screen hands the whole log to
+    the reference functions, so the trace, or the error, is theirs.
+    """
+    trace = _align_common_shapes(g, lines, dict(step_targets or {}))
+    if trace is None:
+        return align_events(g, parse_session_log(lines), step_targets)
+    return trace
+
+
+def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
+    """The JSON object on each non-blank stripped line, decoded in one call,
+    or None where the lines need not hold one object each.
+
+    The stripped lines are joined by ",\n" into one array. When every line
+    starts with its only "{", ends with its only "}" and holds no newline,
+    no string can span a newline, so each line's last "}" closes the object
+    its first "{" opened: the array holds each line's object, equal to the
+    line decoded alone, and a line that is not valid JSON fails the decode.
+    """
+    try:
+        lines = [line for line in map(str.strip, lines) if line]
+    except TypeError:  # bytes lines
+        return None
+    text = ",\n".join(lines)
+    n = len(lines)
+    if not (
+        text[:1] == "{" and text[-1:] == "}" and text.count("\n") == n - 1
+        and text.count("{") == n == text.count("}") and text.count("},\n{") == n - 1
+    ):
+        return None
+    try:
+        return json.loads(f"[{text}]")
+    except ValueError:  # a line is not valid JSON
+        return None
+
+
+def _align_common_shapes(g: InterfaceGraph, lines: list[str], targets: dict[str, str]) -> AlignedTrace | None:
+    """The fused pass of :func:`align_lines`, or None where the lines are
+    not decoded in one call, a record leaves the common shapes that
+    :func:`parse_session_log` takes on its fast path (plus error
+    annotations), or a check fails."""
+    records = _line_records(lines)
+    if records is None:
+        return None
+    screens, hit_of = g.screens, g.hit
+    open_steps: dict[str, _OpenStep] = {}
+    steps: list[AlignedStep] = []
+    unaligned: list[str] = []
+    session_id = participant_id = None  # the first record's, both strings
+    last_t = 0
+    for record in records:
+        try:
+            t_ms, kind, sid, pid = record["t_ms"], record["kind"], record["session_id"], record["participant_id"]
+        except KeyError:
+            return None
+        get = record.get
+        screen, step_id = get("screen"), get("step_id")
+        # last_t starts at 0, so this also rejects a negative timestamp.
+        if type(t_ms) is not int or t_ms < last_t or type(screen) not in _ID_TYPES or type(step_id) not in _ID_TYPES:
+            return None
+        last_t = t_ms
+        if sid != session_id or pid != participant_id:
+            if session_id is not None or type(sid) is not str or type(pid) is not str:
+                return None
+            session_id, participant_id = sid, pid
+
+        if kind == "move" or kind == "click":
+            x, y = get("x"), get("y")
+            # The range test is False for NaN, infinities and ints too large
+            # for a float.
+            if not (
+                "error_kind" not in record and type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
+                and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT
+            ):
+                return None
+            point = (float(x), float(y))
+        elif "x" in record or "y" in record:
+            return None
+        elif kind == "error_annotation":
+            error = get("error_kind")
+            error = _ERROR_KINDS.get(error) if type(error) is str else None
+            if error is None:
+                return None
+        elif "error_kind" in record:
+            return None
+        elif kind == "step_start":
+            if step_id is None or step_id in open_steps:
+                return None
+            open_steps[step_id] = _OpenStep(step_id, t_ms)
+            continue
+        elif kind == "step_end":
+            state = open_steps.pop(step_id, None)
+            if state is None:
+                return None
+            path_id: str | None = None
+            if state.last_hit is not None:
+                path_id = path_id_for(state.last_hit)
+            elif step_id in targets:
+                path_id = targets[step_id]
+            else:
+                unaligned.append(step_id)
+            duration_s = (t_ms - state.start_ms) / 1000.0
+            steps.append(AlignedStep(step_id, path_id, duration_s, tuple(state.errors), tuple(state.trajectory)))
+            continue
+        elif kind == "key":
+            continue
+        else:
+            return None
+
+        # As in align_events: the event belongs to its own step's window, or
+        # to every open window when it names no step.
+        if step_id is not None:
+            state = open_steps.get(step_id)
+            windows = (state,) if state is not None else ()
+        else:
+            windows = tuple(open_steps.values())
+        if kind == "error_annotation":
+            for state in windows:
+                state.errors.append(error)
+            continue
+        hit = None
+        if windows and kind == "click" and screen is not None:
+            if screen not in screens:
+                return None
+            hit = hit_of(screen, point[0], point[1], SNAP_RADIUS_PX)
+        for state in windows:
+            state.trajectory.append(point)
+            if hit is not None:
+                state.last_hit = hit
+
+    if open_steps or session_id is None:
+        return None
+    return AlignedTrace(session_id, tuple(steps), tuple(unaligned))
 
 
 @dataclass

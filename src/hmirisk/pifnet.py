@@ -381,7 +381,10 @@ def load_model(path: str | Path) -> PifModel:
             meta = json.loads(bytes(_read_member(archive, "meta_json", None)).decode("utf-8"))
             if meta["format_version"] != MODEL_FORMAT_VERSION:
                 raise ValueError(f"unsupported model format {meta['format_version']}")
-            model = PifModel(meta["label_order"], meta["seed"])
+            labels = meta["label_order"]
+            if type(labels) is not list or not all(type(label) is str for label in labels) or len(set(labels)) < len(labels):
+                raise ValueError(f"label_order must be distinct strings, got {labels!r}")
+            model = PifModel(labels, meta["seed"])
             for key, value in model.params.items():
                 model.params[key] = _read_member(archive, f"param_{key}", value.shape)
             for i, width in enumerate(HIDDEN_SIZES):

@@ -11,7 +11,7 @@ import pytest
 from hmirisk import cli
 from hmirisk.cli import main
 from hmirisk.graph import load_graph
-from hmirisk.ingest import align_events, parse_session_log
+from hmirisk.ingest import align_events, align_lines, parse_session_log
 from hmirisk.metrics import trajectory_length
 from hmirisk.pifnet import init_model, save_model, training_csv
 
@@ -244,19 +244,29 @@ def test_session_order_does_not_change_outputs(graph_file, plan_file, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+class _Lines(list):
+    """A list that a weak reference can follow."""
+
+
 @pytest.mark.parametrize("command", ["report", "hfe", "metrics"])
 def test_each_session_parsed_once_and_released(command, graph_file, sessions_dir, tmp_path, monkeypatch):
     parsed: list = []
     alive: list[weakref.ref] = []
+    read_lines = cli._lines
 
-    def parse_tracked(lines):
-        assert all(ref() is None for ref in alive), "an earlier SessionLog is still alive"
-        log = parse_session_log(lines)
-        parsed.append(log.session_id)
-        alive.append(weakref.ref(log))
-        return log
+    def lines_tracked(path):
+        assert all(ref() is None for ref in alive), "an earlier session file's lines are still alive"
+        lines = _Lines(read_lines(path))
+        alive.append(weakref.ref(lines))
+        return lines
 
-    monkeypatch.setattr(cli, "parse_session_log", parse_tracked)
+    def align_tracked(graph, lines, targets):
+        trace = align_lines(graph, lines, targets)
+        parsed.append(trace.session_id)
+        return trace
+
+    monkeypatch.setattr(cli, "_lines", lines_tracked)
+    monkeypatch.setattr(cli, "align_lines", align_tracked)
     argv = [command, "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     # Each session file holds one session, named after the file.
@@ -535,6 +545,8 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "npy_model": tmp_path / "array.npy",
         "ab_model": tmp_path / "ab.npz",
         "narrow_model": tmp_path / "narrow.npz",
+        "int_model": tmp_path / "intlabels.npz",
+        "raw_model": tmp_path / "raw.npz",
         "bad_session": tmp_path / "bad_session.jsonl",
         "unknown_screen": tmp_path / "unknown_screen.jsonl",
         "unknown_path_plan": tmp_path / "unknown_path_plan.json",
@@ -559,6 +571,8 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     narrow = init_model(0, ("HSI0", "HSI1"))
     narrow.params["W0"] = narrow.params["W0"][:, :127]
     save_model(narrow, files["narrow_model"])
+    save_model(init_model(0, (1, 2)), files["int_model"])
+    save_model(init_model(0, ("HSI0", "HSI1")), files["raw_model"])
     files["bad_session"].write_text(_session_lines({"t_ms": 0, "kind": "key"}, {"t_ms": -5, "kind": "key"}))
     files["unknown_screen"].write_text(
         _session_lines(
@@ -633,6 +647,8 @@ _EXIT_CODES = {
         (["--model", "{model}", "--features", "5,five,5"], 2, "--features"),
         (["--model", "{model}", "--features", "5,5"], 2, "--features"),
         (["--model", "{narrow_model}", "--features", "5,5,5"], 2, "{narrow_model}: not a readable model file (param_W0: float32 array of shape (3, 127), expected a float array of shape (3, 128))"),
+        (["--model", "{raw_model}", "--features", "5,5,5"], 2, "{raw_model}: model is not trained"),
+        (["--model", "{int_model}", "--features", "5,5,5"], 2, "{int_model}: not a readable model file (label_order must be distinct strings, got [1, 2])"),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),
@@ -641,6 +657,8 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
         ([*_SESSIONS, "{sessions}", "--model", "{ab_model}", "--out", "{tmp}/report"], 2, "{ab_model}: model labels A, B are not PIF levels"),
         ([*_SESSIONS, "{sessions}", "--model", "{narrow_model}", "--out", "{tmp}/report"], 2, "{narrow_model}: not a readable model file (param_W0: float32 array of shape (3, 127), expected a float array of shape (3, 128))"),
+        ([*_SESSIONS, "{sessions}", "--model", "{int_model}", "--out", "{tmp}/report"], 2, "{int_model}: not a readable model file (label_order must be distinct strings, got [1, 2])"),
+        ([*_SESSIONS, "{sessions}", "--model", "{raw_model}", "--out", "{tmp}/report"], 2, "{raw_model}: model is not trained"),
     ],
 }
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hmirisk import ingest
 from hmirisk.graph import ElementKind, InterfaceElement, InterfaceGraph, Screen, load_graph
 from hmirisk.metrics import trajectory_length
 from hmirisk.ingest import (
@@ -14,17 +15,21 @@ from hmirisk.ingest import (
     ErrorKind,
     EventKind,
     ParseError,
+    Procedure,
+    ProcedureStep,
     SessionLog,
     TrackerEvent,
     UnknownScreenError,
     _event_from_record,
     align_events,
+    align_lines,
     hit_test,
     load_procedures,
     parse_session_log,
     path_samples,
     serialize_session,
 )
+from hmirisk.simulate import PathPlan, ScenarioPlan, generate_sessions
 
 
 def _line(**kw):
@@ -372,6 +377,134 @@ class TestAlignEvents:
         trace = align_events(two_screen_graph, _session(events), {f"s{i}": "P_11" for i in range(5)})
         span = (events[-1].t_ms - events[0].t_ms) / 1000.0
         assert sum(s.duration_s for s in trace.steps) <= span
+
+
+def _screen_a_graph():
+    """Screen A only, so a click on any other screen is an UnknownScreenError."""
+    return load_graph(
+        {
+            "screens": [{"id": "A", "width_px": 800, "height_px": 600}],
+            "elements": [
+                {"id": "N_1", "name": "plant", "kind": "system_root", "screen": "A", "x": 400, "y": 50},
+                {"id": "N_11", "name": "pump", "kind": "parameter", "screen": "A", "x": 200, "y": 150,
+                 "bbox": [0, 0, 400, 300], "parent": "N_1"},
+                {"id": "N_12", "name": "valve", "kind": "parameter", "screen": "A", "x": 600, "y": 450,
+                 "bbox": [550, 420, 100, 60], "parent": "N_1"},
+            ],
+        }
+    )
+
+
+def _aligned_outcome(align, lines):
+    """The trace with the types of its numbers, or the error's type and message."""
+    try:
+        trace = align(lines)
+    except Exception as exc:  # compare failures by type and message
+        return type(exc), str(exc)
+    types = [(type(s.duration_s), [(type(x), type(y)) for x, y in s.trajectory]) for s in trace.steps]
+    return trace, types
+
+
+_TARGETS = {"s1": "P_12"}  # s2 declares none, so an s2 without a hit is unaligned
+_KEY = _line(t_ms=0, kind="key")
+_START = _line(t_ms=0, kind="step_start", step_id="s1")
+
+
+def _no_fallback(lines):
+    raise AssertionError("align_lines fell back to parse_session_log")
+
+
+class TestAlignLines:
+    """align_lines against align_events(parse_session_log(...)), the reference."""
+
+    def _check(self, g, lines):
+        fused = _aligned_outcome(lambda ls: align_lines(g, ls, _TARGETS), lines)
+        assert fused == _aligned_outcome(lambda ls: align_events(g, parse_session_log(ls), _TARGETS), lines), lines
+        return fused
+
+    def test_matches_reference_on_mutated_logs(self, monkeypatch):
+        fallbacks = []
+
+        def counted(lines):
+            fallbacks.append(lines)
+            return parse_session_log(lines)
+
+        monkeypatch.setattr(ingest, "parse_session_log", counted)
+        g = _screen_a_graph()
+        rng = random.Random(20251018)
+        kinds = set()
+        for _ in range(2000):
+            outcome = self._check(g, _mutated_log(rng))
+            kinds.add(type(outcome[0]) if isinstance(outcome[0], AlignedTrace) else outcome[0])
+        assert kinds == {AlignedTrace, ParseError, UnknownScreenError}
+        assert 100 < len(fallbacks) < 1900  # both paths ran
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [_START[:20], _START[20:]],
+            [_KEY, _KEY + _KEY],
+            # Each of these would decode, joined by ",\n" into one array, as
+            # one valid key record per line.
+            ['{"t_ms": 0, "kind": "key"', '"session_id": "S1", "participant_id": "P1"}', f"{_KEY},{_KEY}"],
+            [_KEY, f"{_KEY},{_KEY}", _KEY],
+            ['{"t_ms": 0, "kind": "key", "session_id": "S1", "note": "}', '{", "participant_id": "P1"}'],
+            [f'{_KEY},\n{{"t_ms": 0, "kind": "key"', '"session_id": "S1", "participant_id": "P1"}'],
+            [f"5,{_KEY}", _KEY],
+            [_KEY, f"{_KEY},5"],
+            [_START, _line(t_ms="12", kind="click", x=600, y=450, screen="A", step_id="s1"), _line(t_ms=20, kind="step_end", step_id="s1")],
+            [
+                _line(t_ms=0, kind="step_start", step_id="s2"),
+                _line(t_ms=5, kind="move", x=10, y=20, screen="A", step_id="s2"),
+                _line(t_ms=12, kind="click", x=600, y=450, screen="A", step_id="s2"),
+                _line(t_ms=20, kind="step_end", step_id="s2"),
+            ],
+            [
+                json.dumps({"t_ms": 0, "kind": "step_start", "step_id": "s\u20281", "session_id": "S\u2028"}, ensure_ascii=False),
+                "",
+                "   \t",
+                json.dumps({"t_ms": 3, "kind": "step_end", "step_id": "s\u20281", "session_id": "S\u2028"}, ensure_ascii=False)
+                + "\u2028",
+            ],
+            [_START, _line(t_ms=1, kind="step_start", step_id="s1"), _line(t_ms=2, kind="step_end", step_id="s1")],
+            [_START, _line(t_ms=1, kind="key", step_id="s1")],
+            [_KEY, _line(t_ms=1, kind="step_end", step_id="s1")],
+            [_KEY, _line(t_ms=1, kind="key", participant_id="P2")],
+        ],
+        ids=[
+            "split-record", "two-objects", "split-and-comma-joined", "comma-joined", "brace-in-string",
+            "newline-inside-line", "leading-value", "trailing-value",
+            "digit-string-t_ms", "int-coordinates", "u2028-and-blank",
+            "restarted-step", "unclosed-step", "unmatched-end", "changed-participant",
+        ],
+    )
+    def test_crafted_logs_match_reference(self, lines):
+        self._check(_screen_a_graph(), lines)
+
+    def test_click_on_undeclared_screen_outside_steps_is_not_hit_tested(self, monkeypatch):
+        lines = [
+            _line(t_ms=0, kind="click", x=1, y=1, screen="NOPE"),
+            _line(t_ms=1, kind="step_start", step_id="s2"),
+            _line(t_ms=2, kind="step_end", step_id="s2"),
+        ]
+        trace, _ = self._check(_screen_a_graph(), lines)
+        assert trace.unaligned == ("s2",)
+        monkeypatch.setattr(ingest, "parse_session_log", _no_fallback)
+        assert align_lines(_screen_a_graph(), lines, _TARGETS) == trace
+
+    def test_simulated_logs_take_the_fused_path(self, two_screen_graph, monkeypatch):
+        steps = tuple(ProcedureStep(f"s{i}", "", path) for i, path in enumerate(["P_11", "P_12", "P_13", "P_11"]))
+        paths = {path: PathPlan(path, 2.0, p_execution=0.3, p_outcome=0.2) for path in ["P_11", "P_12", "P_13"]}
+        plan = ScenarioPlan((Procedure("PR", steps),), paths, participants=3, sessions_per_participant=4, seed=7)
+        texts = [serialize_session(log) for log in generate_sessions(two_screen_graph, plan)]
+        # Whitespace-only lines (in every other log, after its first three
+        # records) stay on the fused path too.
+        logs = [(text.replace("\n", "\n \n", 3) if i % 2 else text).splitlines() for i, text in enumerate(texts)]
+        targets = {"s3": "P_12"}
+        expected = path_samples(align_events(two_screen_graph, parse_session_log(lines), targets) for lines in logs)
+        assert any(samples.error_steps for samples in expected.values())
+        monkeypatch.setattr(ingest, "parse_session_log", _no_fallback)
+        assert path_samples(align_lines(two_screen_graph, lines, targets) for lines in logs) == expected
 
 
 class TestPathSamples:

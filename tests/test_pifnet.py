@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import tracemalloc
 import zipfile
 
@@ -267,6 +268,12 @@ class TestPersistence:
         model = init_model(1, LABELS)
         save_model(model, tmp_path / "raw.npz")
         assert load_model(tmp_path / "raw.npz").trained is False
+
+    @pytest.mark.parametrize("labels, shown", [((1, 2), "[1, 2]"), (("A", "A"), "['A', 'A']")], ids=["ints", "duplicates"])
+    def test_labels_must_be_distinct_strings(self, tmp_path, labels, shown):
+        save_model(init_model(1, labels), tmp_path / "labels.npz")
+        with pytest.raises(ValueError, match=re.escape(f"label_order must be distinct strings, got {shown})")):
+            load_model(tmp_path / "labels.npz")
 
     def test_shape_claimed_in_header_checked_before_reading(self, tmp_path):
         """A member whose .npy header claims 10**13 floats is rejected by
