@@ -142,7 +142,11 @@ def _session_files(paths: list[str]) -> list[Path]:
 
 
 def _json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("not valid JSON (nested too deeply)") from None
 
 
 def _lines(path: str | Path) -> list[str]:
@@ -347,9 +351,18 @@ def _cmd_pif_cv(args, cfg: AppConfig) -> int:
 
 
 def _cmd_pif_predict(args, cfg: AppConfig) -> int:
+    if args.features is None and args.data is None:
+        raise ValueError("pif predict needs --features or --data")
     model = _trained_model(args.model)
+
+    def rows_of(lines):
+        rows = load_training_csv(lines)
+        if not rows:
+            raise ValueError("no rows to predict")
+        return rows
+
     outputs = []
-    if args.features:
+    if args.features is not None:
         try:
             values = tuple(float(v) for v in args.features.split(","))
             if not all(map(math.isfinite, values)):
@@ -358,12 +371,10 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
         except ValueError as err:
             raise ValueError(f"--features: {err}") from None
         outputs.append({"features": list(values), "label": label, "probabilities": probs})
-    if args.data:
-        for features, _ in _load(args.data, load_training_csv, _lines):
+    if args.data is not None:
+        for features, _ in _load(args.data, rows_of, _lines):
             label, probs = predict(model, features)
             outputs.append({"features": list(features), "label": label, "probabilities": probs})
-    if not outputs:
-        raise ValueError("pif predict needs --features or --data")
     for record in outputs:
         print(json.dumps(record))
     return 0

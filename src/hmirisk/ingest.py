@@ -115,13 +115,11 @@ def load_procedures(document: Any) -> list[Procedure]:
 
 _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
 _STEP_KINDS = {EventKind.STEP_START, EventKind.STEP_END}
-_KINDS = {kind.value: kind for kind in EventKind}
 _ERROR_KINDS = {kind.value: kind for kind in ErrorKind}
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
 _ID_TYPES = {str, type(None)}
 _MAX_FLOAT = sys.float_info.max
-_scan_once = json.JSONDecoder().scan_once
 
 
 def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
@@ -173,16 +171,11 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
 def _decode_line(line: str, line_no: int) -> dict[str, Any]:
     """Decode one stripped log line, which must hold exactly one JSON object."""
     try:
-        record, end = _scan_once(line, 0)
-    except (StopIteration, json.JSONDecodeError, TypeError):  # TypeError: a bytes line
-        end = -1
-    if end != len(line):
-        # On a miss json.loads decodes the line again: it takes bytes lines
-        # and gives the exact error message.
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {line_no}: not valid JSON ({exc.msg})") from None
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {line_no}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ParseError(f"line {line_no}: not valid JSON (nested too deeply)") from None
     if type(record) is not dict:
         raise ParseError(f"line {line_no}: expected a JSON object, got {_JSON_TYPES[type(record)]}")
     return record
@@ -192,9 +185,7 @@ def parse_session_log(lines: Iterable[str]) -> SessionLog:
     """Parse the lines of a JSON-Lines session log, enforcing order and step
     nesting."""
     events: list[TrackerEvent] = []
-    session_id: str | None = None
-    participant_id: str | None = None
-    first_ids: tuple = ()  # the first line's raw ids when both are strings
+    ids: tuple[str, str] | None = None  # (session_id, participant_id) of the first record
     open_steps: set[str] = set()
     last_t = -1
     for line_no, line in enumerate(lines, start=1):
@@ -202,62 +193,23 @@ def parse_session_log(lines: Iterable[str]) -> SessionLog:
         if not line:
             continue
         record = _decode_line(line, line_no)
+        event = _event_from_record(record, line_no)
 
-        # Fast path for the common shapes: an int timestamp, finite int or
-        # float points on moves and clicks, string or absent screen and step
-        # ids (a string step id on step events), no error annotation.
-        # Anything else, including every malformed record, goes through
-        # _event_from_record.
-        get = record.get
-        kind = get("kind")
-        kind = _KINDS.get(kind) if type(kind) is str else None
-        t_ms = get("t_ms")
-        screen, step_id = get("screen"), get("step_id")
-        event = None
-        if (
-            kind is not None and type(t_ms) is int and t_ms >= 0 and get("error_kind") is None
-            and type(screen) in _ID_TYPES and type(step_id) in _ID_TYPES
-        ):
-            if kind in _POINT_KINDS:
-                x, y = get("x"), get("y")
-                # The range test is False for NaN, infinities and ints too
-                # large for a float.
-                if (
-                    type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
-                    and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT
-                ):
-                    event = TrackerEvent(t_ms, kind, (float(x), float(y)), screen, step_id)
-            elif (
-                kind is not EventKind.ERROR_ANNOTATION and "x" not in record and "y" not in record
-                and (step_id is not None or kind not in _STEP_KINDS)
-            ):
-                event = TrackerEvent(t_ms, kind, None, screen, step_id)
-        if event is None:
-            event = _event_from_record(record, line_no)
+        line_ids = (str(record.get("session_id", "")), str(record.get("participant_id", "")))
+        for key, seen, value in zip(("session_id", "participant_id"), ids or line_ids, line_ids):
+            if value != seen:
+                raise ParseError(f"line {line_no}: {key} changed from {seen!r} to {value!r}")
+        ids = line_ids
 
-        # Raw ids equal to the first line's strings are equal after str() too.
-        ids = (get("session_id", ""), get("participant_id", ""))
-        if ids != first_ids:
-            if session_id is None:
-                session_id, participant_id = str(ids[0]), str(ids[1])
-                if type(ids[0]) is str and type(ids[1]) is str:
-                    first_ids = ids
-            else:
-                for key, seen, value in (("session_id", session_id, ids[0]), ("participant_id", participant_id, ids[1])):
-                    if str(value) != seen:
-                        raise ParseError(f"line {line_no}: {key} changed from {seen!r} to {str(value)!r}")
+        if event.t_ms < last_t:
+            raise ParseError(f"line {line_no}: non-monotonic timestamp {event.t_ms} after {last_t}")
+        last_t = event.t_ms
 
-        t_ms = event.t_ms
-        if t_ms < last_t:
-            raise ParseError(f"line {line_no}: non-monotonic timestamp {t_ms} after {last_t}")
-        last_t = t_ms
-
-        kind = event.kind
-        if kind is EventKind.STEP_START:
+        if event.kind is EventKind.STEP_START:
             if event.step_id in open_steps:
                 raise ParseError(f"line {line_no}: step {event.step_id!r} started while already open")
             open_steps.add(event.step_id)
-        elif kind is EventKind.STEP_END:
+        elif event.kind is EventKind.STEP_END:
             if event.step_id not in open_steps:
                 raise ParseError(f"line {line_no}: unmatched step_end for {event.step_id!r}")
             open_steps.discard(event.step_id)
@@ -265,9 +217,9 @@ def parse_session_log(lines: Iterable[str]) -> SessionLog:
 
     if open_steps:
         raise ParseError(f"unmatched step_start for {sorted(open_steps)}")
-    if session_id is None:
+    if ids is None:
         raise ParseError("log contains no events")
-    return SessionLog(session_id, participant_id or "", tuple(events))
+    return SessionLog(ids[0], ids[1], tuple(events))
 
 
 def serialize_session(log: SessionLog) -> str:
@@ -315,6 +267,19 @@ class _OpenStep:
         self.errors: list[ErrorKind] = []
         self.trajectory: list[tuple[float, float]] = []
 
+    def close(self, end_ms: int, targets: Mapping[str, str], unaligned: list[str]) -> AlignedStep:
+        """The step ended at ``end_ms``, bound to its last resolved click, else
+        to its target in ``targets``, else to no path and listed in ``unaligned``."""
+        path_id: str | None = None
+        if self.last_hit is not None:
+            path_id = path_id_for(self.last_hit)
+        elif self.step_id in targets:  # a declared target of "" binds too
+            path_id = targets[self.step_id]
+        else:
+            unaligned.append(self.step_id)
+        duration_s = (end_ms - self.start_ms) / 1000.0
+        return AlignedStep(self.step_id, path_id, duration_s, tuple(self.errors), tuple(self.trajectory))
+
 
 def align_events(
     g: InterfaceGraph,
@@ -337,23 +302,7 @@ def align_events(
         if kind is EventKind.STEP_START:
             open_steps[event.step_id] = _OpenStep(event.step_id, event.t_ms)
         elif kind is EventKind.STEP_END:
-            state = open_steps.pop(event.step_id)
-            path_id: str | None = None
-            if state.last_hit is not None:
-                path_id = path_id_for(state.last_hit)
-            elif state.step_id in targets:
-                path_id = targets[state.step_id]
-            else:
-                unaligned.append(state.step_id)
-            steps.append(
-                AlignedStep(
-                    step_id=state.step_id,
-                    path_id=path_id,
-                    duration_s=(event.t_ms - state.start_ms) / 1000.0,
-                    errors=tuple(state.errors),
-                    trajectory=tuple(state.trajectory),
-                )
-            )
+            steps.append(open_steps.pop(event.step_id).close(event.t_ms, targets, unaligned))
         elif kind in _POINT_KINDS or kind is EventKind.ERROR_ANNOTATION:
             # The event belongs to its own step's window, or to every open
             # window when it names no step.
@@ -408,10 +357,7 @@ def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
     its first "{" opened: the array holds each line's object, equal to the
     line decoded alone, and a line that is not valid JSON fails the decode.
     """
-    try:
-        lines = [line for line in map(str.strip, lines) if line]
-    except TypeError:  # bytes lines
-        return None
+    lines = [line for line in map(str.strip, lines) if line]
     text = ",\n".join(lines)
     n = len(lines)
     if not (
@@ -421,15 +367,18 @@ def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
         return None
     try:
         return json.loads(f"[{text}]")
-    except ValueError:  # a line is not valid JSON
+    except (ValueError, RecursionError):  # a line is not valid JSON, or is nested too deeply
         return None
 
 
 def _align_common_shapes(g: InterfaceGraph, lines: list[str], targets: dict[str, str]) -> AlignedTrace | None:
     """The fused pass of :func:`align_lines`, or None where the lines are
-    not decoded in one call, a record leaves the common shapes that
-    :func:`parse_session_log` takes on its fast path (plus error
-    annotations), or a check fails."""
+    not decoded in one call, a record leaves the common shapes, or a check
+    fails. The common shapes: an int timestamp, string session and
+    participant ids, a string or absent screen and step id, and either a
+    move or click with a finite int or float point, an error annotation
+    with a known error_kind, or a key, step start or step end (with a step
+    id) with neither."""
     records = _line_records(lines)
     if records is None:
         return None
@@ -483,15 +432,7 @@ def _align_common_shapes(g: InterfaceGraph, lines: list[str], targets: dict[str,
             state = open_steps.pop(step_id, None)
             if state is None:
                 return None
-            path_id: str | None = None
-            if state.last_hit is not None:
-                path_id = path_id_for(state.last_hit)
-            elif step_id in targets:
-                path_id = targets[step_id]
-            else:
-                unaligned.append(step_id)
-            duration_s = (t_ms - state.start_ms) / 1000.0
-            steps.append(AlignedStep(step_id, path_id, duration_s, tuple(state.errors), tuple(state.trajectory)))
+            steps.append(state.close(t_ms, targets, unaligned))
             continue
         elif kind == "key":
             continue

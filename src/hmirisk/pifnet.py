@@ -396,7 +396,7 @@ def load_model(path: str | Path) -> PifModel:
                     std=_read_member(archive, "std_std", (INPUT_DIM,)),
                 )
             model.trained = bool(meta["trained"])
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
+    except (ValueError, KeyError, TypeError, EOFError, RecursionError, zipfile.BadZipFile) as err:
         raise ValueError(f"not a readable model file ({err})") from None
     return model
 

@@ -550,6 +550,11 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "bad_session": tmp_path / "bad_session.jsonl",
         "unknown_screen": tmp_path / "unknown_screen.jsonl",
         "unknown_path_plan": tmp_path / "unknown_path_plan.json",
+        "deep": tmp_path / "deep.json",
+        "deep_line": tmp_path / "deep_line.jsonl",
+        "deep_note": tmp_path / "deep_note.jsonl",
+        "deep_model": tmp_path / "deep_model.npz",
+        "header_only": tmp_path / "header_only.csv",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -584,6 +589,12 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     plan = json.loads(plan_file.read_text())
     plan["paths"].append({"path_id": "P_99", "median_s": 1.0})
     files["unknown_path_plan"].write_text(json.dumps(plan))
+    deep = "[" * 100_000 + "]" * 100_000
+    files["deep"].write_text(deep)
+    files["deep_line"].write_text(_session_lines({"t_ms": 0, "kind": "key"}) + deep + "\n")
+    files["deep_note"].write_text(_session_lines({"t_ms": 0, "kind": "key", "note": []}).replace("[]", deep))
+    np.savez(files["deep_model"], meta_json=np.frombuffer(deep.encode(), dtype=np.uint8))
+    files["header_only"].write_text("path_id,vd,sid,is,label\n")
     assert main(["pif", "train", "--data", str(tiny_training_csv), "--model-out", str(files["model"])]) == 0
     return files
 
@@ -597,6 +608,7 @@ _EXIT_CODES = {
         (["{tmp}/absent.json"], 2, "{tmp}/absent.json"),
         (["{broken}"], 2, "{broken}"),
         (["{no_roots}"], 1, None),
+        (["{deep}"], 2, "{deep}: not valid JSON (nested too deeply)"),
     ],
     "simulate": [
         (["--graph", "{graph}", "--plan", "{plan}", "--out", "{tmp}/sim"], 0, None),
@@ -610,6 +622,8 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "{bad_session}"], 2, "{bad_session}: line 2: negative timestamp -5"),
         ([*_SESSIONS, "{unknown_screen}"], 2, "{unknown_screen}: screen 'NOPE' is not declared in the graph"),
         (["--graph", "{no_x_graph}", "--sessions", "{sessions}"], 2, "{no_x_graph}: element 'N_11': missing x"),
+        ([*_SESSIONS, "{deep_line}"], 2, "{deep_line}: line 2: not valid JSON (nested too deeply)"),
+        ([*_SESSIONS, "{deep_note}"], 2, "{deep_note}: line 1: not valid JSON (nested too deeply)"),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
@@ -638,6 +652,7 @@ _EXIT_CODES = {
         (["--k", "50"], 2, "--k: 50 exceeds the 39 training rows"),
         (["--data", "{one_class}"], 2, "{one_class}: training rows contain a single class"),
         (["--data", "{skew}", "--k", "2"], 2, "--k: 2 folds of {skew} leave training split 2 with the single label HSI0"),
+        (["--data", "{data}", "--config", "{deep}"], 2, "{deep}: not valid JSON (nested too deeply)"),
     ],
     "pif predict": [
         (["--model", "{model}", "--features", "5,5,5"], 0, None),
@@ -649,6 +664,9 @@ _EXIT_CODES = {
         (["--model", "{narrow_model}", "--features", "5,5,5"], 2, "{narrow_model}: not a readable model file (param_W0: float32 array of shape (3, 127), expected a float array of shape (3, 128))"),
         (["--model", "{raw_model}", "--features", "5,5,5"], 2, "{raw_model}: model is not trained"),
         (["--model", "{int_model}", "--features", "5,5,5"], 2, "{int_model}: not a readable model file (label_order must be distinct strings, got [1, 2])"),
+        (["--model", "{deep_model}", "--features", "5,5,5"], 2, "{deep_model}: not a readable model file (maximum recursion depth"),
+        (["--model", "{model}", "--data", "{header_only}"], 2, "{header_only}: no rows to predict"),
+        (["--model", "{model}", "--features", ""], 2, "--features: could not convert string to float: ''"),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),

@@ -492,6 +492,15 @@ class TestAlignLines:
         monkeypatch.setattr(ingest, "parse_session_log", _no_fallback)
         assert align_lines(_screen_a_graph(), lines, _TARGETS) == trace
 
+    def test_empty_declared_target_binds_the_step(self, monkeypatch):
+        """A declared target of "" is a target: the step binds to path "" and
+        is not unaligned, on the reference and the fused path alike."""
+        g, lines, targets = _screen_a_graph(), [_START, _line(t_ms=5, kind="step_end", step_id="s1")], {"s1": ""}
+        expected = AlignedTrace("S1", (AlignedStep("s1", "", 0.005, (), ()),), ())
+        assert align_events(g, parse_session_log(lines), targets) == expected
+        monkeypatch.setattr(ingest, "parse_session_log", _no_fallback)
+        assert align_lines(g, lines, targets) == expected
+
     def test_simulated_logs_take_the_fused_path(self, two_screen_graph, monkeypatch):
         steps = tuple(ProcedureStep(f"s{i}", "", path) for i, path in enumerate(["P_11", "P_12", "P_13", "P_11"]))
         paths = {path: PathPlan(path, 2.0, p_execution=0.3, p_outcome=0.2) for path in ["P_11", "P_12", "P_13"]}
