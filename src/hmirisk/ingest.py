@@ -174,6 +174,8 @@ def _decode_line(line: str, line_no: int) -> dict[str, Any]:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {line_no}: not valid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ParseError(f"line {line_no}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ParseError(f"line {line_no}: not valid JSON (nested too deeply)") from None
     if type(record) is not dict:

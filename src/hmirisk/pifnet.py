@@ -4,8 +4,9 @@ A small fully connected network (3 -> 128 -> 64 -> 32 -> K) maps the
 three interface metrics to a PIF level. Each hidden layer is linear,
 batch normalization, ReLU, dropout(0.3); the head is linear + softmax.
 Training minimizes cross-entropy with adaptive-moment gradient descent
-(full batch). Inputs are standardized per feature with statistics
-fitted on the training split only.
+(full batch), run as whole-buffer operations on one flat buffer that
+holds every parameter. Inputs are standardized per feature with
+statistics fitted on the training split only.
 
 The weight table maps PIF levels HSI0..HSI15 to multipliers for the five
 macro-cognitive functions (detection, understanding, decision making,
@@ -100,6 +101,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _views(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of ``flat`` with these shapes, laid end to end."""
+    views, start = [], 0
+    for shape in shapes:
+        views.append(flat[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return views
+
+
 def _forward_train(
     model: PifModel,
     X: np.ndarray,
@@ -107,28 +117,32 @@ def _forward_train(
     masks: Sequence[np.ndarray] | None,
     update_running: bool,
 ):
-    """Batch-statistics forward pass; returns logits and per-layer caches."""
+    """Batch-statistics forward pass; returns logits and per-layer caches.
+
+    The batch statistics are ``z.mean(axis=0)`` and ``z.var(axis=0)`` bit
+    for bit, in fewer calls; the running statistics of all layers are
+    updated at once."""
+    m = X.shape[0]
     a = X
-    caches = []
+    caches, means, variances = [], [], []
     for i in range(len(HIDDEN_SIZES)):
         W, b = model.params[f"W{i}"], model.params[f"b{i}"]
         gamma, beta = model.params[f"gamma{i}"], model.params[f"beta{i}"]
         z = a @ W + b
-        mean = z.mean(axis=0)
-        var = z.var(axis=0)
-        if update_running:
-            model.running_mean[i] = (1 - BN_MOMENTUM) * model.running_mean[i] + BN_MOMENTUM * mean
-            model.running_var[i] = (1 - BN_MOMENTUM) * model.running_var[i] + BN_MOMENTUM * var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (z - mean) * inv_std
-        h = gamma * x_hat + beta
-        r = np.maximum(h, 0.0)
-        if masks is not None:
-            out = r * masks[i] / (1.0 - cfg.dropout)
-        else:
-            out = r
+        means.append(np.add.reduce(z, axis=0) / m)
+        d = z - means[i]
+        variances.append(np.add.reduce(d * d, axis=0) / m)
+        inv_std = 1.0 / np.sqrt(variances[i] + BN_EPS)
+        x_hat = d * inv_std
+        r = np.maximum(gamma * x_hat + beta, 0.0)
+        out = r if masks is None else r * masks[i] / (1.0 - cfg.dropout)
         caches.append((a, x_hat, inv_std, r, None if masks is None else masks[i]))
         a = out
+    if update_running:
+        running = (1 - BN_MOMENTUM) * np.concatenate(model.running_mean + model.running_var)
+        running += BN_MOMENTUM * np.concatenate(means + variances)
+        views = _views(running, [(width,) for width in HIDDEN_SIZES] * 2)
+        model.running_mean[:], model.running_var[:] = views[: len(HIDDEN_SIZES)], views[len(HIDDEN_SIZES) :]
     head = len(HIDDEN_SIZES)
     logits = a @ model.params[f"W{head}"] + model.params[f"b{head}"]
     caches.append((a,))
@@ -157,23 +171,24 @@ def loss_and_gradients(
     """Cross-entropy loss and analytic gradients for one batch.
 
     With ``masks=None`` dropout is off and the pass is deterministic in
-    the batch, which is the mode finite-difference checks use.
+    the batch, which is the mode finite-difference checks use. The
+    gradients are views of one flat buffer laid out like ``model.params``.
     """
     cfg = cfg or TrainConfig()
     m = X.shape[0]
     logits, caches = _forward_train(model, X, cfg, masks, update_running)
-    probs = _softmax(logits)
-    loss = float(-np.log(probs[np.arange(m), y_idx] + 1e-300).mean())
-
-    grads: dict[str, np.ndarray] = {}
-    dlogits = probs.copy()
-    dlogits[np.arange(m), y_idx] -= 1.0
+    dlogits = _softmax(logits)
+    rows = np.arange(m)
+    loss = float(-np.log(dlogits[rows, y_idx] + 1e-300).mean())
+    dlogits[rows, y_idx] -= 1.0
     dlogits /= m
 
+    shapes = [p.shape for p in model.params.values()]
+    grads = dict(zip(model.params, _views(np.empty(sum(map(math.prod, shapes))), shapes)))
     head = len(HIDDEN_SIZES)
     (a_head,) = caches[head]
-    grads[f"W{head}"] = a_head.T @ dlogits
-    grads[f"b{head}"] = dlogits.sum(axis=0)
+    np.matmul(a_head.T, dlogits, out=grads[f"W{head}"])
+    np.add.reduce(dlogits, axis=0, out=grads[f"b{head}"])
     da = dlogits @ model.params[f"W{head}"].T
 
     for i in range(len(HIDDEN_SIZES) - 1, -1, -1):
@@ -181,13 +196,14 @@ def loss_and_gradients(
         if mask is not None:
             da = da * mask / (1.0 - cfg.dropout)
         dh = da * (r > 0)
-        grads[f"gamma{i}"] = (dh * x_hat).sum(axis=0)
-        grads[f"beta{i}"] = dh.sum(axis=0)
+        np.add.reduce(dh * x_hat, axis=0, out=grads[f"gamma{i}"])
+        np.add.reduce(dh, axis=0, out=grads[f"beta{i}"])
         dx_hat = dh * model.params[f"gamma{i}"]
         dz = (inv_std / m) * (m * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
-        grads[f"W{i}"] = a_prev.T @ dz
-        grads[f"b{i}"] = dz.sum(axis=0)
-        da = dz @ model.params[f"W{i}"].T
+        np.matmul(a_prev.T, dz, out=grads[f"W{i}"])
+        np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
+        if i:  # the input needs no gradient
+            da = dz @ model.params[f"W{i}"].T
     return loss, grads
 
 
@@ -235,25 +251,27 @@ def train(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = No
     model.standardizer = Standardizer.fit(X)
     Xs = model.standardizer.transform(X)
 
-    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    # Adam runs on one flat buffer; the parameters become views of it.
+    flat = np.concatenate([p.ravel() for p in model.params.values()])
+    model.params = dict(zip(model.params, _views(flat, [p.shape for p in model.params.values()])))
+    adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
     drop_rng = np.random.default_rng([model.seed, 0x5EED])
     losses = []
     for step in range(1, cfg.epochs + 1):
         masks = None
-        if cfg.dropout > 0.0:
-            masks = [
-                (drop_rng.random((Xs.shape[0], width)) >= cfg.dropout).astype(np.float64)
-                for width in HIDDEN_SIZES
-            ]
+        if cfg.dropout > 0.0:  # one draw per epoch: the same stream as one per layer
+            keep = drop_rng.random(Xs.shape[0] * sum(HIDDEN_SIZES)) >= cfg.dropout
+            masks = _views(keep.astype(np.float64), [(Xs.shape[0], width) for width in HIDDEN_SIZES])
         loss, grads = loss_and_gradients(model, Xs, y, cfg, masks, update_running=True)
         losses.append(loss)
-        for key, grad in grads.items():
-            adam_m[key] = BETA1 * adam_m[key] + (1 - BETA1) * grad
-            adam_v[key] = BETA2 * adam_v[key] + (1 - BETA2) * grad**2
-            m_hat = adam_m[key] / (1 - BETA1**step)
-            v_hat = adam_v[key] / (1 - BETA2**step)
-            model.params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        grad = grads["W0"].base  # the flat buffer behind every gradient
+        adam_m *= BETA1
+        adam_m += (1 - BETA1) * grad
+        adam_v *= BETA2
+        adam_v += (1 - BETA2) * grad**2
+        update = cfg.learning_rate * (adam_m / (1 - BETA1**step))
+        update /= np.sqrt(adam_v / (1 - BETA2**step)) + ADAM_EPS
+        flat -= update
     model.trained = True
     return losses
 

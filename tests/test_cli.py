@@ -553,6 +553,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "deep": tmp_path / "deep.json",
         "deep_line": tmp_path / "deep_line.jsonl",
         "deep_note": tmp_path / "deep_note.jsonl",
+        "big_int": tmp_path / "big_int.jsonl",
         "deep_model": tmp_path / "deep_model.npz",
         "header_only": tmp_path / "header_only.csv",
     }
@@ -593,6 +594,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     files["deep"].write_text(deep)
     files["deep_line"].write_text(_session_lines({"t_ms": 0, "kind": "key"}) + deep + "\n")
     files["deep_note"].write_text(_session_lines({"t_ms": 0, "kind": "key", "note": []}).replace("[]", deep))
+    files["big_int"].write_text(_session_lines({"t_ms": 0, "kind": "key"}, {"t_ms": 1, "kind": "key", "note": 0}).replace('"note": 0', '"note": ' + "9" * 4301))
     np.savez(files["deep_model"], meta_json=np.frombuffer(deep.encode(), dtype=np.uint8))
     files["header_only"].write_text("path_id,vd,sid,is,label\n")
     assert main(["pif", "train", "--data", str(tiny_training_csv), "--model-out", str(files["model"])]) == 0
@@ -624,6 +626,7 @@ _EXIT_CODES = {
         (["--graph", "{no_x_graph}", "--sessions", "{sessions}"], 2, "{no_x_graph}: element 'N_11': missing x"),
         ([*_SESSIONS, "{deep_line}"], 2, "{deep_line}: line 2: not valid JSON (nested too deeply)"),
         ([*_SESSIONS, "{deep_note}"], 2, "{deep_note}: line 1: not valid JSON (nested too deeply)"),
+        ([*_SESSIONS, "{big_int}"], 2, "{big_int}: line 2: not valid JSON (Exceeds the limit (4300 digits)"),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),

@@ -160,11 +160,18 @@ class TestParseSessionLog:
             ({"t_ms": " 12 ", "kind": "key"}, "malformed timestamp ' 12 '"),
             ({"t_ms": "-5", "kind": "key"}, "malformed timestamp '-5'"),
             ({"t_ms": "\u0661\u0662", "kind": "key"}, "malformed timestamp '\u0661\u0662'"),
+            pytest.param(
+                _line(t_ms=0, kind="key", note=0).replace('"note": 0', '"note": ' + "9" * 4301),
+                "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit)",
+                id="4301-digit-int",
+            ),
         ],
     )
     def test_bad_value_is_parse_error(self, record, message):
+        """A record is given as its fields, or as a line json.dumps cannot write."""
         with pytest.raises(ParseError) as info:
-            parse_session_log([_line(**record)])
+            parse_session_log([record if isinstance(record, str) else _line(**record)])
         assert str(info.value) == f"line 1: {message}"
 
     @pytest.mark.parametrize(

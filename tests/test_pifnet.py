@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import io
 import math
 import re
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import hmirisk.pifnet as pifnet
+from hmirisk import dataset
 from hmirisk.pifnet import (
     CvResult,
     Standardizer,
@@ -329,8 +332,6 @@ class TestPifWeights:
 
 
 def test_reference_dataset_training_accuracy():
-    from hmirisk import dataset
-
     rows = dataset.training_rows()
     model = init_model(0, sorted({label for _, label in rows}))
     train(model, rows)
@@ -355,3 +356,75 @@ def test_training_csv_rejects_non_finite_feature(value):
 def test_training_csv_names_line_of_non_numeric_feature():
     with pytest.raises(ValueError, match="^line 3: non-numeric feature in 'P_2,abc,0,0,HSI0'$"):
         load_training_csv(["path_id,vd,sid,is,label", "P_1,0.25,0,0.4,HSI0", "P_2,abc,0,0,HSI0"])
+
+
+def _trained_digest(model, losses) -> str:
+    """SHA-256 over the parameters, the running statistics and the loss trace."""
+    digest = hashlib.sha256()
+    for key, value in model.params.items():
+        digest.update(key.encode() + np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    for value in (*model.running_mean, *model.running_var):
+        digest.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    digest.update(np.array(losses, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _trained(case, tmp_path):
+    """The model and loss trace of one pinned training run on the 39
+    reference rows at seed 0."""
+    rows = dataset.training_rows()
+    model = init_model(0, sorted({label for _, label in rows}, key=pifnet._label_key))
+    if case == "default":
+        return model, train(model, rows)
+    if case == "no_dropout":
+        return model, train(model, rows, TrainConfig(dropout=0.0))
+    if case == "retrained":  # the second run starts from the first run's parameters
+        first = train(model, rows, TrainConfig(epochs=100))
+        return model, first + train(model, rows, TrainConfig(epochs=200))
+    assert case == "reloaded"  # trained, saved, loaded, and trained again
+    train(model, rows)
+    save_model(model, tmp_path / "m.npz")
+    model = load_model(tmp_path / "m.npz")
+    return model, train(model, rows, TrainConfig(epochs=50))
+
+
+class TestTrainedBits:
+    """The trained bits, pinned: a faster training loop must reproduce every
+    parameter, running statistic and loss exactly."""
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("default", "a9b10cdd09afac49982d7ce04dc30ac957608aab8dbfedd10f09b012bb996733"),
+            ("no_dropout", "301d9268c583206cf2467a0a1fbfc21687a6c29882e3befc0c45900e366b0df9"),
+            ("retrained", "ff918248eb6195038b20f3adae88a4ab93ee484cd690acc1deb243a2abeebcc0"),
+            ("reloaded", "510ca40770dd3922a6682ce6a89a9b655bb305946d2a20981a63283f6b354d25"),
+        ],
+    )
+    def test_digest(self, case, expected, tmp_path):
+        assert _trained_digest(*_trained(case, tmp_path)) == expected
+
+    def test_one_epoch_is_one_adam_step_of_loss_and_gradients(self):
+        """train takes its gradients from loss_and_gradients, not from a
+        copy of the forward and backward passes."""
+        rows = dataset.training_rows()
+        model = init_model(0, sorted({label for _, label in rows}, key=pifnet._label_key))
+        twin = copy.deepcopy(model)
+        cfg = TrainConfig(epochs=1, dropout=0.0)
+        losses = train(model, rows, cfg)
+        X, y = pifnet._rows_to_arrays(rows, model.label_order)
+        loss, grads = loss_and_gradients(twin, model.standardizer.transform(X), y, cfg, update_running=True)
+        assert losses == [loss]
+        assert set(grads) == set(model.params)
+        for key, grad in grads.items():
+            m_hat = ((1 - pifnet.BETA1) * grad) / (1 - pifnet.BETA1)
+            v_hat = ((1 - pifnet.BETA2) * grad**2) / (1 - pifnet.BETA2)
+            expected = twin.params[key] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + pifnet.ADAM_EPS)
+            assert np.array_equal(model.params[key], expected), key
+        for got, want in zip((*model.running_mean, *model.running_var), (*twin.running_mean, *twin.running_var)):
+            assert np.array_equal(got, want)
+
+    def test_kfold_cv_result(self):
+        assert kfold_cv(dataset.training_rows(), 5, 0) == CvResult(
+            (1.0, 0.875, 0.875, 0.75, 0.8571428571428571), 0.8714285714285713, 0.08874838314135126
+        )
