@@ -299,31 +299,36 @@ def align_events(
     steps: list[AlignedStep] = []
     unaligned: list[str] = []
 
-    for event in log.events:
-        kind = event.kind
-        if kind is EventKind.STEP_START:
-            open_steps[event.step_id] = _OpenStep(event.step_id, event.t_ms)
-        elif kind is EventKind.STEP_END:
-            steps.append(open_steps.pop(event.step_id).close(event.t_ms, targets, unaligned))
-        elif kind in _POINT_KINDS or kind is EventKind.ERROR_ANNOTATION:
-            # The event belongs to its own step's window, or to every open
-            # window when it names no step.
-            if event.step_id is not None:
-                found = open_steps.get(event.step_id)
-                windows = (found,) if found else ()
-            else:
-                windows = tuple(open_steps.values())
-            if kind is EventKind.ERROR_ANNOTATION:
-                for state in windows:
-                    state.errors.append(event.error_kind)
-                continue
-            hit = None
-            if windows and kind is EventKind.CLICK and event.screen_id is not None:
-                hit = hit_test(g, event.screen_id, event.point)
+    # Local names spare each test in the loop a lookup on the EventKind class.
+    start, end, key = EventKind.STEP_START, EventKind.STEP_END, EventKind.KEY
+    note, click = EventKind.ERROR_ANNOTATION, EventKind.CLICK
+    for t_ms, kind, point, screen_id, step_id, error_kind in log.events:
+        if kind is start:
+            open_steps[step_id] = _OpenStep(step_id, t_ms)
+            continue
+        if kind is end:
+            steps.append(open_steps.pop(step_id).close(t_ms, targets, unaligned))
+            continue
+        if kind is key:
+            continue
+        # A move, click or error annotation belongs to its own step's window,
+        # or to every open window when it names no step.
+        if step_id is not None:
+            found = open_steps.get(step_id)
+            windows = (found,) if found else ()
+        else:
+            windows = tuple(open_steps.values())
+        if kind is note:
             for state in windows:
-                state.trajectory.append(event.point)
-                if hit is not None:
-                    state.last_hit = hit
+                state.errors.append(error_kind)
+            continue
+        hit = None
+        if windows and kind is click and screen_id is not None:
+            hit = hit_test(g, screen_id, point)
+        for state in windows:
+            state.trajectory.append(point)
+            if hit is not None:
+                state.last_hit = hit
 
     return AlignedTrace(log.session_id, tuple(steps), tuple(unaligned))
 

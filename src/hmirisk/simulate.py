@@ -6,13 +6,17 @@ errors from independent Bernoulli draws per step, and cursor
 trajectories are piecewise-linear with bounded jitter.
 
 generate_sessions checks the plan and resolves each step's target element
-and screen once. Each session then draws all its randomness (durations,
-start gaps, waypoint counts, jitters, click points, error uniforms) in a
-few array calls on its own counter-based Philox key (64-bit, algorithm
-pinned by numpy), hashed from (plan seed, participant, session index), so
-sessions are independent and output is reproducible: same plan, same
-bytes. RNG_ALGORITHM names the stream; whatever changes the bytes a seed
-gives must change it.
+and screen once. Sessions are drawn one by one: each draws all its
+randomness (durations, start gaps, waypoint counts, jitters, click points,
+error uniforms) in six array calls on its own counter-based Philox key
+(64-bit, algorithm pinned by numpy), hashed from (plan seed, participant,
+session index), so sessions are independent and output is reproducible:
+same plan, same bytes. The schedule, the geometry and the events are then
+computed for blocks of sessions of at most 512 steps in all (one session
+when it alone is longer), so memory does not grow with the plan. The
+layout moves no bit: every operation is elementwise or on integers.
+RNG_ALGORITHM names the stream; whatever changes the bytes a seed gives
+must change it.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -97,6 +102,8 @@ class _Steps:
             path_plan.validate()
         targets = {path_id: g.by_id[resolve_path(g, path_id).node_chain[-1]] for path_id in plan.paths}
         steps = [step for proc in plan.procedures for step in proc.steps]
+        if not steps:
+            raise ValueError("plan declares no procedure steps")
         rows = []
         for step in steps:
             if step.target_path not in targets:
@@ -105,7 +112,7 @@ class _Steps:
             screen = g.screens[e.screen_id]
             box = e.bbox or (*e.position, 0.0, 0.0)  # a bbox-less target is a zero box at its centre
             rows.append((p.median_s, p.sigma, p.p_execution, p.p_outcome, *e.position, *box, screen.width_px, screen.height_px))
-        table = np.array(rows, dtype=float).reshape(-1, 12)
+        table = np.array(rows, dtype=float)
         self.step_ids = [step.step_id for step in steps]
         self.screen_ids = [targets[step.target_path].screen_id for step in steps]
         self.median_s, self.sigma, self.p_error = table[:, 0], table[:, 1], table[:, 2:4]  # execution, outcome
@@ -116,61 +123,93 @@ class _Steps:
 
 _ERROR_KINDS = (ErrorKind.EXECUTION, ErrorKind.OUTCOME)
 _WAYPOINT_INDEX = np.arange(1, _MAX_WAYPOINTS + 1)
+# Sessions are computed in blocks of about this many steps, so no array grows
+# with the number of sessions.
+_BLOCK_STEPS = 512
+_new = tuple.__new__  # builds a TrackerEvent from its six fields without a keyword call
 
 
-def _draw_session(steps: _Steps, key: int, session_id: str, participant_id: str) -> SessionLog:
-    """One session: all its randomness in a few array draws, then the events."""
+def _draw(steps: _Steps, key: int) -> tuple[np.ndarray, ...]:
+    """One session's randomness, in six array calls on its own Philox key:
+    durations, start gaps, waypoint counts, jitters, click fractions and
+    error uniforms."""
     rng = np.random.Generator(np.random.Philox(key=key))
     n = len(steps.step_ids)
-    durations = lognormal_durations(steps.median_s, steps.sigma, n, rng)
-    if not np.all(durations < _MAX_DURATION_S):
-        raise ValueError(f"session {session_id}: a drawn step duration reaches {_MAX_DURATION_S:g} s")
+    return (
+        lognormal_durations(steps.median_s, steps.sigma, n, rng),
+        rng.integers(200, 1500, n),
+        rng.integers(3, _MAX_WAYPOINTS + 1, n),
+        rng.uniform(-WAYPOINT_JITTER_PX, WAYPOINT_JITTER_PX, (n, _MAX_WAYPOINTS, 2)),
+        rng.uniform(0.1, 0.9, (n, 2)),
+        rng.random((n, 2)),
+    )
+
+
+def _draw_block(steps: _Steps, sessions: list[tuple[int, str, str]]) -> list[SessionLog]:
+    """The sessions (key, session id, participant id) of one block: each
+    draws on its own key, then the schedule, the geometry and the events
+    of the whole block are computed at once."""
+    draws = zip(*(_draw(steps, key) for key, _, _ in sessions))
+    durations, gaps, n_way, jitter, click_u, error_u = map(np.stack, draws)
+    too_long = ~(durations < _MAX_DURATION_S).all(axis=1)
+    if too_long.any():
+        raise ValueError(f"session {sessions[too_long.argmax()][1]}: a drawn step duration reaches {_MAX_DURATION_S:g} s")
     duration_ms = np.maximum(np.rint(durations * 1000), _MIN_DURATION_MS).astype(np.int64)
-    gaps = rng.integers(200, 1500, n)
-    n_way = rng.integers(3, _MAX_WAYPOINTS + 1, n)
-    jitter = rng.uniform(-WAYPOINT_JITTER_PX, WAYPOINT_JITTER_PX, (n, _MAX_WAYPOINTS, 2))
-    clicks = steps.box_origin + rng.uniform(0.1, 0.9, (n, 2)) * steps.box_size  # central 80% of the box
-    errors = rng.random((n, 2)) < steps.p_error
+    clicks = steps.box_origin + click_u * steps.box_size  # central 80% of the box
+    errors = error_u < steps.p_error
 
     # The first step starts at 0, each later one a gap after the previous end.
-    starts = np.concatenate(([0], duration_ms[:-1] + gaps[1:])).cumsum()
+    starts = np.zeros_like(gaps)
+    starts[:, 1:] = duration_ms[:, :-1] + gaps[:, 1:]
+    starts = starts.cumsum(axis=1)
     # Waypoints run from the previous click when it is on the same screen,
     # else from the screen centre, toward the target with bounded jitter.
-    origin = np.where(steps.same_screen[:, None], np.roll(clicks, 1, axis=0), steps.screen_size / 2)
-    f = _WAYPOINT_INDEX / (n_way[:, None] + 1.0)
-    points = origin[:, None] + f[..., None] * (steps.target - origin)[:, None] + jitter
+    origin = np.where(steps.same_screen[:, None], np.roll(clicks, 1, axis=1), steps.screen_size / 2)
+    f = _WAYPOINT_INDEX / (n_way[..., None] + 1.0)
+    points = origin[:, :, None] + f[..., None] * (steps.target - origin)[:, :, None] + jitter
     points = np.clip(points, 0.0, steps.screen_size[:, None])
     # Moves and the click split the step into n_way + 4 slots; the annotations
     # follow the click 1 ms apart, before the end.
     slots = n_way + 4
-    move_ms = starts[:, None] + _WAYPOINT_INDEX * duration_ms[:, None] // slots[:, None]
+    move_ms = starts[..., None] + _WAYPOINT_INDEX * duration_ms[..., None] // slots[..., None]
     click_ms = starts + (n_way + 1) * duration_ms // slots
 
-    events: list[TrackerEvent] = []
-    rows = zip(
-        steps.step_ids, steps.screen_ids, starts.tolist(), (starts + duration_ms).tolist(), n_way.tolist(),
-        move_ms.tolist(), points.tolist(), click_ms.tolist(), clicks.tolist(), errors.tolist(),
+    columns = (
+        starts.tolist(), (starts + duration_ms).tolist(), n_way.tolist(), move_ms.tolist(),
+        points[..., 0].tolist(), points[..., 1].tolist(), click_ms.tolist(), clicks.tolist(), errors.tolist(),
     )
-    for step_id, screen_id, start, end, k, moves, way, t, click, erred in rows:
-        events.append(TrackerEvent(start, EventKind.STEP_START, step_id=step_id))
-        events.extend(TrackerEvent(at, EventKind.MOVE, (x, y), screen_id, step_id) for at, (x, y) in zip(moves[:k], way))
-        events.append(TrackerEvent(t, EventKind.CLICK, tuple(click), screen_id, step_id))
-        for error_kind, happened in zip(_ERROR_KINDS, erred):
-            if happened:
-                t += 1
-                events.append(TrackerEvent(t, EventKind.ERROR_ANNOTATION, step_id=step_id, error_kind=error_kind))
-        events.append(TrackerEvent(end, EventKind.STEP_END, step_id=step_id))
-    return SessionLog(session_id, participant_id, tuple(events))
+    # Local names spare each event a lookup on the EventKind class.
+    start, move, click = EventKind.STEP_START, EventKind.MOVE, EventKind.CLICK
+    note, end = EventKind.ERROR_ANNOTATION, EventKind.STEP_END
+    logs = []
+    for (_, session_id, participant_id), *session in zip(sessions, *columns):
+        events: list[TrackerEvent] = []
+        rows = zip(steps.step_ids, steps.screen_ids, *session)
+        for step_id, screen_id, t0, t1, k, moves, xs, ys, t, (cx, cy), erred in rows:
+            events.append(_new(TrackerEvent, (t0, start, None, None, step_id, None)))
+            events.extend(map(_new, repeat(TrackerEvent, k), zip(
+                moves[:k], repeat(move), zip(xs[:k], ys[:k]), repeat(screen_id), repeat(step_id), repeat(None),
+            )))
+            events.append(_new(TrackerEvent, (t, click, (cx, cy), screen_id, step_id, None)))
+            for error_kind, happened in zip(_ERROR_KINDS, erred):
+                if happened:
+                    t += 1
+                    events.append(_new(TrackerEvent, (t, note, None, None, step_id, error_kind)))
+            events.append(_new(TrackerEvent, (t1, end, None, None, step_id, None)))
+        logs.append(SessionLog(session_id, participant_id, tuple(events)))
+    return logs
 
 
 def generate_sessions(g: InterfaceGraph, plan: ScenarioPlan) -> list[SessionLog]:
     """All sessions of the plan, in (participant, session) order."""
     steps = _Steps(g, plan)
-    return [
-        _draw_session(steps, session_seed(plan.seed, participant, index), f"S{participant:02d}-{index:03d}", f"P{participant:02d}")
+    sessions = [
+        (session_seed(plan.seed, participant, index), f"S{participant:02d}-{index:03d}", f"P{participant:02d}")
         for participant in range(plan.participants)
         for index in range(plan.sessions_per_participant)
     ]
+    block = max(1, _BLOCK_STEPS // len(steps.step_ids))
+    return [log for i in range(0, len(sessions), block) for log in _draw_block(steps, sessions[i : i + block])]
 
 
 def write_sessions(logs: Iterable[SessionLog], out_dir: str | Path) -> list[str]:

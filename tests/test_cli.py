@@ -550,6 +550,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "bad_session": tmp_path / "bad_session.jsonl",
         "unknown_screen": tmp_path / "unknown_screen.jsonl",
         "unknown_path_plan": tmp_path / "unknown_path_plan.json",
+        "no_steps_plan": tmp_path / "no_steps_plan.json",
         "deep": tmp_path / "deep.json",
         "deep_line": tmp_path / "deep_line.jsonl",
         "deep_note": tmp_path / "deep_note.jsonl",
@@ -590,6 +591,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     plan = json.loads(plan_file.read_text())
     plan["paths"].append({"path_id": "P_99", "median_s": 1.0})
     files["unknown_path_plan"].write_text(json.dumps(plan))
+    files["no_steps_plan"].write_text(json.dumps({"procedures": [{"procedure_id": "PR", "steps": []}], "paths": []}))
     deep = "[" * 100_000 + "]" * 100_000
     files["deep"].write_text(deep)
     files["deep_line"].write_text(_session_lines({"t_ms": 0, "kind": "key"}) + deep + "\n")
@@ -617,6 +619,7 @@ _EXIT_CODES = {
         (["--graph", "{graph}", "--plan", "{tmp}/absent.json", "--out", "{tmp}/sim"], 2, "{tmp}/absent.json"),
         (["--graph", "{graph}", "--plan", "{broken}", "--out", "{tmp}/sim"], 2, "{broken}"),
         (["--graph", "{graph}", "--plan", "{unknown_path_plan}", "--out", "{tmp}/sim"], 2, "{unknown_path_plan}"),
+        (["--graph", "{graph}", "--plan", "{no_steps_plan}", "--out", "{tmp}/sim"], 2, "{no_steps_plan}: plan declares no procedure steps"),
     ],
     "ingest": [
         ([*_SESSIONS, "{sessions}"], 0, None),

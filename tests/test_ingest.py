@@ -373,6 +373,36 @@ class TestAlignEvents:
         assert trace.unaligned == ("s1",)
         assert trace.steps[0].path_id is None
 
+    def test_window_rules_of_overlapping_steps(self, two_screen_graph):
+        """With s1 and s2 open at once: an event naming no step goes to both,
+        an event naming s1 only to s1, and an event naming the closed s0, or a
+        key event, to neither."""
+        log = _session(
+            [
+                TrackerEvent(0, EventKind.STEP_START, step_id="s0"),
+                TrackerEvent(1, EventKind.STEP_END, step_id="s0"),
+                TrackerEvent(2, EventKind.STEP_START, step_id="s1"),
+                TrackerEvent(3, EventKind.STEP_START, step_id="s2"),
+                TrackerEvent(4, EventKind.MOVE, point=(180.0, 290.0), screen_id="A"),
+                TrackerEvent(5, EventKind.CLICK, point=(200.0, 300.0), screen_id="A", step_id="s1"),
+                TrackerEvent(6, EventKind.ERROR_ANNOTATION, error_kind=ErrorKind.EXECUTION),
+                TrackerEvent(7, EventKind.MOVE, point=(1.0, 1.0), screen_id="A", step_id="s0"),
+                TrackerEvent(8, EventKind.CLICK, point=(500.0, 300.0), screen_id="A", step_id="s0"),
+                TrackerEvent(9, EventKind.ERROR_ANNOTATION, step_id="s0", error_kind=ErrorKind.OUTCOME),
+                TrackerEvent(10, EventKind.KEY, point=(500.0, 300.0), screen_id="A", step_id="s2"),
+                TrackerEvent(11, EventKind.KEY),
+                TrackerEvent(12, EventKind.STEP_END, step_id="s2"),
+                TrackerEvent(13, EventKind.STEP_END, step_id="s1"),
+            ]
+        )
+        trace = align_events(two_screen_graph, log)
+        assert trace.steps == (
+            AlignedStep("s0", None, 0.001, (), ()),
+            AlignedStep("s2", None, 0.009, (ErrorKind.EXECUTION,), ((180.0, 290.0),)),
+            AlignedStep("s1", "P_11", 0.011, (ErrorKind.EXECUTION,), ((180.0, 290.0), (200.0, 300.0))),
+        )
+        assert trace.unaligned == ("s0", "s2")
+
     def test_duration_sum_bounded_by_session_span(self, two_screen_graph):
         events = []
         t = 0

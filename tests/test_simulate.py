@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,32 @@ class TestGeneration:
             "903c4f01f7f33883a74f899769e4d290970cda9ff28ea89e10ea49d8fa897d8d"
         )
 
+    @pytest.mark.parametrize(
+        "n_steps, participants, sessions, seed, digest",
+        [
+            (3, 3, 120, 21, "7e345dc448e44876414918609b47ba6986a03c997ceea6a2217bb8e41db4f54b"),
+            (600, 1, 3, 8, "7276c158259aa066efab726b5e4d25a0da2efd05d4b0e6301eec4268982b126b"),
+        ],
+        ids=["many-sessions-per-block", "one-session-per-block"],
+    )
+    def test_multi_block_bytes_pinned(self, two_screen_graph, n_steps, participants, sessions, seed, digest):
+        """The bytes of plans that span several blocks of sessions: 360 short
+        sessions, and 3 sessions of 600 steps each."""
+        path_ids = ["P_11", "P_12", "P_13"]
+        width = len(str(n_steps - 1))
+        steps = tuple(
+            ProcedureStep(f"s{i:0{width}d}", f"check {path_ids[i % 3]}", path_ids[i % 3]) for i in range(n_steps)
+        )
+        paths = {pid: PathPlan(pid, 2.0, p_execution=0.4, p_outcome=0.2) for pid in path_ids}
+        plan = ScenarioPlan((Procedure("PR", steps),), paths, participants, sessions, seed)
+        text = "".join(serialize_session(log) for log in generate_sessions(two_screen_graph, plan))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_plan_without_steps_rejected(self, two_screen_graph):
+        plan = ScenarioPlan((Procedure("PR", ()),), {}, 1, 1, 0)
+        with pytest.raises(ValueError, match="plan declares no procedure steps"):
+            generate_sessions(two_screen_graph, plan)
+
     def test_event_schedule_and_waypoint_geometry(self, two_screen_graph):
         """Moves and the click split a step into n + 4 slots, annotations follow
         the click 1 ms apart, and waypoint k lies within the jitter of the
@@ -162,6 +189,26 @@ class TestGeneration:
         paths = {**plan.paths, "P_12": PathPlan("P_12", median_s=median)}
         with pytest.raises(ValueError, match="drawn step duration"):
             generate_sessions(two_screen_graph, ScenarioPlan(plan.procedures, paths, 1, 1, 0))
+
+    def test_duration_error_names_first_offending_session(self, two_screen_graph):
+        """Each session's first draw is its step durations; the error names the
+        first session, in plan order, whose draw reaches the clock bound."""
+        median = 1e9 / math.exp(0.28 * 3)  # a draw reaches 1e9 s at z >= 3
+        plan = ScenarioPlan(
+            (Procedure("PR", (ProcedureStep("s0", "check pump speed", "P_11"),)),),
+            {"P_11": PathPlan("P_11", median_s=median)},
+            participants=1,
+            sessions_per_participant=1000,
+            seed=3,
+        )
+        first = next(
+            index
+            for index in range(1000)
+            if np.random.Generator(np.random.Philox(key=session_seed(3, 0, index))).lognormal(math.log(median), 0.28, 1)[0] >= 1e9
+        )
+        assert first >= 512  # beyond the first block of sessions
+        with pytest.raises(ValueError, match=rf"^session S00-{first:03d}: a drawn step duration reaches 1e\+09 s$"):
+            generate_sessions(two_screen_graph, plan)
 
     def test_session_seed_distinct_per_participant_and_index(self):
         seeds = {session_seed(1, p, s) for p in range(10) for s in range(10)}
