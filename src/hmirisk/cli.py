@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import __version__, dataset
 from .config import AppConfig, config_from_dict
-from .embed import EmbeddingCache, LocalProvider, RemoteProvider, name_similarity
-from .graph import GraphError, load_graph
+from .embed import EmbeddingCache, EmbeddingTransportError, LocalProvider, RemoteProvider, name_similarity
+from .graph import GraphError, UnknownPathError, load_graph, resolve_path
 from .ingest import align_lines, load_procedures, path_samples
 from .metrics import metric_to_dict, metric_vector, metrics_csv_rows
 from .pifnet import (
@@ -163,9 +163,22 @@ def _load(path: str | Path, parse, read=_json):
 
 
 def _load_inputs(args):
-    """Graph, procedures, and a generator of aligned traces, one session file at a time."""
+    """Graph, procedures, and a generator of aligned traces, one session file
+    at a time. Every declared step target must resolve in the graph."""
     graph = _load(args.graph, load_graph)
-    procedures = _load(args.procedures, load_procedures) if getattr(args, "procedures", None) else []
+
+    def resolved_procedures(document):
+        procedures = load_procedures(document)
+        for proc in procedures:
+            for step in proc.steps:
+                try:
+                    if step.target_path is not None:
+                        resolve_path(graph, step.target_path)
+                except UnknownPathError as err:
+                    raise ValueError(f"procedure {proc.procedure_id!r}, step {step.step_id!r}: {err}") from None
+        return procedures
+
+    procedures = _load(args.procedures, resolved_procedures) if getattr(args, "procedures", None) else []
     targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
 
     def aligned(lines):
@@ -226,15 +239,19 @@ def _train_default_model(cfg: AppConfig, seed: int, rows=None):
 def _path_metric_entries(graph, samples, cfg: AppConfig):
     """Per-path metric vectors; the span uses the mean traversal across
     recorded instances of the path (an exactly rounded sum, so the same
-    sessions in any order give the same bits)."""
+    sessions in any order give the same bits). A remote embedding service
+    that fails is an error of ``embed.endpoint``."""
     sim = _similarity(cfg)
     entries = []
     for path_id in sorted(samples):
         lengths = samples[path_id].traversals
         mean_px = math.fsum(lengths) / len(lengths) if lengths else 0.0
-        metric = metric_vector(
-            graph, path_id, mean_px, sim, theta=cfg.metrics.theta, normalizer_px=cfg.metrics.normalizer_px
-        )
+        try:
+            metric = metric_vector(
+                graph, path_id, mean_px, sim, theta=cfg.metrics.theta, normalizer_px=cfg.metrics.normalizer_px
+            )
+        except EmbeddingTransportError as err:
+            raise ValueError(f"embed.endpoint: {cfg.embed.endpoint}: {err}") from None
         entries.append((path_id, metric))
     return entries
 

@@ -8,6 +8,14 @@ Training minimizes cross-entropy with adaptive-moment gradient descent
 holds every parameter. Inputs are standardized per feature with
 statistics fitted on the training split only.
 
+Each ``train`` call builds one workspace for the model and its batch: it
+holds every buffer the forward pass, the backward pass, the dropout draw,
+the gradients and the Adam update write into, so an epoch runs through
+``out=`` and in-place ufuncs and allocates no arrays. The passes exist
+once, in the workspace; ``loss_and_gradients`` runs them on a fresh
+workspace. Every operation keeps its operands and their order, so the
+trained bits are those of the plain array expressions in the comments.
+
 The weight table maps PIF levels HSI0..HSI15 to multipliers for the five
 macro-cognitive functions (detection, understanding, decision making,
 execution, teamwork); entries without an applicable weight stay None.
@@ -95,10 +103,14 @@ def init_model(seed: int, label_order: Sequence[str]) -> PifModel:
     return PifModel(label_order=label_order, seed=seed)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits``, in place; ``row`` is an ``(m, 1)``
+    buffer for the row maxima and sums."""
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
+    np.subtract(logits, row, out=logits)
+    np.exp(logits, out=logits)
+    np.add.reduce(logits, axis=1, keepdims=True, out=row)
+    return np.divide(logits, row, out=logits)
 
 
 def _views(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
@@ -110,43 +122,133 @@ def _views(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarr
     return views
 
 
-def _forward_train(
-    model: PifModel,
-    X: np.ndarray,
-    cfg: TrainConfig,
-    masks: Sequence[np.ndarray] | None,
-    update_running: bool,
-):
-    """Batch-statistics forward pass; returns logits and per-layer caches.
+class _Layer:
+    """The buffers of one hidden layer for a batch of ``m`` rows. ``x_hat``
+    holds z, then z minus the batch mean, then the normalized z; ``da``
+    holds the output gradient, then dh, dx_hat and dz in turn."""
 
-    The batch statistics are ``z.mean(axis=0)`` and ``z.var(axis=0)`` bit
-    for bit, in fewer calls; the running statistics of all layers are
-    updated at once."""
-    m = X.shape[0]
-    a = X
-    caches, means, variances = [], [], []
-    for i in range(len(HIDDEN_SIZES)):
-        W, b = model.params[f"W{i}"], model.params[f"b{i}"]
-        gamma, beta = model.params[f"gamma{i}"], model.params[f"beta{i}"]
-        z = a @ W + b
-        means.append(np.add.reduce(z, axis=0) / m)
-        d = z - means[i]
-        variances.append(np.add.reduce(d * d, axis=0) / m)
-        inv_std = 1.0 / np.sqrt(variances[i] + BN_EPS)
-        x_hat = d * inv_std
-        r = np.maximum(gamma * x_hat + beta, 0.0)
-        out = r if masks is None else r * masks[i] / (1.0 - cfg.dropout)
-        caches.append((a, x_hat, inv_std, r, None if masks is None else masks[i]))
-        a = out
-    if update_running:
-        running = (1 - BN_MOMENTUM) * np.concatenate(model.running_mean + model.running_var)
-        running += BN_MOMENTUM * np.concatenate(means + variances)
-        views = _views(running, [(width,) for width in HIDDEN_SIZES] * 2)
-        model.running_mean[:], model.running_var[:] = views[: len(HIDDEN_SIZES)], views[len(HIDDEN_SIZES) :]
-    head = len(HIDDEN_SIZES)
-    logits = a @ model.params[f"W{head}"] + model.params[f"b{head}"]
-    caches.append((a,))
-    return logits, caches
+    def __init__(self, m: int, width: int):
+        self.x_hat, self.r, self.out, self.tmp, self.da = (np.empty((m, width)) for _ in range(5))
+        self.positive = np.empty((m, width), dtype=bool)
+        self.inv_std, self.scale, self.sum_dx_hat, self.sum_dx_hat_x_hat = np.empty((4, width))
+        self.a_in: np.ndarray | None = None  # the layer's input in the current pass
+
+
+class _Workspace:
+    """Every buffer one full-batch training pass of ``model`` on ``X`` and
+    ``y_idx`` writes: the forward and backward passes, the dropout draw,
+    the gradients and Adam. An epoch runs through ``out=`` and in-place
+    ufuncs only, so it allocates no arrays."""
+
+    def __init__(self, model: PifModel, X: np.ndarray, y_idx: np.ndarray):
+        m, head = X.shape[0], len(HIDDEN_SIZES)
+        self.model, self.X, self.m = model, X, m
+        self.params = [tuple(model.params[f"{name}{i}"] for name in ("W", "b", "gamma", "beta")) for i in range(head)]
+        self.head = model.params[f"W{head}"], model.params[f"b{head}"]
+        self.layers = [_Layer(m, width) for width in HIDDEN_SIZES]
+        # The batch means of every layer, then the batch variances, laid out
+        # like the running means and variances they update.
+        vectors = [(width,) for width in HIDDEN_SIZES] * 2
+        self.stats = np.empty(2 * sum(HIDDEN_SIZES))
+        stat_views = _views(self.stats, vectors)
+        self.means, self.variances = stat_views[:head], stat_views[head:]
+        self.running = np.concatenate(model.running_mean + model.running_var)
+        running_views = _views(self.running, vectors)
+        self.running_means, self.running_vars = running_views[:head], running_views[head:]
+        self.logits = np.empty((m, len(model.label_order)))
+        self.row = np.empty((m, 1))
+        self.onehot = np.zeros_like(self.logits)
+        self.onehot[np.arange(m), y_idx] = 1.0
+        self.picks = np.flatnonzero(self.onehot)  # of probs[rows, y], one per row
+        self.picked = np.empty(m)
+        self.draw = np.empty(m * sum(HIDDEN_SIZES))
+        self.keep = np.empty_like(self.draw)  # 1.0 or 0.0: multiplies faster than a bool mask
+        self.masks = _views(self.keep, [(m, width) for width in HIDDEN_SIZES])
+        shapes = [p.shape for p in model.params.values()]
+        self.grad = np.empty(sum(map(math.prod, shapes)))
+        self.grads = dict(zip(model.params, _views(self.grad, shapes)))
+        self.layer_grads = [tuple(self.grads[f"{name}{i}"] for name in ("W", "b", "gamma", "beta")) for i in range(head)]
+        self.adam_m, self.adam_v = np.zeros_like(self.grad), np.zeros_like(self.grad)
+        self.update, self.adam_tmp = np.empty_like(self.grad), np.empty_like(self.grad)
+
+    def dropout_masks(self, rng: np.random.Generator, dropout: float) -> list[np.ndarray]:
+        """This epoch's keep masks, one draw for all layers: the same stream
+        as one draw per layer."""
+        rng.random(out=self.draw)
+        np.greater_equal(self.draw, dropout, out=self.keep)
+        return self.masks
+
+    def backprop(self, masks: Sequence[np.ndarray] | None, dropout: float, update_running: bool) -> float:
+        """Batch-statistics forward pass, cross-entropy loss and analytic
+        gradients into ``grads``; returns the loss. The batch statistics
+        are ``z.mean(axis=0)`` and ``z.var(axis=0)`` bit for bit; the
+        running statistics of all layers are updated at once."""
+        m, head, keep_scale = self.m, len(HIDDEN_SIZES), 1.0 - dropout
+        a = self.X
+        for i, (layer, (W, b, gamma, beta)) in enumerate(zip(self.layers, self.params)):
+            layer.a_in = a
+            x_hat, mean, var, inv_std, r = layer.x_hat, self.means[i], self.variances[i], layer.inv_std, layer.r
+            np.add(np.matmul(a, W, out=x_hat), b, out=x_hat)  # z = a @ W + b
+            np.divide(np.add.reduce(x_hat, axis=0, out=mean), m, out=mean)  # mean = z.sum(axis=0) / m
+            np.subtract(x_hat, mean, out=x_hat)  # d = z - mean
+            np.add.reduce(np.multiply(x_hat, x_hat, out=layer.tmp), axis=0, out=var)
+            np.divide(var, m, out=var)  # var = (d * d).sum(axis=0) / m
+            np.divide(1.0, np.sqrt(np.add(var, BN_EPS, out=inv_std), out=inv_std), out=inv_std)
+            np.multiply(x_hat, inv_std, out=x_hat)  # x_hat = d * (1.0 / np.sqrt(var + BN_EPS))
+            np.maximum(np.add(np.multiply(gamma, x_hat, out=r), beta, out=r), 0.0, out=r)  # max(gamma * x_hat + beta, 0)
+            a = r
+            if masks is not None:  # a = r * mask / (1 - dropout)
+                a = np.divide(np.multiply(r, masks[i], out=layer.out), keep_scale, out=layer.out)
+        if update_running:  # running = (1 - momentum) * running + momentum * batch statistics
+            self.running *= 1 - BN_MOMENTUM
+            self.stats *= BN_MOMENTUM
+            self.running += self.stats
+            self.model.running_mean[:], self.model.running_var[:] = self.running_means, self.running_vars
+        W_head, b_head = self.head
+        probs = _softmax(np.add(np.matmul(a, W_head, out=self.logits), b_head, out=self.logits), self.row)
+        # mode="clip" writes straight into picked, which the default mode buffers; every index is valid
+        picked = np.add(np.take(probs, self.picks, out=self.picked, mode="clip"), 1e-300, out=self.picked)
+        loss = float(-np.log(picked, out=picked).mean())  # -log(probs[rows, y] + 1e-300).mean()
+        dlogits = np.subtract(probs, self.onehot, out=probs)  # probs[rows, y] -= 1
+        dlogits /= m
+
+        np.matmul(a.T, dlogits, out=self.grads[f"W{head}"])
+        np.add.reduce(dlogits, axis=0, out=self.grads[f"b{head}"])
+        np.matmul(dlogits, W_head.T, out=self.layers[-1].da)
+        for i in range(head - 1, -1, -1):
+            layer, (W, _, gamma, _) = self.layers[i], self.params[i]
+            grad_W, grad_b, grad_gamma, grad_beta = self.layer_grads[i]
+            da, x_hat, tmp = layer.da, layer.x_hat, layer.tmp
+            if masks is not None:  # da = da * mask / (1 - dropout)
+                np.divide(np.multiply(da, masks[i], out=da), keep_scale, out=da)
+            np.multiply(da, np.greater(layer.r, 0, out=layer.positive), out=da)  # dh = da * (r > 0)
+            np.add.reduce(np.multiply(da, x_hat, out=tmp), axis=0, out=grad_gamma)  # (dh * x_hat).sum(axis=0)
+            np.add.reduce(da, axis=0, out=grad_beta)
+            np.multiply(da, gamma, out=da)  # dx_hat = dh * gamma
+            # dz = (inv_std / m) * (m * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
+            np.divide(layer.inv_std, m, out=layer.scale)
+            np.add.reduce(da, axis=0, out=layer.sum_dx_hat)
+            np.add.reduce(np.multiply(da, x_hat, out=tmp), axis=0, out=layer.sum_dx_hat_x_hat)
+            np.subtract(np.multiply(m, da, out=da), layer.sum_dx_hat, out=da)
+            np.subtract(da, np.multiply(x_hat, layer.sum_dx_hat_x_hat, out=tmp), out=da)
+            np.multiply(layer.scale, da, out=da)  # dz
+            np.matmul(layer.a_in.T, da, out=grad_W)
+            np.add.reduce(da, axis=0, out=grad_b)
+            if i:  # the input needs no gradient; da of the layer below = dz @ W.T
+                np.matmul(da, W.T, out=self.layers[i - 1].da)
+        return loss
+
+    def adam_step(self, flat: np.ndarray, step: int, learning_rate: float) -> None:
+        """One Adam update of the parameters in ``flat`` from ``grad``."""
+        grad, tmp, update = self.grad, self.adam_tmp, self.update
+        self.adam_m *= BETA1
+        self.adam_m += np.multiply(1 - BETA1, grad, out=tmp)  # m = BETA1 * m + (1 - BETA1) * grad
+        self.adam_v *= BETA2
+        self.adam_v += np.multiply(1 - BETA2, np.square(grad, out=tmp), out=tmp)  # likewise with grad**2
+        # flat -= learning_rate * (m / (1 - BETA1**step)) / (np.sqrt(v / (1 - BETA2**step)) + ADAM_EPS)
+        np.multiply(learning_rate, np.divide(self.adam_m, 1 - BETA1**step, out=update), out=update)
+        update /= np.add(np.sqrt(np.divide(self.adam_v, 1 - BETA2**step, out=tmp), out=tmp), ADAM_EPS, out=tmp)
+        flat -= update
 
 
 def _forward_eval(model: PifModel, X: np.ndarray) -> np.ndarray:
@@ -175,36 +277,8 @@ def loss_and_gradients(
     gradients are views of one flat buffer laid out like ``model.params``.
     """
     cfg = cfg or TrainConfig()
-    m = X.shape[0]
-    logits, caches = _forward_train(model, X, cfg, masks, update_running)
-    dlogits = _softmax(logits)
-    rows = np.arange(m)
-    loss = float(-np.log(dlogits[rows, y_idx] + 1e-300).mean())
-    dlogits[rows, y_idx] -= 1.0
-    dlogits /= m
-
-    shapes = [p.shape for p in model.params.values()]
-    grads = dict(zip(model.params, _views(np.empty(sum(map(math.prod, shapes))), shapes)))
-    head = len(HIDDEN_SIZES)
-    (a_head,) = caches[head]
-    np.matmul(a_head.T, dlogits, out=grads[f"W{head}"])
-    np.add.reduce(dlogits, axis=0, out=grads[f"b{head}"])
-    da = dlogits @ model.params[f"W{head}"].T
-
-    for i in range(len(HIDDEN_SIZES) - 1, -1, -1):
-        a_prev, x_hat, inv_std, r, mask = caches[i]
-        if mask is not None:
-            da = da * mask / (1.0 - cfg.dropout)
-        dh = da * (r > 0)
-        np.add.reduce(dh * x_hat, axis=0, out=grads[f"gamma{i}"])
-        np.add.reduce(dh, axis=0, out=grads[f"beta{i}"])
-        dx_hat = dh * model.params[f"gamma{i}"]
-        dz = (inv_std / m) * (m * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
-        np.matmul(a_prev.T, dz, out=grads[f"W{i}"])
-        np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
-        if i:  # the input needs no gradient
-            da = dz @ model.params[f"W{i}"].T
-    return loss, grads
+    workspace = _Workspace(model, X, y_idx)
+    return workspace.backprop(masks, cfg.dropout, update_running), workspace.grads
 
 
 def _as_features(features) -> np.ndarray:
@@ -254,24 +328,13 @@ def train(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = No
     # Adam runs on one flat buffer; the parameters become views of it.
     flat = np.concatenate([p.ravel() for p in model.params.values()])
     model.params = dict(zip(model.params, _views(flat, [p.shape for p in model.params.values()])))
-    adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
+    workspace = _Workspace(model, Xs, y)
     drop_rng = np.random.default_rng([model.seed, 0x5EED])
     losses = []
     for step in range(1, cfg.epochs + 1):
-        masks = None
-        if cfg.dropout > 0.0:  # one draw per epoch: the same stream as one per layer
-            keep = drop_rng.random(Xs.shape[0] * sum(HIDDEN_SIZES)) >= cfg.dropout
-            masks = _views(keep.astype(np.float64), [(Xs.shape[0], width) for width in HIDDEN_SIZES])
-        loss, grads = loss_and_gradients(model, Xs, y, cfg, masks, update_running=True)
-        losses.append(loss)
-        grad = grads["W0"].base  # the flat buffer behind every gradient
-        adam_m *= BETA1
-        adam_m += (1 - BETA1) * grad
-        adam_v *= BETA2
-        adam_v += (1 - BETA2) * grad**2
-        update = cfg.learning_rate * (adam_m / (1 - BETA1**step))
-        update /= np.sqrt(adam_v / (1 - BETA2**step)) + ADAM_EPS
-        flat -= update
+        masks = workspace.dropout_masks(drop_rng, cfg.dropout) if cfg.dropout > 0.0 else None
+        losses.append(workspace.backprop(masks, cfg.dropout, update_running=True))
+        workspace.adam_step(flat, step, cfg.learning_rate)
     model.trained = True
     return losses
 
@@ -284,7 +347,7 @@ def predict(model: PifModel, features) -> tuple[str, dict[str, float]]:
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     logits = _forward_eval(model, model.standardizer.transform(x[None, :]))
-    probs = _softmax(logits)[0]
+    probs = _softmax(logits, np.empty((1, 1)))[0]
     label = model.label_order[int(np.argmax(probs))]
     return label, {lab: float(p) for lab, p in zip(model.label_order, probs)}
 
@@ -414,7 +477,7 @@ def load_model(path: str | Path) -> PifModel:
                     std=_read_member(archive, "std_std", (INPUT_DIM,)),
                 )
             model.trained = bool(meta["trained"])
-    except (ValueError, KeyError, TypeError, EOFError, RecursionError, zipfile.BadZipFile) as err:
+    except (ValueError, KeyError, TypeError, EOFError, RecursionError, NotImplementedError, zipfile.BadZipFile) as err:
         raise ValueError(f"not a readable model file ({err})") from None
     return model
 

@@ -10,11 +10,13 @@ and screen once. Sessions are drawn one by one: each draws all its
 randomness (durations, start gaps, waypoint counts, jitters, click points,
 error uniforms) in six array calls on its own counter-based Philox key
 (64-bit, algorithm pinned by numpy), hashed from (plan seed, participant,
-session index), so sessions are independent and output is reproducible:
-same plan, same bytes. The schedule, the geometry and the events are then
-computed for blocks of sessions of at most 512 steps in all (one session
-when it alone is longer), so memory does not grow with the plan. The
-layout moves no bit: every operation is elementwise or on integers.
+session index); one Philox per call is re-keyed for each session, which
+gives the stream of a fresh one. Sessions are independent and output is
+reproducible: same plan, same bytes. The schedule, the geometry and the
+events are then computed for blocks of sessions of at most 512 steps in
+all (one session when it alone is longer), so memory does not grow with
+the plan. The layout moves no bit: every operation is elementwise or on
+integers.
 RNG_ALGORITHM names the stream; whatever changes the bytes a seed gives
 must change it.
 """
@@ -129,11 +131,25 @@ _BLOCK_STEPS = 512
 _new = tuple.__new__  # builds a TrackerEvent from its six fields without a keyword call
 
 
-def _draw(steps: _Steps, key: int) -> tuple[np.ndarray, ...]:
-    """One session's randomness, in six array calls on its own Philox key:
-    durations, start gaps, waypoint counts, jitters, click fractions and
-    error uniforms."""
-    rng = np.random.Generator(np.random.Philox(key=key))
+def _rekey(rng: np.random.Generator, key: int) -> None:
+    """Reset ``rng``'s Philox to the state a fresh ``Philox(key=key)`` starts
+    in: the same stream, without building a Philox (and the unused
+    entropy-seeded SeedSequence it makes) for every session."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _draw(steps: _Steps, rng: np.random.Generator, key: int) -> tuple[np.ndarray, ...]:
+    """One session's randomness, in six array calls on its own Philox key
+    (``rng`` re-keyed): durations, start gaps, waypoint counts, jitters,
+    click fractions and error uniforms."""
+    _rekey(rng, key)
     n = len(steps.step_ids)
     return (
         lognormal_durations(steps.median_s, steps.sigma, n, rng),
@@ -145,11 +161,11 @@ def _draw(steps: _Steps, key: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _draw_block(steps: _Steps, sessions: list[tuple[int, str, str]]) -> list[SessionLog]:
+def _draw_block(steps: _Steps, rng: np.random.Generator, sessions: list[tuple[int, str, str]]) -> list[SessionLog]:
     """The sessions (key, session id, participant id) of one block: each
     draws on its own key, then the schedule, the geometry and the events
     of the whole block are computed at once."""
-    draws = zip(*(_draw(steps, key) for key, _, _ in sessions))
+    draws = zip(*(_draw(steps, rng, key) for key, _, _ in sessions))
     durations, gaps, n_way, jitter, click_u, error_u = map(np.stack, draws)
     too_long = ~(durations < _MAX_DURATION_S).all(axis=1)
     if too_long.any():
@@ -209,7 +225,8 @@ def generate_sessions(g: InterfaceGraph, plan: ScenarioPlan) -> list[SessionLog]
         for index in range(plan.sessions_per_participant)
     ]
     block = max(1, _BLOCK_STEPS // len(steps.step_ids))
-    return [log for i in range(0, len(sessions), block) for log in _draw_block(steps, sessions[i : i + block])]
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each session
+    return [log for i in range(0, len(sessions), block) for log in _draw_block(steps, rng, sessions[i : i + block])]
 
 
 def write_sessions(logs: Iterable[SessionLog], out_dir: str | Path) -> list[str]:

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hmirisk import cli
+from hmirisk import cli, embed
 from hmirisk.cli import main
 from hmirisk.graph import load_graph
 from hmirisk.ingest import align_events, align_lines, parse_session_log
@@ -557,6 +557,8 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "big_int": tmp_path / "big_int.jsonl",
         "deep_model": tmp_path / "deep_model.npz",
         "header_only": tmp_path / "header_only.csv",
+        "zip_version_model": tmp_path / "zip_version.npz",
+        "unknown_target": tmp_path / "unknown_target.json",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -600,10 +602,17 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     np.savez(files["deep_model"], meta_json=np.frombuffer(deep.encode(), dtype=np.uint8))
     files["header_only"].write_text("path_id,vd,sid,is,label\n")
     assert main(["pif", "train", "--data", str(tiny_training_csv), "--model-out", str(files["model"])]) == 0
+    archive = bytearray(files["model"].read_bytes())
+    archive[archive.index(b"PK\x01\x02") + 6] ^= 0xFF  # first central-directory entry: version needed to extract
+    files["zip_version_model"].write_bytes(archive)
+    procedures = json.loads(files["procedures"].read_text())
+    procedures[0]["steps"][1]["target_path"] = "P_999"
+    files["unknown_target"].write_text(json.dumps(procedures))
     return files
 
 
 _SESSIONS = ["--graph", "{graph}", "--sessions"]
+_UNKNOWN_TARGET = "{unknown_target}: procedure 'PR', step 's1': path 'P_999' has no terminal node in the graph"
 
 # command, argv, expected exit code, what every error line must name
 _EXIT_CODES = {
@@ -630,11 +639,13 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{deep_line}"], 2, "{deep_line}: line 2: not valid JSON (nested too deeply)"),
         ([*_SESSIONS, "{deep_note}"], 2, "{deep_note}: line 1: not valid JSON (nested too deeply)"),
         ([*_SESSIONS, "{big_int}"], 2, "{big_int}: line 2: not valid JSON (Exceeds the limit (4300 digits)"),
+        ([*_SESSIONS, "{sessions}", "--procedures", "{unknown_target}"], 2, _UNKNOWN_TARGET),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
         ([*_SESSIONS, "{sessions}", "--t95", "{tmp}/absent.csv", "--out", "{tmp}/hfe"], 2, "{tmp}/absent.csv"),
         ([*_SESSIONS, "{sessions}", "--t95", "{bad_t95}", "--out", "{tmp}/hfe"], 2, "{bad_t95}: line 2"),
+        ([*_SESSIONS, "{sessions}", "--procedures", "{unknown_target}", "--out", "{tmp}/hfe"], 2, _UNKNOWN_TARGET),
     ],
     "metrics": [
         ([*_SESSIONS, "{sessions}", "--out", "{tmp}/metrics"], 0, None),
@@ -673,6 +684,7 @@ _EXIT_CODES = {
         (["--model", "{deep_model}", "--features", "5,5,5"], 2, "{deep_model}: not a readable model file (maximum recursion depth"),
         (["--model", "{model}", "--data", "{header_only}"], 2, "{header_only}: no rows to predict"),
         (["--model", "{model}", "--features", ""], 2, "--features: could not convert string to float: ''"),
+        (["--model", "{zip_version_model}", "--features", "5,5,5"], 2, "{zip_version_model}: not a readable model file (zip file version"),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),
@@ -683,6 +695,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--model", "{narrow_model}", "--out", "{tmp}/report"], 2, "{narrow_model}: not a readable model file (param_W0: float32 array of shape (3, 127), expected a float array of shape (3, 128))"),
         ([*_SESSIONS, "{sessions}", "--model", "{int_model}", "--out", "{tmp}/report"], 2, "{int_model}: not a readable model file (label_order must be distinct strings, got [1, 2])"),
         ([*_SESSIONS, "{sessions}", "--model", "{raw_model}", "--out", "{tmp}/report"], 2, "{raw_model}: model is not trained"),
+        ([*_SESSIONS, "{sessions}", "--model", "{zip_version_model}", "--out", "{tmp}/report"], 2, "{zip_version_model}: not a readable model file (zip file version"),
     ],
 }
 
@@ -707,3 +720,17 @@ def test_exit_code_of_every_command(command, argv, code, named, cli_inputs, caps
         assert lines and all(
             line.startswith(f"error: {named}") or line.startswith("error: [Errno 2] ") and named in line for line in lines
         )
+
+
+def test_unreachable_embedding_endpoint_exits_two(cli_inputs, monkeypatch, capsys):
+    """A remote embedding service that cannot be reached is one error line
+    naming the config key, not a traceback."""
+    monkeypatch.setattr(embed.time, "sleep", lambda seconds: None)  # no retry back-off
+    config = cli_inputs["tmp"] / "remote.json"
+    config.write_text(json.dumps({"embed": {"provider": "remote", "endpoint": "http://127.0.0.1:9/embed"}}))
+    argv = ["metrics", "--config", str(config), "--graph", str(cli_inputs["graph"]), "--sessions", str(cli_inputs["sessions"])]
+    assert main([*argv, "--out", str(cli_inputs["tmp"] / "metrics")]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: embed.endpoint: http://127.0.0.1:9/embed: ")

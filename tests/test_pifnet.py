@@ -371,8 +371,12 @@ def _trained_digest(model, losses) -> str:
 
 def _trained(case, tmp_path):
     """The model and loss trace of one pinned training run on the 39
-    reference rows at seed 0."""
+    reference rows at seed 0; ``small`` is 8 rows of 2 labels at seed 7."""
     rows = dataset.training_rows()
+    if case == "small":  # a batch size and head width no other case has
+        rows = rows[:8]
+        model = init_model(7, sorted({label for _, label in rows}, key=pifnet._label_key))
+        return model, train(model, rows, TrainConfig(epochs=40, dropout=0.5))
     model = init_model(0, sorted({label for _, label in rows}, key=pifnet._label_key))
     if case == "default":
         return model, train(model, rows)
@@ -399,6 +403,7 @@ class TestTrainedBits:
             ("no_dropout", "301d9268c583206cf2467a0a1fbfc21687a6c29882e3befc0c45900e366b0df9"),
             ("retrained", "ff918248eb6195038b20f3adae88a4ab93ee484cd690acc1deb243a2abeebcc0"),
             ("reloaded", "510ca40770dd3922a6682ce6a89a9b655bb305946d2a20981a63283f6b354d25"),
+            ("small", "4e2fcf75b0da8a426938e3d32bc4b1a44168638e9bfafb529f20c90a04c9b0ad"),
         ],
     )
     def test_digest(self, case, expected, tmp_path):
@@ -423,6 +428,29 @@ class TestTrainedBits:
             assert np.array_equal(model.params[key], expected), key
         for got, want in zip((*model.running_mean, *model.running_var), (*twin.running_mean, *twin.running_var)):
             assert np.array_equal(got, want)
+
+    def test_an_epoch_allocates_no_arrays(self):
+        """After the workspace is built, the dropout draw, the passes and the
+        Adam update write only into its buffers: an epoch's peak of traced
+        memory stays below the size of its smallest per-row array, the
+        logits. A small ufunc buffer size keeps numpy's own iteration
+        buffers, which broadcasting operands need, below that too."""
+        rows = dataset.training_rows() * 4
+        model = init_model(0, sorted({label for _, label in rows}, key=pifnet._label_key))
+        X, y = pifnet._rows_to_arrays(rows, model.label_order)
+        workspace = pifnet._Workspace(model, X, y)
+        flat, rng = np.zeros_like(workspace.grad), np.random.default_rng(0)
+        buffer_size = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            for step in range(1, 4):
+                workspace.backprop(workspace.dropout_masks(rng, 0.3), 0.3, update_running=True)
+                workspace.adam_step(flat, step, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(buffer_size)
+        assert peak < workspace.logits.nbytes
 
     def test_kfold_cv_result(self):
         assert kfold_cv(dataset.training_rows(), 5, 0) == CvResult(

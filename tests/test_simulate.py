@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hmirisk import simulate
 from hmirisk.ingest import (
     EventKind,
     Procedure,
@@ -123,6 +124,19 @@ class TestGeneration:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "903c4f01f7f33883a74f899769e4d290970cda9ff28ea89e10ea49d8fa897d8d"
         )
+
+    @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, session_seed(3, 0, 0)])
+    def test_rekeyed_generator_draws_as_a_fresh_philox(self, key):
+        """One generator re-keyed per session gives each session the stream
+        of its own fresh Philox(key=key), whatever it drew before."""
+        rng = np.random.Generator(np.random.Philox(key=5))
+        rng.random(3)  # a part-used output buffer must not carry over
+        rng.integers(0, 2**32, 1, dtype=np.uint32)  # nor a buffered 32-bit half
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        simulate._rekey(rng, key)
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32), lambda g: g.random(9)):
+            assert np.array_equal(draw(rng), draw(fresh))
 
     @pytest.mark.parametrize(
         "n_steps, participants, sessions, seed, digest",
