@@ -8,7 +8,7 @@ longest traversable distance.
 """
 from hmirisk.dataset import NORMALIZER_PX, REFERENCE_METRIC_ROWS, build_reference_graph
 from hmirisk.embed import name_similarity
-from hmirisk.metrics import metric_to_dict, metric_vector, metrics_csv_rows
+from hmirisk.metrics import metric_vector, metrics_csv_rows
 
 graph = build_reference_graph()
 sim = name_similarity()
@@ -18,11 +18,12 @@ sim = name_similarity()
 entries = []
 for row in REFERENCE_METRIC_ROWS[:8]:
     m = metric_vector(graph, row.path_id, row.is_px[0], sim, normalizer_px=NORMALIZER_PX)
-    entries.append((row.path_id, metric_to_dict(m)))
+    entries.append((row.path_id, m))
+    raw = m["raw"]
     print(
-        f"{row.path_id}: vd 1/{m.raw.n_elements} = {m.vd:.5f}   "
-        f"sid {m.raw.n_high_similarity}/{m.raw.n_comparisons}   "
-        f"is {m.raw.traversal_px:.2f}/{m.raw.normalizer_px:.2f} = {m.is_norm:.5f}"
+        f"{row.path_id}: vd 1/{raw['n_elements']} = {m['vd']:.5f}   "
+        f"sid {raw['n_high_similarity']}/{raw['n_comparisons']}   "
+        f"is {raw['traversal_px']:.2f}/{raw['normalizer_px']:.2f} = {m['is']:.5f}"
     )
 
 print("\nCSV form:")

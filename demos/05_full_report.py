@@ -7,7 +7,6 @@ into design-conflict vs operator-variability regions. Files land in
 ./report_out (report.json plus CSV summaries and plot data).
 """
 from hmirisk.config import AppConfig
-from hmirisk.metrics import MetricCounts, MetricVector
 from hmirisk.dataset import (
     REFERENCE_METRIC_ROWS,
     build_reference_graph,
@@ -38,12 +37,22 @@ train(model, rows)
 assessments = []
 for row in REFERENCE_METRIC_ROWS:
     label, probs = predict(model, row.features())
-    metric = MetricVector(
-        vd=row.features()[0],
-        sid=row.features()[1],
-        is_norm=row.features()[2],
-        raw=MetricCounts(row.vd[1], row.sid[0], row.sid[1], row.is_px[0], row.is_px[1]),
-    )
+    vd, sid, span = row.features()
+    # The published table's counts, in the form metrics.metric_vector returns.
+    metric = {
+        "vd": vd,
+        "sid": sid,
+        "is": span,
+        "raw": {
+            "n_elements": row.vd[1],
+            "n_high_similarity": row.sid[0],
+            "n_comparisons": row.sid[1],
+            "traversal_px": row.is_px[0],
+            "normalizer_px": row.is_px[1],
+        },
+        "sid_undefined": False,
+        "sid_contributors": [],
+    }
     assessments.append((row.path_id, metric, label, probs))
 
 report = assemble_report(graph, hfe, assessments, config)

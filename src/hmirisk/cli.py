@@ -17,7 +17,7 @@ from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, EmbeddingTransportError, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, UnknownPathError, load_graph, resolve_path
 from .ingest import align_lines, load_procedures, path_samples
-from .metrics import metric_to_dict, metric_vector, metrics_csv_rows
+from .metrics import metric_vector, metrics_csv_rows
 from .pifnet import (
     PIF_WEIGHT_TABLE,
     evaluate,
@@ -236,11 +236,12 @@ def _train_default_model(cfg: AppConfig, seed: int, rows=None):
     return model
 
 
-def _path_metric_entries(graph, samples, cfg: AppConfig):
+def _path_metric_entries(graph, graph_file, samples, cfg: AppConfig):
     """Per-path metric vectors; the span uses the mean traversal across
     recorded instances of the path (an exactly rounded sum, so the same
-    sessions in any order give the same bits). A remote embedding service
-    that fails is an error of ``embed.endpoint``."""
+    sessions in any order give the same bits). An element the metrics
+    cannot use is an error of ``graph_file``, and a remote embedding
+    service that fails is an error of ``embed.endpoint``."""
     sim = _similarity(cfg)
     entries = []
     for path_id in sorted(samples):
@@ -250,6 +251,8 @@ def _path_metric_entries(graph, samples, cfg: AppConfig):
             metric = metric_vector(
                 graph, path_id, mean_px, sim, theta=cfg.metrics.theta, normalizer_px=cfg.metrics.normalizer_px
             )
+        except GraphError as err:
+            raise ValueError(f"{graph_file}: {err}") from None
         except EmbeddingTransportError as err:
             raise ValueError(f"embed.endpoint: {cfg.embed.endpoint}: {err}") from None
         entries.append((path_id, metric))
@@ -317,7 +320,10 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
     overrides = _load(args.t95, load_t95_overrides, _lines) if args.t95 else {}
     time_models = {}
     for path_id in sorted(set(samples) | set(overrides)):
-        durations = samples[path_id].durations if path_id in samples else None
+        # Fitted on the positive durations only, the detector's rule.
+        durations = [d for d in samples[path_id].durations if d > 0] if path_id in samples else []
+        if not durations and path_id not in overrides:
+            continue
         model = model_from_samples_or_p95(durations, overrides.get(path_id))
         time_models[path_id] = {
             "mu": model.mu,
@@ -334,8 +340,8 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
 
 def _cmd_metrics(args, cfg: AppConfig) -> int:
     graph, _, traces = _load_inputs(args)
-    entries = _path_metric_entries(graph, path_samples(traces), cfg)
-    text = "\n".join(metrics_csv_rows((path_id, metric_to_dict(m)) for path_id, m in entries)) + "\n"
+    entries = _path_metric_entries(graph, args.graph, path_samples(traces), cfg)
+    text = "\n".join(metrics_csv_rows(entries)) + "\n"
     (_out_dir(args) / "metrics.csv").write_text(text, encoding="utf-8")
     print(f"metrics for {len(entries)} path(s) written to {args.out}/metrics.csv")
     return 0
@@ -403,8 +409,8 @@ def _cmd_report(args, cfg: AppConfig) -> int:
     grouping, hfe = _detect(graph, samples, procedures, cfg)
     model = _trained_model(args.model, pif_levels=True) if args.model else _train_default_model(cfg, args.seed)
     assessments = []
-    for path_id, metric in _path_metric_entries(graph, samples, cfg):
-        label, probs = predict(model, metric)
+    for path_id, metric in _path_metric_entries(graph, args.graph, samples, cfg):
+        label, probs = predict(model, (metric["vd"], metric["sid"], metric["is"]))
         assessments.append((path_id, metric, label, probs))
 
     report = assemble_report(graph, hfe, assessments, cfg)

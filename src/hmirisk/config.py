@@ -111,7 +111,10 @@ def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
         kwargs[section] = cls(
             **{key: _checked_value(f"{section}.{key}", fields[key].type, value) for key, value in data.items()}
         )
-    return AppConfig(**kwargs)
+    config = AppConfig(**kwargs)
+    if config.embed.provider == "remote" and not config.embed.endpoint.strip():
+        raise ValueError("config embed.endpoint: must be set when embed.provider is 'remote'")
+    return config
 
 
 def config_fingerprint(cfg: AppConfig) -> str:

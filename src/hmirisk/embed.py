@@ -170,7 +170,10 @@ class EmbeddingCache:
 
     File layout: 4-byte magic, 1-byte version, then records of
     ``uint32 length | 32-byte sha256 key | uint32 dim | dim * float32``.
-    Concurrent readers are safe; appends are serialized by a lock.
+    A record that runs past the end of the file is an interrupted append
+    and is ignored; a complete record whose length is not ``36 + 4 * dim``
+    is an error naming the file and the record's byte offset. Concurrent
+    readers are safe; appends are serialized by a lock.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -200,9 +203,10 @@ class EmbeddingCache:
             offset += 4
             if offset + length > len(blob):
                 break  # truncated tail from an interrupted append
+            if length < 36 or length != 36 + 4 * struct.unpack_from("<I", blob, offset + 32)[0]:
+                raise ValueError(f"{path}: cache record at byte {offset - 4}: length {length} does not fit its header")
             key = blob[offset : offset + 32]
-            (dim,) = struct.unpack_from("<I", blob, offset + 32)
-            values = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset + 36)
+            values = np.frombuffer(blob, dtype="<f4", count=(length - 36) // 4, offset=offset + 36)
             self._mem[(provider_tag, bytes(key))] = values.copy()
             offset += length
 

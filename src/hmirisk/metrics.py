@@ -12,39 +12,17 @@ Three quantities characterize how hard an interface makes one operation:
   distance (defaults to the layout diagonal).
 
 The interference denominator counts target-vs-other comparisons
-(``n_elements - 1``).
+(``n_elements - 1``). A path's metrics have one form: the plain dict
+:func:`metric_vector` returns, which ``report.json`` embeds as it is.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .graph import ExecutionPath, InterfaceGraph, resolve_path
+from .graph import GraphError, InterfaceGraph, resolve_path
 
 SIMILARITY_THRESHOLD = 0.8
-
-
-@dataclass(frozen=True)
-class MetricCounts:
-    n_elements: int
-    n_high_similarity: int
-    n_comparisons: int
-    traversal_px: float
-    normalizer_px: float
-
-
-@dataclass(frozen=True)
-class MetricVector:
-    vd: float
-    sid: float
-    is_norm: float
-    raw: MetricCounts
-    sid_undefined: bool = False
-    sid_contributors: tuple[str, ...] = ()
-
-    def features(self) -> tuple[float, float, float]:
-        return (self.vd, self.sid, self.is_norm)
 
 
 def visual_density(screen_elements: Sequence, target_id: str) -> float:
@@ -52,8 +30,7 @@ def visual_density(screen_elements: Sequence, target_id: str) -> float:
     n = len(screen_elements)
     if n < 1:
         raise ValueError("screen has no elements")
-    ids = [e.id if hasattr(e, "id") else e for e in screen_elements]
-    if target_id not in ids:
+    if all(e.id != target_id for e in screen_elements):
         raise ValueError(f"target {target_id!r} is not on the screen")
     return 1.0 / n
 
@@ -93,60 +70,42 @@ def interaction_span(traversal_px: float, normalizer_px: float) -> float:
 
 def metric_vector(
     g: InterfaceGraph,
-    path: ExecutionPath | str,
+    path_id: str,
     traversal_px: float,
     sim: Callable[[str, str], float],
     theta: float = SIMILARITY_THRESHOLD,
     normalizer_px: float | None = None,
-) -> MetricVector:
-    """Assemble the three metrics for one execution path.
+) -> dict[str, Any]:
+    """The metrics of one execution path, as ``report.json`` holds them.
 
     The path's terminal element is the target; density and interference
     are computed against its screen, the span from the supplied traversal
     length in pixels. An undefined interference ratio (single-element
     screen) is reported as 0.0 with ``sid_undefined`` set so pipelines
-    need not special-case trivial screens.
+    need not special-case trivial screens. A blank name among those
+    compared is a :class:`~hmirisk.graph.GraphError` naming the element.
     """
-    resolved = resolve_path(g, path) if isinstance(path, str) else path
-    target = g.by_id[resolved.node_chain[-1]]
+    target = g.by_id[resolve_path(g, path_id).node_chain[-1]]
     on_screen = g.screen_elements(target.screen_id)
-    vd = visual_density(on_screen, target.id)
-
     others = [e.name for e in on_screen if e.id != target.id]
+    for e in on_screen:
+        if others and not e.name.strip():
+            raise GraphError(f"element {e.id!r}: a name is needed to compare it with its screen")
     ratio, contributors = semantic_interference_density(target.name, others, sim, theta)
-
     normalizer = g.layout_diagonal if normalizer_px is None else normalizer_px
-    return MetricVector(
-        vd=vd,
-        sid=0.0 if ratio is None else ratio,
-        is_norm=interaction_span(traversal_px, normalizer),
-        raw=MetricCounts(
-            n_elements=len(on_screen),
-            n_high_similarity=len(contributors),
-            n_comparisons=len(others),
-            traversal_px=traversal_px,
-            normalizer_px=normalizer,
-        ),
-        sid_undefined=ratio is None,
-        sid_contributors=contributors,
-    )
-
-
-def metric_to_dict(m: MetricVector) -> dict[str, Any]:
-    """The JSON form of a metric vector, as ``report.json`` holds it."""
     return {
-        "vd": m.vd,
-        "sid": m.sid,
-        "is": m.is_norm,
+        "vd": visual_density(on_screen, target.id),
+        "sid": 0.0 if ratio is None else ratio,
+        "is": interaction_span(traversal_px, normalizer),
         "raw": {
-            "n_elements": m.raw.n_elements,
-            "n_high_similarity": m.raw.n_high_similarity,
-            "n_comparisons": m.raw.n_comparisons,
-            "traversal_px": m.raw.traversal_px,
-            "normalizer_px": m.raw.normalizer_px,
+            "n_elements": len(on_screen),
+            "n_high_similarity": len(contributors),
+            "n_comparisons": len(others),
+            "traversal_px": traversal_px,
+            "normalizer_px": normalizer,
         },
-        "sid_undefined": m.sid_undefined,
-        "sid_contributors": list(m.sid_contributors),
+        "sid_undefined": ratio is None,
+        "sid_contributors": list(contributors),
     }
 
 
@@ -154,7 +113,7 @@ METRICS_CSV_HEADER = "path_id,vd_num,vd_den,sid_num,sid_den,is_num_px,is_den_px,
 
 
 def metrics_csv_rows(entries: Iterable[tuple[str, Mapping[str, Any]]]) -> list[str]:
-    """Render (path_id, :func:`metric_to_dict` form) pairs in the fraction-style CSV layout."""
+    """Render (path_id, :func:`metric_vector` dict) pairs in the fraction-style CSV layout."""
     rows = [METRICS_CSV_HEADER]
     for path_id, m in entries:
         raw = m["raw"]

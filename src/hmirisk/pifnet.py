@@ -282,8 +282,6 @@ def loss_and_gradients(
 
 
 def _as_features(features) -> np.ndarray:
-    if hasattr(features, "features"):
-        features = features.features()
     arr = np.asarray(features, dtype=np.float64)
     if arr.shape != (INPUT_DIM,):
         raise ValueError(f"expected {INPUT_DIM} features, got shape {arr.shape}")

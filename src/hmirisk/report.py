@@ -9,8 +9,9 @@ at least 3.
 A report is the plain JSON document ``data/risk_report.schema.json``
 describes. Its ``hfe`` block is the document that
 :func:`hmirisk.risk.identify_hfes` builds, the one form of the HFE
-candidates. A report is deterministic given inputs and config (the
-timestamp is the only varying field).
+candidates, and each assessment's ``metrics`` is the dict that
+:func:`hmirisk.metrics.metric_vector` returns. A report is deterministic
+given inputs and config (the timestamp is the only varying field).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import __version__
 from .config import AppConfig, config_fingerprint
 from .graph import InterfaceGraph, resolve_path
 from .ingest import ErrorKind, PathSamples
-from .metrics import MetricVector, metric_to_dict, metrics_csv_rows
+from .metrics import metrics_csv_rows
 from .pifnet import PIF_WEIGHT_TABLE
 
 SCHEMA_VERSION = 1
@@ -58,7 +59,7 @@ def conflict_quadrant(pif_label: str, error_observed: bool) -> ConflictQuadrant:
 def assemble_report(
     g: InterfaceGraph,
     hfe: Mapping[str, Any],
-    assessments: Sequence[tuple[str, MetricVector, str | None, Mapping[str, float]]],
+    assessments: Sequence[tuple[str, Mapping[str, Any], str | None, Mapping[str, float]]],
     config: AppConfig,
     generated_at: str | None = None,
 ) -> dict[str, Any]:
@@ -66,9 +67,10 @@ def assemble_report(
     :func:`~hmirisk.risk.identify_hfes` document ``hfe``, as given, joined
     with per-path metrics and predictions.
 
-    ``assessments`` rows are (path_id, metrics, predicted label or None,
-    class probabilities). Every candidate and assessed path must exist
-    in the graph; the quadrant is assigned wherever a label exists.
+    ``assessments`` rows are (path_id, :func:`~hmirisk.metrics.metric_vector`
+    dict, predicted label or None, class probabilities); the metrics are
+    stored as given. Every candidate and assessed path must exist in the
+    graph; the quadrant is assigned wherever a label exists.
     """
     candidates = hfe["candidates"]
     error_paths = {c["path_id"] for c in candidates if "error_path" in c["provenance"]}
@@ -83,7 +85,7 @@ def assemble_report(
         rows.append(
             {
                 "path_id": path_id,
-                "metrics": metric_to_dict(metric),
+                "metrics": metric,
                 "pif_label": label,
                 "probabilities": dict(probs),
                 "error_observed": error_observed,

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
+import struct
 import weakref
 
 import numpy as np
@@ -90,6 +92,34 @@ class TestHfe:
         assert doc["time_models"]["P_99"]["source"] == "t95"
         assert doc["time_models"]["P_99"]["median_s"] == pytest.approx(100.0)
         assert doc["time_models"]["P_11"]["source"] == "empirical"
+
+    def test_zero_duration_step_is_not_fitted(self, graph_file, tmp_path):
+        """A step whose start and end share a timestamp is left out of the
+        time model, as the detector leaves it out; a path with no positive
+        duration gets a model only from a --t95 override."""
+        session = tmp_path / "zero.jsonl"
+        session.write_text(
+            _session_lines(
+                {"t_ms": 0, "kind": "step_start", "step_id": "s0"},
+                {"t_ms": 0, "kind": "click", "x": 200, "y": 300, "screen": "A", "step_id": "s0"},
+                {"t_ms": 0, "kind": "step_end", "step_id": "s0"},
+                {"t_ms": 10, "kind": "step_start", "step_id": "s1"},
+                {"t_ms": 20, "kind": "click", "x": 500, "y": 300, "screen": "A", "step_id": "s1"},
+                {"t_ms": 900, "kind": "step_end", "step_id": "s1"},
+            )
+        )
+        argv = ["hfe", "--graph", str(graph_file), "--sessions", str(session)]
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        models = json.loads((tmp_path / "plain" / "hfe.json").read_text())["time_models"]
+        assert list(models) == ["P_12"]
+        assert models["P_12"]["source"] == "empirical"
+        assert models["P_12"]["median_s"] == pytest.approx(0.89)
+        t95 = tmp_path / "t95.csv"
+        t95.write_text("path_id,t95_seconds\nP_11,158.5\n")
+        assert main([*argv, "--t95", str(t95), "--out", str(tmp_path / "t95")]) == 0
+        models = json.loads((tmp_path / "t95" / "hfe.json").read_text())["time_models"]
+        assert models["P_11"]["source"] == "t95"
+        assert models["P_11"]["median_s"] == pytest.approx(100.0)
 
 
 class TestMetrics:
@@ -216,9 +246,20 @@ def test_missing_file_exits_two_and_names_it(argv, missing, graph_file, sessions
     assert missing in capsys.readouterr().err
 
 
+# SHA-256 of each output file of the 40-session run below, "generated_at" stripped.
+_PINNED_OUTPUTS = {
+    "hfe/hfe.json": "95080eaa6bdc3f0e293173d3ebbd5a86bd396f98bb1dc8764916085b25ab96cd",
+    "metrics/metrics.csv": "3a6ec0ee176b3f2d4e5fc01ab944546a0223ec593b8ba1691edc63bc23403881",
+    "report/candidates.csv": "c4d3ae300c56985fae16edd43ff961f621da4ed942f192624812b8714989ac60",
+    "report/durations_by_category.csv": "0ed592e70b719313a3c1875bea9e76aff9679304cfb09f42a28471a18e852acb",
+    "report/metrics.csv": "3a6ec0ee176b3f2d4e5fc01ab944546a0223ec593b8ba1691edc63bc23403881",
+    "report/report.json": "ddf37f11262f9d60413616d4d1734eeac514c270900c25a17902ea864ddcc478",
+}
+
+
 def test_session_order_does_not_change_outputs(graph_file, plan_file, tmp_path):
     """The same set of sessions listed in reverse gives the same bytes,
-    apart from the report timestamp."""
+    apart from the report timestamp, and those bytes are pinned."""
     plan = json.loads(plan_file.read_text())
     plan["sessions_per_participant"] = 20
     plan_file.write_text(json.dumps(plan))
@@ -242,6 +283,7 @@ def test_session_order_does_not_change_outputs(graph_file, plan_file, tmp_path):
         )
     assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs[0].items()} == _PINNED_OUTPUTS
 
 
 class _Lines(list):
@@ -559,6 +601,10 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "header_only": tmp_path / "header_only.csv",
         "zip_version_model": tmp_path / "zip_version.npz",
         "unknown_target": tmp_path / "unknown_target.json",
+        "no_name_graph": tmp_path / "no_name_graph.json",
+        "no_endpoint": tmp_path / "no_endpoint.json",
+        "short_cache": tmp_path / "short_cache.json",
+        "big_dim_cache": tmp_path / "big_dim_cache.json",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -608,11 +654,27 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     procedures = json.loads(files["procedures"].read_text())
     procedures[0]["steps"][1]["target_path"] = "P_999"
     files["unknown_target"].write_text(json.dumps(procedures))
+    no_name = json.loads(graph_file.read_text())
+    no_name["elements"][2].pop("name")
+    files["no_name_graph"].write_text(json.dumps(no_name))
+    files["no_endpoint"].write_text(json.dumps({"embed": {"provider": "remote"}}))
+    # A cache file whose one record is too short to hold its header, and one
+    # whose header claims a million floats.
+    records = {
+        "short_cache": struct.pack("<I", 4) + b"abcd",
+        "big_dim_cache": struct.pack("<I", 44) + bytes(32) + struct.pack("<I", 10**6) + bytes(8),
+    }
+    for name, record in records.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "local-trigram-v1.embcache").write_bytes(b"HMEC\x01" + record)
+        files[name].write_text(json.dumps({"embed": {"cache_dir": str(tmp_path / name)}}))
     return files
 
 
 _SESSIONS = ["--graph", "{graph}", "--sessions"]
 _UNKNOWN_TARGET = "{unknown_target}: procedure 'PR', step 's1': path 'P_999' has no terminal node in the graph"
+_NO_NAME = "{no_name_graph}: element 'N_12': a name is needed to compare it with its screen"
+_BAD_CACHE = "{tmp}/%s/local-trigram-v1.embcache: cache record at byte 5: length %d does not fit its header"
 
 # command, argv, expected exit code, what every error line must name
 _EXIT_CODES = {
@@ -652,6 +714,11 @@ _EXIT_CODES = {
         (["--graph", "{tmp}/absent.json", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{tmp}/absent.json"),
         (["--graph", "{broken}", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{broken}"),
         (["--graph", "{no_roots}", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, "{no_roots}: invalid graph"),
+        (["--graph", "{no_name_graph}", "--sessions", "{sessions}", "--out", "{tmp}/metrics"], 2, _NO_NAME),
+        ([*_SESSIONS, "{sessions}", "--config", "{no_endpoint}", "--out", "{tmp}/metrics"], 2,
+         "{no_endpoint}: config embed.endpoint: must be set when embed.provider is 'remote'"),
+        ([*_SESSIONS, "{sessions}", "--config", "{short_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("short_cache", 4)),
+        ([*_SESSIONS, "{sessions}", "--config", "{big_dim_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("big_dim_cache", 44)),
     ],
     "pif train": [
         (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),
@@ -696,6 +763,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--model", "{int_model}", "--out", "{tmp}/report"], 2, "{int_model}: not a readable model file (label_order must be distinct strings, got [1, 2])"),
         ([*_SESSIONS, "{sessions}", "--model", "{raw_model}", "--out", "{tmp}/report"], 2, "{raw_model}: model is not trained"),
         ([*_SESSIONS, "{sessions}", "--model", "{zip_version_model}", "--out", "{tmp}/report"], 2, "{zip_version_model}: not a readable model file (zip file version"),
+        (["--graph", "{no_name_graph}", "--sessions", "{sessions}", "--out", "{tmp}/report"], 2, _NO_NAME),
     ],
 }
 

@@ -87,6 +87,8 @@ def test_number_beyond_float_range_rejected():
         ({"riskpath": []}, "section 'riskpath' must be a JSON object"),
         ([], "config must be a JSON object"),
         ({"pif": {"epochs": 0}}, "pif.epochs: must be positive, got 0"),
+        ({"embed": {"provider": "remote"}}, "config embed.endpoint: must be set when embed.provider is 'remote'"),
+        ({"embed": {"provider": "remote", "endpoint": " "}}, "config embed.endpoint: must be set"),
     ],
 )
 def test_bad_value_rejected_naming_key(raw, message):

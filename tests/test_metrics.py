@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hmirisk.graph import load_graph
+from hmirisk.graph import GraphError, graph_to_document, load_graph
 from hmirisk.metrics import (
-    MetricVector,
     interaction_span,
-    metric_to_dict,
     metric_vector,
     metrics_csv_rows,
     semantic_interference_density,
@@ -130,16 +128,18 @@ class TestMetricVector:
         # 43 on-screen elements, 1 similar name, 511.59 px traversal
         g = count_fixture_graph(43, 1)
         m = metric_vector(g, "P_T", 511.59, designated_sim, normalizer_px=2654.05)
-        assert Fraction(1, m.raw.n_elements) == Fraction(1, 43)
-        assert Fraction(m.raw.n_high_similarity, m.raw.n_comparisons) == Fraction(1, 42)
-        assert m.is_norm == pytest.approx(511.59 / 2654.05, abs=1e-9)
-        assert m.raw.n_comparisons == m.raw.n_elements - 1
+        assert set(m) == {"vd", "sid", "is", "raw", "sid_undefined", "sid_contributors"}
+        raw = m["raw"]
+        assert Fraction(1, raw["n_elements"]) == Fraction(1, 43)
+        assert Fraction(raw["n_high_similarity"], raw["n_comparisons"]) == Fraction(1, 42)
+        assert m["is"] == pytest.approx(511.59 / 2654.05, abs=1e-9)
+        assert raw["n_comparisons"] == raw["n_elements"] - 1
 
     def test_untested_procedure_row_shape(self, designated_sim):
         g = count_fixture_graph(33, 1)
         m = metric_vector(g, "P_T", 773.94, designated_sim, normalizer_px=2654.05)
-        assert (m.vd, m.sid) == (pytest.approx(1 / 33), pytest.approx(1 / 32))
-        assert m.is_norm == pytest.approx(0.29161, abs=5e-6)
+        assert (m["vd"], m["sid"]) == (pytest.approx(1 / 33), pytest.approx(1 / 32))
+        assert m["is"] == pytest.approx(0.29161, abs=5e-6)
 
     def test_single_element_screen_undefined_sid(self, designated_sim):
         g = load_graph(
@@ -149,17 +149,28 @@ class TestMetricVector:
             }
         )
         m = metric_vector(g, "P_T", 0.0, designated_sim)
-        assert m.vd == 1.0
-        assert m.sid == 0.0 and m.sid_undefined is True
-        assert m.is_norm == 0.0
+        assert m["vd"] == 1.0
+        assert m["sid"] == 0.0 and m["sid_undefined"] is True
+        assert m["is"] == 0.0
+
+    def test_blank_name_on_the_compared_screen_is_named(self, designated_sim):
+        g = count_fixture_graph(4, 1)
+        document = graph_to_document(g)
+        document["elements"][3]["name"] = " "
+        with pytest.raises(GraphError, match="element 'X0': a name is needed"):
+            metric_vector(load_graph(document), "P_T", 0.0, designated_sim)
+        # A lone element is compared with nothing, so it needs no name.
+        lone = {"id": "T", "kind": "system_root", "screen": "S", "x": 5, "y": 5}
+        lone_graph = load_graph({"screens": [{"id": "S", "width_px": 100, "height_px": 100}], "elements": [lone]})
+        assert metric_vector(lone_graph, "P_T", 0.0, designated_sim)["sid_undefined"] is True
 
     def test_default_normalizer_is_layout_diagonal(self, two_screen_graph, designated_sim):
         m = metric_vector(two_screen_graph, "P_11", 100.0, designated_sim)
-        assert m.raw.normalizer_px == pytest.approx(two_screen_graph.layout_diagonal)
+        assert m["raw"]["normalizer_px"] == pytest.approx(two_screen_graph.layout_diagonal)
 
     def test_csv_layout(self, designated_sim):
         g = count_fixture_graph(4, 2)
         m = metric_vector(g, "P_T", 100.0, designated_sim, normalizer_px=1000.0)
-        rows = metrics_csv_rows([("P_T", metric_to_dict(m))])
+        rows = metrics_csv_rows([("P_T", m)])
         assert rows[0].startswith("path_id,vd_num,vd_den,sid_num,sid_den")
         assert rows[1].split(",")[:5] == ["P_T", "1", "4", "2", "3"]

@@ -9,7 +9,6 @@ import pytest
 from hmirisk.cli import main
 from hmirisk.config import AppConfig
 from hmirisk.ingest import PathSamples
-from hmirisk.metrics import MetricCounts, MetricVector
 from hmirisk.report import (
     CONFLICT_SET,
     ConflictQuadrant,
@@ -51,12 +50,20 @@ class TestConflictQuadrant:
 
 
 def metric(vd=0.25, sid=0.0, span=0.1, n=4):
-    return MetricVector(
-        vd=vd,
-        sid=sid,
-        is_norm=span,
-        raw=MetricCounts(n, int(round(sid * (n - 1))), n - 1, span * 1000.0, 1000.0),
-    )
+    return {
+        "vd": vd,
+        "sid": sid,
+        "is": span,
+        "raw": {
+            "n_elements": n,
+            "n_high_similarity": int(round(sid * (n - 1))),
+            "n_comparisons": n - 1,
+            "traversal_px": span * 1000.0,
+            "normalizer_px": 1000.0,
+        },
+        "sid_undefined": False,
+        "sid_contributors": [],
+    }
 
 
 def samples_with_error(path_id):
@@ -79,6 +86,7 @@ class TestAssembleReport:
         assert by_id["P_11"]["quadrant"] == "error_only"
         assert by_id["P_12"]["quadrant"] == "conflict_only"
         assert by_id["P_13"]["quadrant"] is None
+        assert all(by_id[path_id]["metrics"] is metrics for path_id, metrics, _, _ in rows)
 
     def test_determinism_modulo_timestamp(self, two_screen_graph):
         errors = detect_error_paths(samples_with_error("P_11"))
