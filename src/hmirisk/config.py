@@ -112,8 +112,12 @@ def config_from_dict(raw: Mapping[str, Any]) -> AppConfig:
             **{key: _checked_value(f"{section}.{key}", fields[key].type, value) for key, value in data.items()}
         )
     config = AppConfig(**kwargs)
-    if config.embed.provider == "remote" and not config.embed.endpoint.strip():
-        raise ValueError("config embed.endpoint: must be set when embed.provider is 'remote'")
+    if config.embed.provider == "remote":
+        endpoint = config.embed.endpoint.strip()
+        if not endpoint:
+            raise ValueError("config embed.endpoint: must be set when embed.provider is 'remote'")
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError(f"config embed.endpoint: must be an http:// or https:// URL, got {endpoint!r}")
     return config
 
 

@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import struct
-import threading
 import time
 import unicodedata
 import urllib.error
@@ -172,14 +171,14 @@ class EmbeddingCache:
     ``uint32 length | 32-byte sha256 key | uint32 dim | dim * float32``.
     A record that runs past the end of the file is an interrupted append
     and is ignored; a complete record whose length is not ``36 + 4 * dim``
-    is an error naming the file and the record's byte offset. Concurrent
-    readers are safe; appends are serialized by a lock.
+    is an error naming the file and the record's byte offset. Appends are
+    not synchronized, so one process at a time should write a cache
+    directory.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
         self._mem: dict[tuple[str, bytes], np.ndarray] = {}
         self._loaded: set[str] = set()
 
@@ -211,21 +210,18 @@ class EmbeddingCache:
             offset += length
 
     def get(self, provider_tag: str, key: bytes) -> np.ndarray | None:
-        with self._lock:
-            self._load(provider_tag)
-            return self._mem.get((provider_tag, key))
+        self._load(provider_tag)
+        return self._mem.get((provider_tag, key))
 
     def put(self, provider_tag: str, key: bytes, values: np.ndarray) -> None:
         as_f32 = np.asarray(values, dtype="<f4")
         record = key + struct.pack("<I", as_f32.size) + as_f32.tobytes()
-        with self._lock:
-            self._load(provider_tag)
-            self._mem[(provider_tag, key)] = as_f32.astype(np.float32)
-            path = self._file_for(provider_tag)
-            with open(path, "ab") as fh:
-                if fh.tell() == 0:
-                    fh.write(_CACHE_MAGIC + bytes([_CACHE_VERSION]))
-                fh.write(struct.pack("<I", len(record)) + record)
+        self._load(provider_tag)
+        self._mem[(provider_tag, key)] = as_f32.astype(np.float32)
+        with open(self._file_for(provider_tag), "ab") as fh:
+            if fh.tell() == 0:
+                fh.write(_CACHE_MAGIC + bytes([_CACHE_VERSION]))
+            fh.write(struct.pack("<I", len(record)) + record)
 
 
 def text_key(text: str) -> bytes:

@@ -504,3 +504,24 @@ def path_samples(traces: Iterable[AlignedTrace]) -> dict[str, PathSamples]:
             if kinds:
                 sample.error_steps += 1
     return out
+
+
+def merge_samples(parts: Iterable[Mapping[str, PathSamples]]) -> dict[str, PathSamples]:
+    """Merge the samples of consecutive runs of traces, in order: equal to
+    :func:`path_samples` over all of the traces, key order included. The
+    parts are left unchanged."""
+    out: dict[str, PathSamples] = {}
+    for part in parts:
+        for path_id, s in part.items():
+            m = out.get(path_id)
+            if m is None:
+                out[path_id] = PathSamples(list(s.durations), s.attempts, s.execution_errors, s.outcome_errors,
+                                           s.error_steps, list(s.traversals))
+                continue
+            m.durations += s.durations
+            m.attempts += s.attempts
+            m.execution_errors += s.execution_errors
+            m.outcome_errors += s.outcome_errors
+            m.error_steps += s.error_steps
+            m.traversals += s.traversals
+    return out

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .graph import InterfaceGraph, resolve_path
+from .graph import InterfaceGraph, UnknownPathError, resolve_path
 from .ingest import ErrorKind, PathSamples, Procedure
 
 log = logging.getLogger(__name__)
@@ -242,9 +242,10 @@ def identify_hfes(
     }
 
 
-def load_t95_overrides(lines: Iterable[str]) -> dict[str, float]:
+def load_t95_overrides(lines: Iterable[str], g: InterfaceGraph | None = None) -> dict[str, float]:
     """Parse the lines of the optional `path_id,t95_seconds` override CSV;
-    each t95 must be a positive finite number of seconds."""
+    each t95 must be a positive finite number of seconds. With a graph,
+    each path_id must resolve in it and is keyed by its resolved path id."""
     overrides: dict[str, float] = {}
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -259,5 +260,11 @@ def load_t95_overrides(lines: Iterable[str]) -> dict[str, float]:
             raise ValueError(f"line {line_no}: non-numeric t95 in {line!r}") from None
         if not (math.isfinite(t95) and t95 > 0):
             raise ValueError(f"line {line_no}: t95 must be positive and finite in {line!r}")
-        overrides[parts[0].strip()] = t95
+        path_id = parts[0].strip()
+        if g is not None:
+            try:
+                path_id = resolve_path(g, path_id).path_id
+            except UnknownPathError as err:
+                raise ValueError(f"line {line_no}: {err}") from None
+        overrides[path_id] = t95
     return overrides

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import faulthandler
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import shutil
 import struct
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +87,7 @@ class TestHfe:
     def test_candidates_and_models(self, graph_file, sessions_dir, tmp_path):
         out = tmp_path / "hfe_out"
         t95 = tmp_path / "t95.csv"
-        t95.write_text("path_id,t95_seconds\nP_99,158.5\n")
+        t95.write_text("path_id,t95_seconds\nP_1,158.5\n")  # a path of the graph that no session visits
         code = main(
             ["hfe", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--t95", str(t95), "--out", str(out)]
         )
@@ -89,8 +96,8 @@ class TestHfe:
         by_id = {c["path_id"]: c for c in doc["candidates"]}
         assert by_id["P_11"]["provenance"] == ["error_path"]
         assert by_id["P_13"]["provenance"] == ["time_path"]  # 8 s vs 2 s medians
-        assert doc["time_models"]["P_99"]["source"] == "t95"
-        assert doc["time_models"]["P_99"]["median_s"] == pytest.approx(100.0)
+        assert doc["time_models"]["P_1"]["source"] == "t95"
+        assert doc["time_models"]["P_1"]["median_s"] == pytest.approx(100.0)
         assert doc["time_models"]["P_11"]["source"] == "empirical"
 
     def test_zero_duration_step_is_not_fitted(self, graph_file, tmp_path):
@@ -120,6 +127,92 @@ class TestHfe:
         models = json.loads((tmp_path / "t95" / "hfe.json").read_text())["time_models"]
         assert models["P_11"]["source"] == "t95"
         assert models["P_11"]["median_s"] == pytest.approx(100.0)
+
+
+_FOLD = cli._fold
+
+
+def _main_in_chunks(monkeypatch, chunks: int, argv: list[str]) -> int:
+    """``main(argv)`` with the session files folded in ``chunks`` chunks; no
+    child process may outlive the call, and a call that hangs for a minute
+    ends the test run."""
+    monkeypatch.setattr(cli, "_fold", functools.partial(_FOLD, _chunks=chunks))
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        return main(argv)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        assert multiprocessing.active_children() == []
+
+
+def _break_first_line(path):
+    """Make line 1 of a session file invalid JSON without changing its size."""
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    path.write_bytes(data[: end - 1] + b" " + data[end:])
+
+
+class TestFold:
+    def test_outputs_do_not_depend_on_the_chunk_count(self, graph_file, plan_file, sessions_dir, tmp_path, monkeypatch, capsys):
+        procedures = tmp_path / "procs.json"
+        procedures.write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
+        inputs = ["--graph", str(graph_file), "--sessions", str(sessions_dir)]
+        assert all(cli._split(sorted(sessions_dir.glob("*.jsonl")), 3))  # three children's worth of files
+        seen = {}
+        for chunks in (1, 2, 3):
+            out = tmp_path / f"chunks{chunks}"
+            for command in ("report", "hfe"):
+                argv = [command, *inputs, "--procedures", str(procedures), "--out", str(out / command)]
+                assert _main_in_chunks(monkeypatch, chunks, argv) == 0
+            assert _main_in_chunks(monkeypatch, chunks, ["metrics", *inputs, "--out", str(out / "metrics")]) == 0
+            capsys.readouterr()
+            assert _main_in_chunks(monkeypatch, chunks, ["ingest", *inputs]) == 0
+            written = {
+                str(p.relative_to(out)): re.sub(rb'"generated_at": "[^"]*"', b"", p.read_bytes())
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            seen[chunks] = (written, capsys.readouterr().out)
+        assert len(seen[1][0]) == 6
+        assert seen[1][1] == "aligned 18 steps from 6 session(s); 0 unaligned\n"
+        assert seen[1] == seen[2] == seen[3]
+
+    @pytest.mark.parametrize(
+        "bad", [((1, 1),), ((0, 1),), ((0, 2), (1, 0))], ids=["chunk1", "chunk0", "chunks0and1"]
+    )
+    def test_error_names_the_first_bad_file_in_file_order(self, bad, graph_file, sessions_dir, tmp_path, monkeypatch, capsys):
+        """``bad`` lists the (chunk, index) of each file of a 2-way split to break."""
+        files = sorted(Path(shutil.copy(f, tmp_path)) for f in sessions_dir.glob("*.jsonl"))
+        chunks = cli._split(files, 2)
+        broken = [chunks[c][i] for c, i in bad]
+        for path in broken:
+            _break_first_line(path)
+        assert cli._split(files, 2) == chunks
+        first = min(broken, key=files.index)
+        for command in (["ingest"], ["report", "--out", str(tmp_path / "report")]):
+            argv = [*command, "--graph", str(graph_file), "--sessions", *map(str, files)]
+            errors = []
+            for n in (1, 2, 3):
+                assert _main_in_chunks(monkeypatch, n, argv) == 2
+                errors.append(capsys.readouterr().err)
+            assert errors[0].startswith(f"error: {first}: line 1: not valid JSON") and errors[0].count("\n") == 1
+            assert errors == [errors[0]] * 3
+
+    def test_a_child_that_exits_without_a_result_is_an_error(self, graph_file, sessions_dir, monkeypatch, capsys):
+        parent, fold_files = os.getpid(), cli._fold_files
+
+        def dying(files, align):
+            if os.getpid() != parent:
+                os._exit(3)
+            return fold_files(files, align)
+
+        monkeypatch.setattr(cli, "_fold_files", dying)
+        files = sorted(sessions_dir.glob("*.jsonl"))
+        assert _main_in_chunks(monkeypatch, 2, ["ingest", "--graph", str(graph_file), "--sessions", *map(str, files)]) == 2
+        second = cli._split(files, 2)[1]
+        assert capsys.readouterr().err == (
+            f"error: {second[0]}: the process folding this and the next {len(second) - 1} session file(s) "
+            "exited with code 3 before sending its result\n"
+        )
 
 
 class TestMetrics:
@@ -578,6 +671,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "procedures": tmp_path / "procs.json",
         "t95": tmp_path / "t95.csv",
         "bad_t95": tmp_path / "bad_t95.csv",
+        "unknown_t95": tmp_path / "unknown_t95.csv",
         "bad_data": tmp_path / "bad_data.csv",
         "one_class": tmp_path / "one_class.csv",
         "one_row": tmp_path / "one_row.csv",
@@ -603,6 +697,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "unknown_target": tmp_path / "unknown_target.json",
         "no_name_graph": tmp_path / "no_name_graph.json",
         "no_endpoint": tmp_path / "no_endpoint.json",
+        "no_scheme": tmp_path / "no_scheme.json",
         "short_cache": tmp_path / "short_cache.json",
         "big_dim_cache": tmp_path / "big_dim_cache.json",
     }
@@ -614,8 +709,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     files["negative_tau"].write_text(json.dumps({"riskpath": {"tau": -1}}))
     files["zero_epochs"].write_text(json.dumps({"pif": {"epochs": 0}}))
     files["procedures"].write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
-    files["t95"].write_text("path_id,t95_seconds\nP_99,158.5\n")
-    files["bad_t95"].write_text("path_id,t95_seconds\nP_99,soon\n")
+    files["t95"].write_text("path_id,t95_seconds\nP_1,158.5\n")
+    files["bad_t95"].write_text("path_id,t95_seconds\nP_1,soon\n")
+    files["unknown_t95"].write_text("path_id,t95_seconds\nP_11,30\nP_99,158.5\n")
     files["bad_data"].write_text("path_id,vd,sid,is,label\nP_1,0,0\n")
     files["one_class"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\nP_2,1,1,1,HSI0\n")
     files["one_row"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\n")
@@ -658,6 +754,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     no_name["elements"][2].pop("name")
     files["no_name_graph"].write_text(json.dumps(no_name))
     files["no_endpoint"].write_text(json.dumps({"embed": {"provider": "remote"}}))
+    files["no_scheme"].write_text(json.dumps({"embed": {"provider": "remote", "endpoint": "embed-service"}}))
     # A cache file whose one record is too short to hold its header, and one
     # whose header claims a million floats.
     records = {
@@ -708,6 +805,8 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--t95", "{tmp}/absent.csv", "--out", "{tmp}/hfe"], 2, "{tmp}/absent.csv"),
         ([*_SESSIONS, "{sessions}", "--t95", "{bad_t95}", "--out", "{tmp}/hfe"], 2, "{bad_t95}: line 2"),
         ([*_SESSIONS, "{sessions}", "--procedures", "{unknown_target}", "--out", "{tmp}/hfe"], 2, _UNKNOWN_TARGET),
+        ([*_SESSIONS, "{sessions}", "--t95", "{unknown_t95}", "--out", "{tmp}/hfe"], 2,
+         "{unknown_t95}: line 3: path 'P_99' has no terminal node in the graph"),
     ],
     "metrics": [
         ([*_SESSIONS, "{sessions}", "--out", "{tmp}/metrics"], 0, None),
@@ -719,6 +818,8 @@ _EXIT_CODES = {
          "{no_endpoint}: config embed.endpoint: must be set when embed.provider is 'remote'"),
         ([*_SESSIONS, "{sessions}", "--config", "{short_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("short_cache", 4)),
         ([*_SESSIONS, "{sessions}", "--config", "{big_dim_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("big_dim_cache", 44)),
+        ([*_SESSIONS, "{sessions}", "--config", "{no_scheme}", "--out", "{tmp}/metrics"], 2,
+         "{no_scheme}: config embed.endpoint: must be an http:// or https:// URL, got 'embed-service'"),
     ],
     "pif train": [
         (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),

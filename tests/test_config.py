@@ -89,6 +89,8 @@ def test_number_beyond_float_range_rejected():
         ({"pif": {"epochs": 0}}, "pif.epochs: must be positive, got 0"),
         ({"embed": {"provider": "remote"}}, "config embed.endpoint: must be set when embed.provider is 'remote'"),
         ({"embed": {"provider": "remote", "endpoint": " "}}, "config embed.endpoint: must be set"),
+        ({"embed": {"provider": "remote", "endpoint": "embed-service"}},
+         "config embed.endpoint: must be an http:// or https:// URL, got 'embed-service'"),
     ],
 )
 def test_bad_value_rejected_naming_key(raw, message):

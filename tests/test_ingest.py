@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
 import random
@@ -25,6 +27,7 @@ from hmirisk.ingest import (
     align_lines,
     hit_test,
     load_procedures,
+    merge_samples,
     parse_session_log,
     path_samples,
     serialize_session,
@@ -597,6 +600,57 @@ class TestPathSamples:
         t = AlignedTrace("S1", (AlignedStep("a", "P_1", 2.0, (ErrorKind.EXECUTION, ErrorKind.OUTCOME), ()),))
         s = path_samples([t])["P_1"]
         assert (s.execution_errors, s.outcome_errors, s.error_steps) == (1, 1, 1)
+
+
+def _contiguous_splits(items: list, max_chunks: int):
+    """Every split of ``items`` into 1 to ``max_chunks`` contiguous chunks,
+    in order, empty chunks included."""
+    for k in range(1, max_chunks + 1):
+        for cuts in itertools.combinations_with_replacement(range(len(items) + 1), k - 1):
+            bounds = (0, *cuts, len(items))
+            yield [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestMergeSamples:
+    # One trace per session file. P_2 is first seen in the third file, and
+    # every step of the second file is unaligned.
+    FILES = [
+        AlignedTrace("S1", (
+            AlignedStep("a", "P_1", 1.5, (ErrorKind.EXECUTION,), ((0.0, 0.0), (3.0, 4.0))),
+            AlignedStep("b", "P_3", 0.25, (), ()),
+        )),
+        AlignedTrace("S2", (AlignedStep("x", None, 9.0, (ErrorKind.OUTCOME,), ((1.0, 1.0),)),), ("x",)),
+        AlignedTrace("S3", (
+            AlignedStep("c", "P_2", 2.0, (ErrorKind.OUTCOME, ErrorKind.EXECUTION), ((0.0, 0.0), (0.0, 2.0))),
+            AlignedStep("a", "P_1", 0.1, (ErrorKind.OUTCOME,), ()),
+        )),
+        AlignedTrace("S4", ()),
+        AlignedTrace("S5", (AlignedStep("b", "P_3", 4.0, (), ((5.0, 5.0), (8.0, 9.0))), AlignedStep("c", "P_2", 3.0, (), ()))),
+    ]
+
+    def test_every_contiguous_split_equals_the_serial_fold(self):
+        serial = path_samples(self.FILES)
+        assert list(serial) == ["P_1", "P_3", "P_2"]
+        splits = 0
+        for chunks in _contiguous_splits(self.FILES, 4):
+            parts = [path_samples(chunk) for chunk in chunks]
+            before = copy.deepcopy(parts)
+            merged = merge_samples(parts)
+            assert merged == serial and list(merged) == list(serial), [len(c) for c in chunks]
+            assert parts == before  # the parts are left unchanged
+            splits += 1
+        assert splits == 1 + 6 + 21 + 56
+
+    def test_empty_parts(self):
+        assert merge_samples([]) == {}
+        assert merge_samples([{}, {}]) == {}
+        assert merge_samples([{}, path_samples(self.FILES), {}]) == path_samples(self.FILES)
+
+    def test_a_part_from_unaligned_steps_only_adds_nothing(self):
+        unaligned = path_samples(self.FILES[1:2])
+        assert unaligned == {}
+        merged = merge_samples([path_samples(self.FILES[:1]), unaligned, path_samples(self.FILES[2:])])
+        assert merged == path_samples(self.FILES)
 
 
 def test_load_procedures_single_and_list(tmp_path):

@@ -299,6 +299,13 @@ def test_t95_override_parsing():
         load_t95_overrides(["P_110,1,2"])
 
 
+def test_t95_override_ids_resolve_in_the_graph(two_screen_graph):
+    lines = ["path_id,t95_seconds", "P_11,10", "N_12,20"]
+    assert load_t95_overrides(lines, two_screen_graph) == {"P_11": 10.0, "P_12": 20.0}
+    with pytest.raises(ValueError, match="^line 3: path 'P_99' has no terminal node in the graph$"):
+        load_t95_overrides([*lines[:2], "P_99,20"], two_screen_graph)
+
+
 @pytest.mark.parametrize(
     "value, message",
     [
