@@ -167,18 +167,28 @@ def _load(path: str | Path, parse, read=_json):
 def _load_inputs(args):
     """Graph, procedures, the session files, and the function that aligns the
     lines of one of them. Every declared step target must resolve in the
-    graph."""
+    graph, and is kept as its canonical path id; a step id carries at most
+    one target."""
     graph = _load(args.graph, load_graph)
 
     def resolved_procedures(document):
-        procedures = load_procedures(document)
-        for proc in procedures:
+        procedures, declared = [], {}
+        for proc in load_procedures(document):
+            steps = []
             for step in proc.steps:
-                try:
-                    if step.target_path is not None:
-                        resolve_path(graph, step.target_path)
-                except UnknownPathError as err:
-                    raise ValueError(f"procedure {proc.procedure_id!r}, step {step.step_id!r}: {err}") from None
+                if step.target_path is not None:
+                    try:
+                        step = replace(step, target_path=resolve_path(graph, step.target_path).path_id)
+                    except UnknownPathError as err:
+                        raise ValueError(f"procedure {proc.procedure_id!r}, step {step.step_id!r}: {err}") from None
+                    owner, target = declared.setdefault(step.step_id, (proc.procedure_id, step.target_path))
+                    if target != step.target_path:
+                        raise ValueError(
+                            f"step {step.step_id!r} targets {target} in procedure {owner!r} "
+                            f"and {step.target_path} in procedure {proc.procedure_id!r}"
+                        )
+                steps.append(step)
+            procedures.append(replace(proc, steps=tuple(steps)))
         return procedures
 
     procedures = _load(args.procedures, resolved_procedures) if getattr(args, "procedures", None) else []
@@ -428,10 +438,10 @@ def _cmd_ingest(args, cfg: AppConfig) -> int:
 
 def _cmd_hfe(args, cfg: AppConfig) -> int:
     graph, procedures, files, align = _load_inputs(args)
+    overrides = _load(args.t95, lambda lines: load_t95_overrides(lines, graph), _lines) if args.t95 else {}
     samples, _, _ = _fold(files, align)
     _, hfe = _detect(graph, samples, procedures, cfg)
 
-    overrides = _load(args.t95, lambda lines: load_t95_overrides(lines, graph), _lines) if args.t95 else {}
     time_models = {}
     for path_id in sorted(set(samples) | set(overrides)):
         # Fitted on the positive durations only, the detector's rule.
@@ -520,13 +530,12 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
 
 def _cmd_report(args, cfg: AppConfig) -> int:
     graph, procedures, files, align = _load_inputs(args)
+    given = _trained_model(args.model, pif_levels=True) if args.model else None
     # The default model does not depend on the sessions: it is trained while
     # children fold their chunks.
-    train_default = (lambda: None) if args.model else (lambda: _train_default_model(cfg, args.seed))
-    samples, _, model = _fold(files, align, train_default)
+    meanwhile = (lambda: given) if args.model else (lambda: _train_default_model(cfg, args.seed))
+    samples, _, model = _fold(files, align, meanwhile)
     grouping, hfe = _detect(graph, samples, procedures, cfg)
-    if args.model:
-        model = _trained_model(args.model, pif_levels=True)
     assessments = []
     for path_id, metric in _path_metric_entries(graph, args.graph, samples, cfg):
         label, probs = predict(model, (metric["vd"], metric["sid"], metric["is"]))

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class ElementKind(str, Enum):
@@ -38,10 +38,6 @@ class UnknownPathError(KeyError):
     """Requested path identifier has no terminal node in the graph."""
 
     __str__ = Exception.__str__  # the message, without the quotes KeyError adds
-
-
-class UnmappableStepError(ValueError):
-    """No interface element matches the procedure step text well enough."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ class Violation:
 class ExecutionPath:
     path_id: str
     node_chain: tuple[str, ...]
-    multi_action: bool = False
 
 
 def path_id_for(node_id: str) -> str:
@@ -283,6 +278,9 @@ def validate_graph(g: InterfaceGraph) -> list[Violation]:
                     violations.append(Violation(elem.id, "position-outside-bbox", f"position {elem.position} outside bbox {elem.bbox}"))
         if elem.kind is ElementKind.SYSTEM_ROOT and elem.id in g.parent_of:
             violations.append(Violation(elem.id, "root-with-parent", f"system root {elem.id!r} has a parent"))
+        path_id = path_id_for(elem.id)
+        if (node := _terminal_node(g, path_id)) != elem.id:
+            violations.append(Violation(elem.id, "ambiguous-path-id", f"path {path_id!r} of {elem.id!r} resolves to {node!r}"))
 
     # Cycle detection and root reachability by walking parent chains.
     for elem in g.by_id.values():
@@ -328,50 +326,7 @@ def resolve_path(g: InterfaceGraph, path_id: str) -> ExecutionPath:
         chain.append(node)
         seen.add(node)
     chain.reverse()
-    screens = {g.by_id[n].screen_id for n in chain if n in g.by_id}
-    return ExecutionPath(path_id_for(chain[-1]), tuple(chain), multi_action=len(screens) > 1)
-
-
-def map_procedure_step(
-    g: InterfaceGraph,
-    step_text: str,
-    similarity: Callable[[str, str], float],
-    min_similarity: float = 0.5,
-) -> ExecutionPath:
-    """Map a procedure step's text to the execution path of its target leaf.
-
-    An exact (case-insensitive substring) occurrence of a leaf name in the
-    step text always wins, longest name first; only when no name occurs
-    verbatim does the supplied similarity function rank the leaves. The
-    result is flagged multi-action when the chain spans several screens or
-    the text names more than one leaf.
-    """
-    if not g.by_id:
-        raise GraphError("graph is empty")
-    if not step_text.strip():
-        raise UnmappableStepError("step text is empty")
-    leaves = g.leaves()
-    if not leaves:
-        raise UnmappableStepError("graph has no leaves")
-
-    text_lower = step_text.lower()
-    exact = [leaf for leaf in leaves if leaf.name and leaf.name.lower() in text_lower]
-    if exact:
-        target = min(exact, key=lambda e: (-len(e.name), e.id))
-        # Other leaves count as extra references only when their matched name
-        # is not merely a fragment of the target's own name.
-        extra = [e for e in exact if e.id != target.id and e.name.lower() not in target.name.lower()]
-        path = resolve_path(g, path_id_for(target.id))
-        return ExecutionPath(path.path_id, path.node_chain, multi_action=path.multi_action or bool(extra))
-
-    scored = [(similarity(step_text, leaf.name), leaf) for leaf in leaves]
-    best_score = max(score for score, _ in scored)
-    best = min((leaf for score, leaf in scored if score == best_score), key=lambda e: e.id)
-    if best_score < min_similarity:
-        raise UnmappableStepError(
-            f"no leaf reaches similarity {min_similarity} for step {step_text!r} (best {best_score:.3f})"
-        )
-    return resolve_path(g, path_id_for(best.id))
+    return ExecutionPath(path_id_for(chain[-1]), tuple(chain))
 
 
 def graph_to_document(g: InterfaceGraph) -> dict[str, Any]:

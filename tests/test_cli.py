@@ -128,6 +128,37 @@ class TestHfe:
         assert models["P_11"]["source"] == "t95"
         assert models["P_11"]["median_s"] == pytest.approx(100.0)
 
+    def test_target_spelling_does_not_split_a_path(self, graph_file, tmp_path):
+        """A declared target is kept as its canonical path id, so a step whose
+        click misses is binned with the steps that hit the same element,
+        whether the target is spelled as the path id or the element id. A
+        second procedure declares the same target for s1 in the other
+        spelling, which is allowed."""
+        session = tmp_path / "session.jsonl"
+        session.write_text(
+            _session_lines(
+                {"t_ms": 0, "kind": "step_start", "step_id": "s0"},
+                {"t_ms": 400, "kind": "click", "x": 200, "y": 300, "screen": "A", "step_id": "s0"},  # on N_11
+                {"t_ms": 1000, "kind": "step_end", "step_id": "s0"},
+                {"t_ms": 1100, "kind": "step_start", "step_id": "s1"},
+                {"t_ms": 2000, "kind": "click", "x": 700, "y": 550, "screen": "A", "step_id": "s1"},  # on nothing
+                {"t_ms": 3000, "kind": "step_end", "step_id": "s1"},
+            )
+        )
+        written = {}
+        for spelling, other in (("P_11", "N_11"), ("N_11", "P_11")):
+            procedures = tmp_path / f"{spelling}.json"
+            procedures.write_text(json.dumps([
+                {"procedure_id": "PR", "steps": [{"step_id": s, "target_path": spelling} for s in ("s0", "s1")]},
+                {"procedure_id": "PR2", "steps": [{"step_id": "s1", "target_path": other}]},
+            ]))
+            out = tmp_path / spelling
+            argv = ["hfe", "--graph", str(graph_file), "--sessions", str(session), "--procedures", str(procedures)]
+            assert main([*argv, "--out", str(out)]) == 0
+            written[spelling] = (out / "hfe.json").read_bytes()
+        assert written["N_11"] == written["P_11"]
+        assert list(json.loads(written["P_11"])["time_models"]) == ["P_11"]
+
 
 _FOLD = cli._fold
 
@@ -700,6 +731,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "no_scheme": tmp_path / "no_scheme.json",
         "short_cache": tmp_path / "short_cache.json",
         "big_dim_cache": tmp_path / "big_dim_cache.json",
+        "two_targets": tmp_path / "two_targets.json",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -755,6 +787,10 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     files["no_name_graph"].write_text(json.dumps(no_name))
     files["no_endpoint"].write_text(json.dumps({"embed": {"provider": "remote"}}))
     files["no_scheme"].write_text(json.dumps({"embed": {"provider": "remote", "endpoint": "embed-service"}}))
+    files["two_targets"].write_text(json.dumps([
+        {"procedure_id": "A", "steps": [{"step_id": "s1", "target_path": "N_11"}]},
+        {"procedure_id": "B", "steps": [{"step_id": "s1", "target_path": "P_12"}]},
+    ]))
     # A cache file whose one record is too short to hold its header, and one
     # whose header claims a million floats.
     records = {
@@ -807,6 +843,9 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--procedures", "{unknown_target}", "--out", "{tmp}/hfe"], 2, _UNKNOWN_TARGET),
         ([*_SESSIONS, "{sessions}", "--t95", "{unknown_t95}", "--out", "{tmp}/hfe"], 2,
          "{unknown_t95}: line 3: path 'P_99' has no terminal node in the graph"),
+        ([*_SESSIONS, "{sessions}", "{bad_session}", "--t95", "{bad_t95}", "--out", "{tmp}/hfe"], 2, "{bad_t95}: line 2"),
+        ([*_SESSIONS, "{sessions}", "--procedures", "{two_targets}", "--out", "{tmp}/hfe"], 2,
+         "{two_targets}: step 's1' targets P_11 in procedure 'A' and P_12 in procedure 'B'"),
     ],
     "metrics": [
         ([*_SESSIONS, "{sessions}", "--out", "{tmp}/metrics"], 0, None),
@@ -865,6 +904,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--model", "{raw_model}", "--out", "{tmp}/report"], 2, "{raw_model}: model is not trained"),
         ([*_SESSIONS, "{sessions}", "--model", "{zip_version_model}", "--out", "{tmp}/report"], 2, "{zip_version_model}: not a readable model file (zip file version"),
         (["--graph", "{no_name_graph}", "--sessions", "{sessions}", "--out", "{tmp}/report"], 2, _NO_NAME),
+        ([*_SESSIONS, "{sessions}", "{bad_session}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
     ],
 }
 

@@ -18,10 +18,8 @@ from hmirisk.graph import (
     InterfaceGraph,
     Screen,
     UnknownPathError,
-    UnmappableStepError,
     graph_to_document,
     load_graph,
-    map_procedure_step,
     path_id_for,
     resolve_path,
     validate_graph,
@@ -136,6 +134,18 @@ class TestValidateGraph:
         rules = [v.rule for v in validate_graph(g)]
         assert rules.count("unreachable") == 2  # both A and B top out at A
 
+    @pytest.mark.parametrize("first, second", [("N_11", "P_11"), ("11", "N_11")])
+    def test_two_elements_sharing_a_path_id(self, first, second):
+        """The path id of ``first`` resolves to ``second``, so a click on
+        ``first`` would be binned as a path that ends elsewhere."""
+        root = InterfaceElement("R", "r", ElementKind.SYSTEM_ROOT, "S", (1, 1))
+        a = InterfaceElement(first, "a", ElementKind.PARAMETER, "S", (2, 2))
+        b = InterfaceElement(second, "b", ElementKind.PARAMETER, "S", (3, 3))
+        g = InterfaceGraph([root, a, b], [("R", first), ("R", second)], [self._screen()])
+        assert [(v.element_id, v.rule) for v in validate_graph(g)] == [(first, "ambiguous-path-id")]
+        with pytest.raises(GraphError, match="ambiguous-path-id"):
+            load_graph(graph_to_document(g))
+
 
 class TestResolvePath:
     def test_path_encoding_p110(self, electrical_branch_graph):
@@ -165,40 +175,6 @@ class TestResolvePath:
             chain = resolve_path(g, path_id_for(leaf.id)).node_chain
             assert chain[-1] == leaf.id
             assert chain[0] in roots
-
-
-class TestMapProcedureStep:
-    def test_exact_name_wins_regardless_of_similarity(self, electrical_branch_graph):
-        hostile = lambda a, b: 0.0  # would reject everything if consulted
-        path = map_procedure_step(electrical_branch_graph, "Check whether the parameter power factor is 0.95", hostile)
-        assert path.node_chain[-1] == "N_411"
-
-    def test_single_screen_exact_match_not_multi_action(self, two_screen_graph):
-        path = map_procedure_step(two_screen_graph, "verify pump speed now", lambda a, b: 0.0)
-        assert path.node_chain[-1] == "N_11"
-        assert path.multi_action is False
-
-    def test_two_screen_chain_is_multi_action(self, electrical_branch_graph):
-        path = map_procedure_step(electrical_branch_graph, "read excitation current", lambda a, b: 0.0)
-        assert path.node_chain == ("N_400", "N_410", "N_415")
-        assert path.multi_action is True  # TOP then ELEC
-
-    def test_two_leaves_referenced_is_multi_action(self, two_screen_graph):
-        path = map_procedure_step(two_screen_graph, "compare pump speed against pump pressure", lambda a, b: 0.0)
-        assert path.multi_action is True
-
-    def test_similarity_fallback_and_floor(self, two_screen_graph):
-        sim = lambda text, name: 0.9 if name == "valve position" else 0.2
-        path = map_procedure_step(two_screen_graph, "confirm the throttle admission state", sim)
-        assert path.node_chain[-1] == "N_13"
-        with pytest.raises(UnmappableStepError):
-            map_procedure_step(two_screen_graph, "confirm the throttle admission state", lambda a, b: 0.2)
-
-    def test_longest_exact_match_wins(self, two_screen_graph):
-        # "pump pressure" contains no other name; "pump speed" and "pump pressure"
-        # both present -> longest name is the target
-        path = map_procedure_step(two_screen_graph, "log pump pressure", lambda a, b: 0.0)
-        assert path.node_chain[-1] == "N_12"
 
 
 def test_layout_diagonal_union(two_screen_graph):
