@@ -8,13 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
-import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from . import __version__, dataset
+from . import __version__, dataset, forked
 from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, EmbeddingTransportError, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, UnknownPathError, load_graph, resolve_path
@@ -210,13 +209,7 @@ _MIN_FOLD_BYTES = 2 << 20
 def _chunk_count(total_bytes: int) -> int:
     """Processes for a fold of ``total_bytes``: one per usable CPU, but no
     more than the bytes pay for, and one where fork is unavailable."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, total_bytes // _MIN_FOLD_BYTES))
+    return max(1, min(forked.usable_cpus(), total_bytes // _MIN_FOLD_BYTES))
 
 
 def _split(files: list[Path], n: int | None = None) -> list[list[Path]]:
@@ -255,64 +248,16 @@ def _fold_files(files: list[Path], align):
     return path_samples(traces()), tuple(tally)
 
 
-def _fold_child(conn, files: list[Path], align) -> None:
-    """Send ``(_fold_files(files, align), None)``, or ``(None, error)``."""
-    try:
-        result = (_fold_files(files, align), None)
-    except Exception as err:
-        result = (None, err)
-    try:
-        conn.send(result)
-    except Exception:  # the result does not pickle, or the parent stopped reading
-        sys.exit(1)
-
-
 def _fold(files: list[Path], align, meanwhile=lambda: None, *, _chunks: int | None = None):
     """Per-path samples and the ingest tally of the session files, equal to a
-    serial fold in file order, and the result of ``meanwhile()``.
-
-    The files are split into contiguous chunks, one per process. Each chunk
-    after the first is folded in a forked child, while this process runs
-    ``meanwhile`` and folds the first. Every child is heard from and joined
-    before this returns or raises; the error raised is the first in file
-    order, as in a serial fold. A forked child starts with the graph and
-    the aligner in memory and runs only Python code, where a spawned one
-    would import and load everything again.
-    """
-    first, *rest = _split(files, _chunks)
-    sys.stdout.flush()  # a child must not write out a copy of buffered output
-    sys.stderr.flush()
-    children = []
-    try:
-        for chunk in filter(None, rest):
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            fork = multiprocessing.get_context("fork")
-            child = fork.Process(target=_fold_child, args=(writer, chunk, align), daemon=True)
-            child.start()
-            writer.close()
-            children.append((chunk, reader, child))
-        extra = meanwhile()
-        try:
-            outcomes = [(_fold_files(first, align), None)]
-        except Exception as err:
-            outcomes = [(None, err)]
-        for chunk, reader, child in children:
-            try:
-                outcomes.append(reader.recv())
-            except EOFError:
-                child.join()
-                outcomes.append((None, ChildProcessError(
-                    f"{chunk[0]}: the process folding this and the next {len(chunk) - 1} session file(s) "
-                    f"exited with code {child.exitcode} before sending its result"
-                )))
-    finally:
-        for _, reader, child in children:
-            reader.close()  # a child still sending gets a broken pipe and exits
-            child.join()
-    for _, err in outcomes:
-        if err is not None:
-            raise err
-    parts, tallies = zip(*(result for result, _ in outcomes))
+    serial fold in file order (its error too), and the result of
+    ``meanwhile()``. The files are split into contiguous chunks, one per
+    process: this process runs ``meanwhile`` and folds the first chunk, and
+    a forked child (``forked.fork_map``) folds each other one."""
+    tasks = [(f"{chunk[0]}: the process folding this and the next {len(chunk) - 1} session file(s)",
+              partial(_fold_files, chunk, align)) for chunk in _split(files, _chunks) if chunk]
+    results, extra = forked.fork_map(tasks, meanwhile)
+    parts, tallies = zip(*results)
     return merge_samples(parts), tuple(map(sum, zip(*tallies))), extra
 
 

@@ -27,11 +27,13 @@ import math
 import re
 import zipfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import forked
 from .config import TrainConfig
 
 INPUT_DIM = 3
@@ -373,8 +375,24 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]
     return folds
 
 
+def _fold_accuracies(rows, folds, fold_indices, label_order, seed: int, hyper) -> list[float]:
+    """Held-out accuracy of each fold in ``fold_indices``; fold i trains from the seed ``seed * 1000 + i``."""
+    accuracies = []
+    for fold_index in fold_indices:
+        held = set(folds[fold_index])
+        train_rows = [row for i, row in enumerate(rows) if i not in held]
+        model = init_model(seed * 1000 + fold_index, label_order)
+        train(model, train_rows, hyper)
+        accuracies.append(evaluate(model, [rows[i] for i in folds[fold_index]]))
+    return accuracies
+
+
 def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfig | None = None) -> CvResult:
-    """Stratified k-fold cross-validation; per-fold standardizer, no leakage."""
+    """Stratified k-fold cross-validation; per-fold standardizer, no leakage.
+
+    The folds are trained in contiguous groups, one per usable CPU, each
+    group after the first in a forked child. Every fold keeps its seed, so
+    the result is the same on any number of CPUs."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > len(rows):
@@ -382,14 +400,11 @@ def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfi
     labels = [label for _, label in rows]
     label_order = tuple(sorted(set(labels), key=_label_key))
     folds = stratified_folds(labels, k, seed)
-    accuracies = []
-    for fold_index, held_out in enumerate(folds):
-        held = set(held_out)
-        train_rows = [row for i, row in enumerate(rows) if i not in held]
-        test_rows = [rows[i] for i in held_out]
-        model = init_model(seed * 1000 + fold_index, label_order)
-        train(model, train_rows, hyper)
-        accuracies.append(evaluate(model, test_rows))
+    n = min(forked.usable_cpus(), k)
+    groups = [range(i * k // n, (i + 1) * k // n) for i in range(n)]
+    tasks = [(f"the process training folds {g.start + 1}-{g.stop} of {k}",
+              partial(_fold_accuracies, rows, folds, g, label_order, seed, hyper)) for g in groups]
+    accuracies = [a for group in forked.fork_map(tasks)[0] for a in group]
     mean = sum(accuracies) / len(accuracies)
     variance = sum((a - mean) ** 2 for a in accuracies) / (len(accuracies) - 1)
     return CvResult(tuple(accuracies), mean, math.sqrt(variance))

@@ -102,21 +102,28 @@ class _Steps:
     def __init__(self, g: InterfaceGraph, plan: ScenarioPlan):
         for path_plan in plan.paths.values():
             path_plan.validate()
-        targets = {path_id: g.by_id[resolve_path(g, path_id).node_chain[-1]] for path_id in plan.paths}
+        targets = {}  # canonical path id -> (path plan, target element)
+        for path_id, path_plan in plan.paths.items():
+            path = resolve_path(g, path_id)
+            if path.path_id in targets:
+                raise ValueError(f"paths {targets[path.path_id][0].path_id!r} and {path_id!r} are both path {path.path_id}")
+            targets[path.path_id] = (path_plan, g.by_id[path.node_chain[-1]])
         steps = [step for proc in plan.procedures for step in proc.steps]
         if not steps:
             raise ValueError("plan declares no procedure steps")
-        rows = []
+        rows, elements = [], []
         for step in steps:
-            if step.target_path not in targets:
-                raise ValueError(f"step {step.step_id!r} targets unknown path {step.target_path!r}")
-            p, e = plan.paths[step.target_path], targets[step.target_path]
+            try:
+                p, e = targets[resolve_path(g, step.target_path or "").path_id]
+            except KeyError:  # no target, not in the graph (UnknownPathError), or not in ``paths``
+                raise ValueError(f"step {step.step_id!r} targets unknown path {step.target_path!r}") from None
+            elements.append(e)
             screen = g.screens[e.screen_id]
             box = e.bbox or (*e.position, 0.0, 0.0)  # a bbox-less target is a zero box at its centre
             rows.append((p.median_s, p.sigma, p.p_execution, p.p_outcome, *e.position, *box, screen.width_px, screen.height_px))
         table = np.array(rows, dtype=float)
         self.step_ids = [step.step_id for step in steps]
-        self.screen_ids = [targets[step.target_path].screen_id for step in steps]
+        self.screen_ids = [e.screen_id for e in elements]
         self.median_s, self.sigma, self.p_error = table[:, 0], table[:, 1], table[:, 2:4]  # execution, outcome
         self.target, self.box_origin, self.box_size, self.screen_size = np.split(table[:, 4:], 4, axis=1)
         # whether the previous step ended on this step's screen

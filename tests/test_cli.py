@@ -5,11 +5,11 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -173,7 +173,8 @@ def _main_in_chunks(monkeypatch, chunks: int, argv: list[str]) -> int:
         return main(argv)
     finally:
         faulthandler.cancel_dump_traceback_later()
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _break_first_line(path):
@@ -244,6 +245,15 @@ class TestFold:
             f"error: {second[0]}: the process folding this and the next {len(second) - 1} session file(s) "
             "exited with code 3 before sending its result\n"
         )
+
+
+def test_the_commands_fork_without_multiprocessing():
+    """Importing and starting ``multiprocessing`` costs about a megabyte of
+    memory, so the session fold and the CV folds fork without it."""
+    code = "import sys\nimport hmirisk.cli, hmirisk.pifnet\nprint('multiprocessing' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestMetrics:
@@ -732,6 +742,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "short_cache": tmp_path / "short_cache.json",
         "big_dim_cache": tmp_path / "big_dim_cache.json",
         "two_targets": tmp_path / "two_targets.json",
+        "respelled_plan": tmp_path / "respelled_plan.json",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -767,6 +778,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     plan = json.loads(plan_file.read_text())
     plan["paths"].append({"path_id": "P_99", "median_s": 1.0})
     files["unknown_path_plan"].write_text(json.dumps(plan))
+    respelled = json.loads(plan_file.read_text())
+    respelled["procedures"][0]["steps"][0]["target_path"] = "N_11"  # "paths" lists it as P_11
+    files["respelled_plan"].write_text(json.dumps(respelled))
     files["no_steps_plan"].write_text(json.dumps({"procedures": [{"procedure_id": "PR", "steps": []}], "paths": []}))
     deep = "[" * 100_000 + "]" * 100_000
     files["deep"].write_text(deep)
@@ -824,6 +838,7 @@ _EXIT_CODES = {
         (["--graph", "{graph}", "--plan", "{broken}", "--out", "{tmp}/sim"], 2, "{broken}"),
         (["--graph", "{graph}", "--plan", "{unknown_path_plan}", "--out", "{tmp}/sim"], 2, "{unknown_path_plan}"),
         (["--graph", "{graph}", "--plan", "{no_steps_plan}", "--out", "{tmp}/sim"], 2, "{no_steps_plan}: plan declares no procedure steps"),
+        (["--graph", "{graph}", "--plan", "{respelled_plan}", "--out", "{tmp}/sim"], 0, None),
     ],
     "ingest": [
         ([*_SESSIONS, "{sessions}"], 0, None),

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import copy
+import faulthandler
 import hashlib
 import io
+import json
 import math
+import os
 import re
+import sys
 import tracemalloc
 import zipfile
 
@@ -12,7 +16,7 @@ import numpy as np
 import pytest
 
 import hmirisk.pifnet as pifnet
-from hmirisk import dataset
+from hmirisk import dataset, forked
 from hmirisk.pifnet import (
     CvResult,
     Standardizer,
@@ -195,26 +199,90 @@ class TestKFold:
         with pytest.raises(ValueError):
             kfold_cv(rows, k=len(rows) + 1)
 
-    def test_no_leakage_into_fold_standardizer(self, monkeypatch):
+    def test_no_leakage_into_fold_standardizer(self, monkeypatch, tmp_path):
         rows = separable_rows(per_class=4)
         # shift what will be held out; a leaky standardizer would absorb it
-        seen = []
+        # Folds may train in forked children, so every call is recorded in a
+        # file: a child keeps the parent's object ids.
+        record = tmp_path / "train_calls.jsonl"
         original = pifnet.train
 
         def recording_train(model, train_rows, hyper=None):
             result = original(model, train_rows, hyper)
-            seen.append((model, list(train_rows)))
+            call = {"seed": model.seed, "rows": [id(row) for row in train_rows], "mean": model.standardizer.mean.tolist()}
+            with record.open("a") as out:
+                out.write(json.dumps(call) + "\n")
             return result
 
         monkeypatch.setattr(pifnet, "train", recording_train)
         folds = stratified_folds([label for _, label in rows], 3, seed=5)
         kfold_cv(rows, k=3, seed=5)
+        seen = sorted((json.loads(line) for line in record.read_text().splitlines()), key=lambda call: call["seed"])
         assert len(seen) == 3
-        for (model, train_rows), held in zip(seen, folds):
+        by_id = {id(row): row for row in rows}
+        for fold_index, (call, held) in enumerate(zip(seen, folds)):
+            assert call["seed"] == 5 * 1000 + fold_index
             held_rows = {id(rows[i]) for i in held}
-            assert all(id(row) not in held_rows for row in train_rows)
-            expected_mean = np.stack([np.asarray(f) for f, _ in train_rows]).mean(axis=0)
-            assert model.standardizer.mean == pytest.approx(expected_mean)
+            assert all(row_id not in held_rows for row_id in call["rows"])
+            expected_mean = np.stack([np.asarray(by_id[row_id][0]) for row_id in call["rows"]]).mean(axis=0)
+            assert call["mean"] == pytest.approx(expected_mean)
+
+
+class FoldFailure(Exception):
+    pass
+
+
+@pytest.fixture
+def cv_on(monkeypatch):
+    """``cv_on(cpus, *args)``: ``kfold_cv(*args)`` with ``cpus`` usable CPUs.
+    No child process may outlive the call, and a call that hangs for a
+    minute ends the test run."""
+
+    def run(cpus, *args):
+        monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+        faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+        try:
+            return kfold_cv(*args)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+            with pytest.raises(ChildProcessError):  # no child, running or unreaped
+                os.waitpid(-1, os.WNOHANG)
+
+    return run
+
+
+class TestParallelKFold:
+    def test_result_does_not_depend_on_the_cpu_count(self, cv_on):
+        """One process, two uneven groups (2 and 3 folds), one process per fold."""
+        rows = dataset.training_rows()
+        expected = CvResult((1.0, 0.875, 0.875, 0.75, 0.8571428571428571), 0.8714285714285713, 0.08874838314135126)
+        for cpus in (1, 2, 8):
+            assert cv_on(cpus, rows, 5, 0) == expected
+
+    def test_first_error_in_fold_order_reaches_the_caller(self, cv_on, monkeypatch):
+        parent, original = os.getpid(), pifnet.train
+
+        def failing(model, train_rows, hyper=None):
+            if os.getpid() != parent and model.seed % 1000 >= 1:
+                raise FoldFailure(f"fold {model.seed % 1000} failed")
+            return original(model, train_rows, hyper)
+
+        monkeypatch.setattr(pifnet, "train", failing)
+        with pytest.raises(FoldFailure, match=r"^fold 1 failed$"):
+            cv_on(3, separable_rows(per_class=3), 3, 0)
+
+    def test_a_child_that_dies_is_an_error(self, cv_on, monkeypatch):
+        parent, original = os.getpid(), pifnet.train
+
+        def dying(model, train_rows, hyper=None):
+            if os.getpid() != parent:
+                os._exit(7)
+            return original(model, train_rows, hyper)
+
+        monkeypatch.setattr(pifnet, "train", dying)
+        message = "the process training folds 2-3 of 3 exited with code 7 before sending its result"
+        with pytest.raises(ChildProcessError, match=f"^{message}$"):
+            cv_on(2, separable_rows(per_class=3), 3, 0)
 
 
 class TestGradients:

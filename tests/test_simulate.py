@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,24 @@ class TestGeneration:
         plan = ScenarioPlan((Procedure("PR", steps),), paths, participants, sessions, seed)
         text = "".join(serialize_session(log) for log in generate_sessions(two_screen_graph, plan))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_targets_and_paths_match_in_either_spelling(self, two_screen_graph):
+        """A step target and a ``paths`` entry that name one graph path are one
+        path, whichever of its ids each uses; two entries for one path are an
+        error naming it."""
+        plan = make_plan(two_screen_graph, p_execution=0.5, participants=2, sessions=2, seed=4)
+        expected = [serialize_session(s) for s in generate_sessions(two_screen_graph, plan)]
+        (proc,) = plan.procedures
+        steps = tuple(ProcedureStep(s.step_id, s.text, s.target_path.replace("P_", "N_")) for s in proc.steps)
+        for procedures, paths in [
+            ((Procedure("PR", steps),), plan.paths),
+            (plan.procedures, {p.replace("P_", "N_"): replace(v, path_id=p.replace("P_", "N_")) for p, v in plan.paths.items()}),
+        ]:
+            respelled = replace(plan, procedures=procedures, paths=paths)
+            assert [serialize_session(s) for s in generate_sessions(two_screen_graph, respelled)] == expected
+        twice = replace(plan, paths={**plan.paths, "N_12": PathPlan("N_12", 3.0)})
+        with pytest.raises(ValueError, match=r"^paths 'P_12' and 'N_12' are both path P_12$"):
+            generate_sessions(two_screen_graph, twice)
 
     def test_plan_without_steps_rejected(self, two_screen_graph):
         plan = ScenarioPlan((Procedure("PR", ()),), {}, 1, 1, 0)
