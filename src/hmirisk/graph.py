@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
+SNAP_RADIUS_PX = 12.0  # a click this close to an element's center hits it when no bbox contains it
+
 
 class ElementKind(str, Enum):
     SYSTEM_ROOT = "system_root"
@@ -134,9 +136,9 @@ class InterfaceGraph:
     def screen_elements(self, screen_id: str) -> list[InterfaceElement]:
         return list(self._on_screen.get(screen_id, ()))
 
-    def hit(self, screen_id: str, x: float, y: float, snap_radius: float) -> str | None:
+    def hit(self, screen_id: str, x: float, y: float) -> str | None:
         """Element on a screen under (x, y): the smallest containing bbox
-        (ties by id), else the nearest center within ``snap_radius`` (ties
+        (ties by id), else the nearest center within SNAP_RADIUS_PX (ties
         by id), else None.  Callers check the screen and the point."""
         best = None
         for x0, y0, x1, y1, area, elem_id in self._boxes.get(screen_id, ()):
@@ -147,7 +149,7 @@ class InterfaceGraph:
 
         for cx, cy, elem_id in self._centres.get(screen_id, ()):
             distance = math.hypot(cx - x, cy - y)
-            if distance <= snap_radius and (best is None or (distance, elem_id) < best):
+            if distance <= SNAP_RADIUS_PX and (best is None or (distance, elem_id) < best):
                 best = (distance, elem_id)
         return None if best is None else best[1]
 

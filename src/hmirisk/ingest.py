@@ -18,8 +18,6 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from .graph import InterfaceGraph, path_id_for
 from .metrics import trajectory_length
 
-SNAP_RADIUS_PX = 12.0
-
 
 class ParseError(ValueError):
     """A session log line is malformed or the stream is inconsistent."""
@@ -115,6 +113,7 @@ def load_procedures(document: Any) -> list[Procedure]:
 
 _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
 _STEP_KINDS = {EventKind.STEP_START, EventKind.STEP_END}
+_KINDS = {kind.value: kind for kind in EventKind}
 _ERROR_KINDS = {kind.value: kind for kind in ErrorKind}
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
@@ -243,20 +242,15 @@ def serialize_session(log: SessionLog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hit_test(
-    g: InterfaceGraph,
-    screen_id: str,
-    point: tuple[float, float],
-    snap_radius: float = SNAP_RADIUS_PX,
-) -> str | None:
+def hit_test(g: InterfaceGraph, screen_id: str, point: tuple[float, float]) -> str | None:
     """Element under a point: bbox containment first (smallest area wins,
-    ties by id), else nearest element center within the snap radius."""
+    ties by id), else nearest element center within graph.SNAP_RADIUS_PX."""
     if screen_id not in g.screens:
         raise UnknownScreenError(f"screen {screen_id!r} is not declared in the graph")
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point must be finite, got {point}")
-    return g.hit(screen_id, x, y, snap_radius)
+    return g.hit(screen_id, x, y)
 
 
 class _OpenStep:
@@ -294,6 +288,39 @@ def align_events(
     ``path_id=None`` and collected in ``unaligned`` rather than failing
     the whole session.
     """
+    return _align(g, log.session_id, log.events, step_targets)
+
+
+def align_lines(
+    g: InterfaceGraph,
+    lines: list[str],
+    step_targets: Mapping[str, str] | None = None,
+) -> AlignedTrace:
+    """``align_events(g, parse_session_log(lines), step_targets)`` for the
+    lines of one session log.
+
+    The lines are decoded in one call, and records of the common shapes are
+    checked into plain event tuples, which the loop of align_events aligns,
+    so a click on an undeclared screen inside a step raises the same
+    UnknownScreenError; no TrackerEvent or SessionLog is built. A line that
+    is not one object with its only braces at its ends, any other record,
+    or a failed order, nesting or id check hands the whole log to the
+    reference functions, so the trace, or the error, is theirs.
+    """
+    checked = _checked_events(lines)
+    if checked is None:
+        return align_events(g, parse_session_log(lines), step_targets)
+    return _align(g, *checked, step_targets)
+
+
+def _align(
+    g: InterfaceGraph,
+    session_id: str,
+    events: Iterable[Sequence[Any]],
+    step_targets: Mapping[str, str] | None,
+) -> AlignedTrace:
+    """The alignment of :func:`align_events`, over events in the field order
+    of TrackerEvent: TrackerEvents, or the plain tuples of align_lines."""
     targets = dict(step_targets or {})
     open_steps: dict[str, _OpenStep] = {}
     steps: list[AlignedStep] = []
@@ -302,7 +329,7 @@ def align_events(
     # Local names spare each test in the loop a lookup on the EventKind class.
     start, end, key = EventKind.STEP_START, EventKind.STEP_END, EventKind.KEY
     note, click = EventKind.ERROR_ANNOTATION, EventKind.CLICK
-    for t_ms, kind, point, screen_id, step_id, error_kind in log.events:
+    for t_ms, kind, point, screen_id, step_id, error_kind in events:
         if kind is start:
             open_steps[step_id] = _OpenStep(step_id, t_ms)
             continue
@@ -330,28 +357,7 @@ def align_events(
             if hit is not None:
                 state.last_hit = hit
 
-    return AlignedTrace(log.session_id, tuple(steps), tuple(unaligned))
-
-
-def align_lines(
-    g: InterfaceGraph,
-    lines: list[str],
-    step_targets: Mapping[str, str] | None = None,
-) -> AlignedTrace:
-    """``align_events(g, parse_session_log(lines), step_targets)`` for the
-    lines of one session log, in one pass over its records.
-
-    The lines are decoded in one call, then records of the common shapes are
-    checked and aligned as they come, keeping only the open steps; no
-    TrackerEvent or SessionLog is built. A line that is not one object with
-    its only braces at its ends, any other record, a failed order, nesting
-    or id check, or a click on an undeclared screen hands the whole log to
-    the reference functions, so the trace, or the error, is theirs.
-    """
-    trace = _align_common_shapes(g, lines, dict(step_targets or {}))
-    if trace is None:
-        return align_events(g, parse_session_log(lines), step_targets)
-    return trace
+    return AlignedTrace(session_id, tuple(steps), tuple(unaligned))
 
 
 def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
@@ -378,27 +384,27 @@ def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
         return None
 
 
-def _align_common_shapes(g: InterfaceGraph, lines: list[str], targets: dict[str, str]) -> AlignedTrace | None:
-    """The fused pass of :func:`align_lines`, or None where the lines are
-    not decoded in one call, a record leaves the common shapes, or a check
-    fails. The common shapes: an int timestamp, string session and
-    participant ids, a string or absent screen and step id, and either a
-    move or click with a finite int or float point, an error annotation
-    with a known error_kind, or a key, step start or step end (with a step
-    id) with neither."""
+def _checked_events(lines: list[str]) -> tuple[str, list[tuple[Any, ...]]] | None:
+    """The session id and the events of the lines, as plain tuples in the
+    field order of TrackerEvent, or None where the lines are not decoded in
+    one call, a record leaves the common shapes, or a check fails. The
+    common shapes: an int timestamp, string session and participant ids, a
+    string or absent screen and step id, and either a move or click with a
+    finite int or float point, an error annotation with a known error_kind,
+    or a key, step start or step end (with a step id) with neither."""
     records = _line_records(lines)
     if records is None:
         return None
-    screens, hit_of = g.screens, g.hit
-    open_steps: dict[str, _OpenStep] = {}
-    steps: list[AlignedStep] = []
-    unaligned: list[str] = []
+    move, click, note = EventKind.MOVE, EventKind.CLICK, EventKind.ERROR_ANNOTATION
+    start, end = EventKind.STEP_START, EventKind.STEP_END
+    events: list[tuple[Any, ...]] = []
+    open_steps: set[str] = set()
     session_id = participant_id = None  # the first record's, both strings
     last_t = 0
     for record in records:
         try:
-            t_ms, kind, sid, pid = record["t_ms"], record["kind"], record["session_id"], record["participant_id"]
-        except KeyError:
+            t_ms, kind, sid, pid = record["t_ms"], _KINDS[record["kind"]], record["session_id"], record["participant_id"]
+        except (KeyError, TypeError):  # a field is missing, or the kind is no kind's name
             return None
         get = record.get
         screen, step_id = get("screen"), get("step_id")
@@ -411,7 +417,8 @@ def _align_common_shapes(g: InterfaceGraph, lines: list[str], targets: dict[str,
                 return None
             session_id, participant_id = sid, pid
 
-        if kind == "move" or kind == "click":
+        point = error = None
+        if kind is move or kind is click:
             x, y = get("x"), get("y")
             # The range test is False for NaN, infinities and ints too large
             # for a float.
@@ -423,53 +430,26 @@ def _align_common_shapes(g: InterfaceGraph, lines: list[str], targets: dict[str,
             point = (float(x), float(y))
         elif "x" in record or "y" in record:
             return None
-        elif kind == "error_annotation":
+        elif kind is note:
             error = get("error_kind")
             error = _ERROR_KINDS.get(error) if type(error) is str else None
             if error is None:
                 return None
         elif "error_kind" in record:
             return None
-        elif kind == "step_start":
+        elif kind is start:
             if step_id is None or step_id in open_steps:
                 return None
-            open_steps[step_id] = _OpenStep(step_id, t_ms)
-            continue
-        elif kind == "step_end":
-            state = open_steps.pop(step_id, None)
-            if state is None:
+            open_steps.add(step_id)
+        elif kind is end:
+            if step_id not in open_steps:
                 return None
-            steps.append(state.close(t_ms, targets, unaligned))
-            continue
-        elif kind == "key":
-            continue
-        else:
-            return None
-
-        # As in align_events: the event belongs to its own step's window, or
-        # to every open window when it names no step.
-        if step_id is not None:
-            state = open_steps.get(step_id)
-            windows = (state,) if state is not None else ()
-        else:
-            windows = tuple(open_steps.values())
-        if kind == "error_annotation":
-            for state in windows:
-                state.errors.append(error)
-            continue
-        hit = None
-        if windows and kind == "click" and screen is not None:
-            if screen not in screens:
-                return None
-            hit = hit_of(screen, point[0], point[1], SNAP_RADIUS_PX)
-        for state in windows:
-            state.trajectory.append(point)
-            if hit is not None:
-                state.last_hit = hit
+            open_steps.remove(step_id)
+        events.append((t_ms, kind, point, screen, step_id, error))
 
     if open_steps or session_id is None:
         return None
-    return AlignedTrace(session_id, tuple(steps), tuple(unaligned))
+    return session_id, events
 
 
 @dataclass

@@ -468,10 +468,12 @@ def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...] | N
 
 def load_model(path: str | Path) -> PifModel:
     """A model written by :func:`save_model`; a file that is not one is a
-    ValueError. Every array must have the shape the network of the file's
-    labels implies, checked before the array is read."""
+    ValueError, and one that cannot be opened an OSError that names it.
+    Every array must have the shape the network of the file's labels
+    implies, checked before the array is read."""
+    file = open(path, "rb")
     try:
-        with zipfile.ZipFile(path) as archive:
+        with file, zipfile.ZipFile(file) as archive:
             meta = json.loads(bytes(_read_member(archive, "meta_json", None)).decode("utf-8"))
             if meta["format_version"] != MODEL_FORMAT_VERSION:
                 raise ValueError(f"unsupported model format {meta['format_version']}")
@@ -490,7 +492,7 @@ def load_model(path: str | Path) -> PifModel:
                     std=_read_member(archive, "std_std", (INPUT_DIM,)),
                 )
             model.trained = bool(meta["trained"])
-    except (ValueError, KeyError, TypeError, EOFError, RecursionError, NotImplementedError, zipfile.BadZipFile) as err:
+    except (OSError, ValueError, KeyError, TypeError, EOFError, RecursionError, NotImplementedError, zipfile.BadZipFile) as err:
         raise ValueError(f"not a readable model file ({err})") from None
     return model
 
@@ -503,10 +505,13 @@ TRAINING_CSV_HEADER = "path_id,vd,sid,is,label"
 def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
     """Rows of ((vd, sid, is), label) from the lines of the
     `path_id,vd,sid,is,label` CSV; an error names the line."""
-    rows = []
+    rows, first = [], None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line or line.startswith("path_id"):
+        if not line:
+            continue
+        first = first or line_no
+        if line_no == first and line.startswith("path_id"):  # the header
             continue
         parts = line.split(",")
         if len(parts) != 5:

@@ -247,9 +247,13 @@ def load_t95_overrides(lines: Iterable[str], g: InterfaceGraph | None = None) ->
     each t95 must be a positive finite number of seconds. With a graph,
     each path_id must resolve in it and is keyed by its resolved path id."""
     overrides: dict[str, float] = {}
+    first = None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line or line.lower().startswith("path_id"):
+        if not line:
+            continue
+        first = first or line_no
+        if line_no == first and line.lower().startswith("path_id"):  # the header
             continue
         parts = line.split(",")
         if len(parts) != 2:

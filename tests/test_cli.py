@@ -743,6 +743,7 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "big_dim_cache": tmp_path / "big_dim_cache.json",
         "two_targets": tmp_path / "two_targets.json",
         "respelled_plan": tmp_path / "respelled_plan.json",
+        "flipped_model": tmp_path / "flipped.npz",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -793,6 +794,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     archive = bytearray(files["model"].read_bytes())
     archive[archive.index(b"PK\x01\x02") + 6] ^= 0xFF  # first central-directory entry: version needed to extract
     files["zip_version_model"].write_bytes(archive)
+    archive = bytearray(files["model"].read_bytes())
+    archive[-3] ^= 0x01  # end-of-central-directory record: a high bit of the central directory's offset
+    files["flipped_model"].write_bytes(archive)
     procedures = json.loads(files["procedures"].read_text())
     procedures[0]["steps"][1]["target_path"] = "P_999"
     files["unknown_target"].write_text(json.dumps(procedures))
@@ -907,6 +911,7 @@ _EXIT_CODES = {
         (["--model", "{model}", "--data", "{header_only}"], 2, "{header_only}: no rows to predict"),
         (["--model", "{model}", "--features", ""], 2, "--features: could not convert string to float: ''"),
         (["--model", "{zip_version_model}", "--features", "5,5,5"], 2, "{zip_version_model}: not a readable model file (zip file version"),
+        (["--model", "{flipped_model}", "--features", "5,5,5"], 2, "{flipped_model}: not a readable model file ("),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),

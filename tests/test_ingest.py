@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from hmirisk import ingest
+from hmirisk import graph, ingest
 from hmirisk.graph import ElementKind, InterfaceElement, InterfaceGraph, Screen, load_graph
 from hmirisk.metrics import trajectory_length
 from hmirisk.ingest import (
@@ -271,10 +271,12 @@ class TestHitTest:
         )
         assert hit_test(g, "S", (55, 55)) == "A"
 
-    def test_snap_radius_near_bboxless_center(self, two_screen_graph):
+    def test_snap_radius_near_bboxless_center(self, two_screen_graph, monkeypatch):
         # N_1 has no bbox; (408, 50) is 8 px from its center -> snapped
+        assert graph.SNAP_RADIUS_PX == 12.0
         assert hit_test(two_screen_graph, "A", (408, 50)) == "N_1"
-        assert hit_test(two_screen_graph, "A", (408, 50), snap_radius=5.0) is None
+        monkeypatch.setattr(graph, "SNAP_RADIUS_PX", 5.0)
+        assert hit_test(two_screen_graph, "A", (408, 50)) is None
 
     def test_unknown_screen(self, two_screen_graph):
         with pytest.raises(UnknownScreenError):
@@ -294,7 +296,7 @@ class TestHitTest:
         assert hit_test(g, "EMPTY", (50.0, 50.0)) is None
         assert g.screen_elements("EMPTY") == []
 
-    def test_index_matches_brute_force_scan(self):
+    def test_index_matches_brute_force_scan(self, monkeypatch):
         rng = random.Random(7)
         seen: set[str] = set()
         for _ in range(20):
@@ -307,7 +309,8 @@ class TestHitTest:
                 radius = rng.choice([0.0, 3.0, 12.0, 40.0])
                 expected, cases = _brute_hit(g, screen_id, point, radius)
                 seen |= cases
-                assert hit_test(g, screen_id, point, radius) == expected, (screen_id, point, radius)
+                monkeypatch.setattr(graph, "SNAP_RADIUS_PX", radius)
+                assert hit_test(g, screen_id, point) == expected, (screen_id, point, radius)
         assert seen == {"edge", "nested", "area-tie", "snap", "snap-tie", "bboxless-snap", "beyond-radius"}
 
 def _session(events):
@@ -531,6 +534,17 @@ class TestAlignLines:
         assert trace.unaligned == ("s2",)
         monkeypatch.setattr(ingest, "parse_session_log", _no_fallback)
         assert align_lines(_screen_a_graph(), lines, _TARGETS) == trace
+
+    def test_click_on_undeclared_screen_inside_a_step_raises_the_reference_error(self, monkeypatch):
+        lines = [
+            _START,
+            _line(t_ms=5, kind="click", x=1, y=1, screen="NOPE", step_id="s1"),
+            _line(t_ms=9, kind="step_end", step_id="s1"),
+        ]
+        assert self._check(_screen_a_graph(), lines) == (UnknownScreenError, "screen 'NOPE' is not declared in the graph")
+        monkeypatch.setattr(ingest, "parse_session_log", _no_fallback)
+        with pytest.raises(UnknownScreenError, match="^screen 'NOPE' is not declared in the graph$"):
+            align_lines(_screen_a_graph(), lines, _TARGETS)
 
     def test_empty_declared_target_binds_the_step(self, monkeypatch):
         """A declared target of "" is a target: the step binds to path "" and

@@ -421,6 +421,11 @@ def test_training_csv_rejects_non_finite_feature(value):
         load_training_csv(["path_id,vd,sid,is,label", f"P_1,0.25,{value},0.4,HSI0"])
 
 
+def test_training_csv_skips_only_its_first_line_as_the_header():
+    lines = ["", "path_id,vd,sid,is,label", "path_id_7,0.1,0.2,0.3,HSI0", "P_8,0.4,0.5,0.6,HSI1"]
+    assert load_training_csv(lines) == [((0.1, 0.2, 0.3), "HSI0"), ((0.4, 0.5, 0.6), "HSI1")]
+
+
 def test_training_csv_names_line_of_non_numeric_feature():
     with pytest.raises(ValueError, match="^line 3: non-numeric feature in 'P_2,abc,0,0,HSI0'$"):
         load_training_csv(["path_id,vd,sid,is,label", "P_1,0.25,0,0.4,HSI0", "P_2,abc,0,0,HSI0"])

@@ -299,6 +299,10 @@ def test_t95_override_parsing():
         load_t95_overrides(["P_110,1,2"])
 
 
+def test_t95_override_skips_only_its_first_line_as_the_header():
+    assert load_t95_overrides(["", "PATH_ID,T95_SECONDS", "PATH_ID_2,10", "P_3,5"]) == {"PATH_ID_2": 10.0, "P_3": 5.0}
+
+
 def test_t95_override_ids_resolve_in_the_graph(two_screen_graph):
     lines = ["path_id,t95_seconds", "P_11,10", "N_12,20"]
     assert load_t95_overrides(lines, two_screen_graph) == {"P_11": 10.0, "P_12": 20.0}
