@@ -143,7 +143,7 @@ def _session_files(paths: list[str]) -> list[Path]:
 
 
 def _json(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     try:
         return json.loads(text)
     except RecursionError:
@@ -151,7 +151,7 @@ def _json(path: str | Path):
 
 
 def _lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return Path(path).read_text(encoding="utf-8-sig").splitlines()
 
 
 def _load(path: str | Path, parse, read=_json):

@@ -62,16 +62,19 @@ _SECTIONS = {
 # accepted JSON types and their description.
 _TYPES = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a finite number")}
 
+_MAX_EPOCHS = 100_000
+
+# The requirements a key's value must meet, each a test and its wording.
 _RANGES = {
-    "embed.provider": (lambda v: v in ("local", "remote"), "'local' or 'remote'"),
-    "embed.timeout_ms": (lambda v: v > 0, "positive"),
-    "riskpath.tau": (lambda v: v >= 0, "non-negative"),
-    "riskpath.alpha": (lambda v: v >= 0, "non-negative"),
-    "metrics.theta": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "metrics.normalizer_px": (lambda v: v > 0, "positive"),
-    "pif.learning_rate": (lambda v: v > 0, "positive"),
-    "pif.epochs": (lambda v: v > 0, "positive"),
-    "pif.dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "embed.provider": [(lambda v: v in ("local", "remote"), "'local' or 'remote'")],
+    "embed.timeout_ms": [(lambda v: v > 0, "positive")],
+    "riskpath.tau": [(lambda v: v >= 0, "non-negative")],
+    "riskpath.alpha": [(lambda v: v >= 0, "non-negative")],
+    "metrics.theta": [(lambda v: 0 < v <= 1, "in (0, 1]")],
+    "metrics.normalizer_px": [(lambda v: v > 0, "positive")],
+    "pif.learning_rate": [(lambda v: v > 0, "positive")],
+    "pif.epochs": [(lambda v: v > 0, "positive"), (lambda v: v <= _MAX_EPOCHS, f"at most {_MAX_EPOCHS}")],
+    "pif.dropout": [(lambda v: 0 <= v < 1, "in [0, 1)")],
 }
 
 
@@ -88,8 +91,9 @@ def _checked_value(name: str, annotation: str, value: Any) -> Any:
         or base == "float" and not -sys.float_info.max <= value <= sys.float_info.max
     ):
         raise ValueError(f"config {name}: expected {expected}, got {value!r}")
-    if name in _RANGES and not _RANGES[name][0](value):
-        raise ValueError(f"config {name}: must be {_RANGES[name][1]}, got {value!r}")
+    for test, requirement in _RANGES.get(name, ()):
+        if not test(value):
+            raise ValueError(f"config {name}: must be {requirement}, got {value!r}")
     return float(value) if base == "float" else value
 
 

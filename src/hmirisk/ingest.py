@@ -184,43 +184,9 @@ def _decode_line(line: str, line_no: int) -> dict[str, Any]:
 
 def parse_session_log(lines: Iterable[str]) -> SessionLog:
     """Parse the lines of a JSON-Lines session log, enforcing order and step
-    nesting."""
-    events: list[TrackerEvent] = []
-    ids: tuple[str, str] | None = None  # (session_id, participant_id) of the first record
-    open_steps: set[str] = set()
-    last_t = -1
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        record = _decode_line(line, line_no)
-        event = _event_from_record(record, line_no)
-
-        line_ids = (str(record.get("session_id", "")), str(record.get("participant_id", "")))
-        for key, seen, value in zip(("session_id", "participant_id"), ids or line_ids, line_ids):
-            if value != seen:
-                raise ParseError(f"line {line_no}: {key} changed from {seen!r} to {value!r}")
-        ids = line_ids
-
-        if event.t_ms < last_t:
-            raise ParseError(f"line {line_no}: non-monotonic timestamp {event.t_ms} after {last_t}")
-        last_t = event.t_ms
-
-        if event.kind is EventKind.STEP_START:
-            if event.step_id in open_steps:
-                raise ParseError(f"line {line_no}: step {event.step_id!r} started while already open")
-            open_steps.add(event.step_id)
-        elif event.kind is EventKind.STEP_END:
-            if event.step_id not in open_steps:
-                raise ParseError(f"line {line_no}: unmatched step_end for {event.step_id!r}")
-            open_steps.discard(event.step_id)
-        events.append(event)
-
-    if open_steps:
-        raise ParseError(f"unmatched step_start for {sorted(open_steps)}")
-    if ids is None:
-        raise ParseError("log contains no events")
-    return SessionLog(ids[0], ids[1], tuple(events))
+    nesting; an error names its line."""
+    session_id, participant_id, events = _session_events(list(lines))
+    return SessionLog(session_id, participant_id, tuple(map(TrackerEvent._make, events)))
 
 
 def serialize_session(log: SessionLog) -> str:
@@ -297,20 +263,11 @@ def align_lines(
     step_targets: Mapping[str, str] | None = None,
 ) -> AlignedTrace:
     """``align_events(g, parse_session_log(lines), step_targets)`` for the
-    lines of one session log.
-
-    The lines are decoded in one call, and records of the common shapes are
-    checked into plain event tuples, which the loop of align_events aligns,
-    so a click on an undeclared screen inside a step raises the same
-    UnknownScreenError; no TrackerEvent or SessionLog is built. A line that
-    is not one object with its only braces at its ends, any other record,
-    or a failed order, nesting or id check hands the whole log to the
-    reference functions, so the trace, or the error, is theirs.
-    """
-    checked = _checked_events(lines)
-    if checked is None:
-        return align_events(g, parse_session_log(lines), step_targets)
-    return _align(g, *checked, step_targets)
+    lines of one session log, without building a TrackerEvent or SessionLog:
+    the events parse_session_log checks go, as plain tuples, through the
+    loop of align_events."""
+    session_id, _, events = _session_events(lines)
+    return _align(g, session_id, events, step_targets)
 
 
 def _align(
@@ -384,72 +341,85 @@ def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
         return None
 
 
-def _checked_events(lines: list[str]) -> tuple[str, list[tuple[Any, ...]]] | None:
-    """The session id and the events of the lines, as plain tuples in the
-    field order of TrackerEvent, or None where the lines are not decoded in
-    one call, a record leaves the common shapes, or a check fails. The
-    common shapes: an int timestamp, string session and participant ids, a
-    string or absent screen and step id, and either a move or click with a
-    finite int or float point, an error annotation with a known error_kind,
-    or a key, step start or step end (with a step id) with neither."""
+def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
+    """The session id, participant id and events of one log's lines, each
+    event a plain tuple in the field order of TrackerEvent, or the ParseError
+    of the first bad line. A record of the common shapes is checked inline:
+    an int timestamp, a string or absent screen and step id, and a move or
+    click with a finite int or float point, an error annotation with a known
+    error_kind, or a key, step start or step end (with a step id) with
+    neither. _event_from_record reads, or rejects, any other record. Every
+    record then passes the id, order and nesting checks."""
     records = _line_records(lines)
-    if records is None:
-        return None
-    move, click, note = EventKind.MOVE, EventKind.CLICK, EventKind.ERROR_ANNOTATION
+    if records is None:  # decoded one line at a time, so errors come in line order
+        records = (_decode_line(line.strip(), n) for n, line in enumerate(lines, start=1) if line.strip())
+    numbers: list[int] = []  # of the non-blank lines, listed when first needed
+
+    def line_no() -> int:
+        """The number of the line of the record being checked, the len(events)-th."""
+        if not numbers:
+            numbers.extend(n for n, line in enumerate(lines, start=1) if line.strip())
+        return numbers[len(events)]
+
+    move, click, key, note = EventKind.MOVE, EventKind.CLICK, EventKind.KEY, EventKind.ERROR_ANNOTATION
     start, end = EventKind.STEP_START, EventKind.STEP_END
     events: list[tuple[Any, ...]] = []
     open_steps: set[str] = set()
-    session_id = participant_id = None  # the first record's, both strings
-    last_t = 0
+    session_id = participant_id = None  # the first record's, as text
+    last_t = -1
     for record in records:
-        try:
-            t_ms, kind, sid, pid = record["t_ms"], _KINDS[record["kind"]], record["session_id"], record["participant_id"]
-        except (KeyError, TypeError):  # a field is missing, or the kind is no kind's name
-            return None
         get = record.get
+        try:
+            t_ms, kind = record["t_ms"], _KINDS[record["kind"]]
+        except (KeyError, TypeError):  # a field is missing, or the kind is no kind's name
+            kind = None
         screen, step_id = get("screen"), get("step_id")
-        # last_t starts at 0, so this also rejects a negative timestamp.
-        if type(t_ms) is not int or t_ms < last_t or type(screen) not in _ID_TYPES or type(step_id) not in _ID_TYPES:
-            return None
-        last_t = t_ms
-        if sid != session_id or pid != participant_id:
-            if session_id is not None or type(sid) is not str or type(pid) is not str:
-                return None
-            session_id, participant_id = sid, pid
-
         point = error = None
-        if kind is move or kind is click:
+        if kind is None or type(t_ms) is not int or t_ms < 0 or type(screen) not in _ID_TYPES or type(step_id) not in _ID_TYPES:
+            common = False
+        elif kind is move or kind is click:
             x, y = get("x"), get("y")
-            # The range test is False for NaN, infinities and ints too large
-            # for a float.
-            if not (
-                "error_kind" not in record and type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
-                and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT
-            ):
-                return None
-            point = (float(x), float(y))
+            # The range test is False for NaN, infinities and ints too large for a float.
+            common = ("error_kind" not in record and type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
+                      and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT)
+            point = (float(x), float(y)) if common else None
         elif "x" in record or "y" in record:
-            return None
+            common = False
         elif kind is note:
             error = get("error_kind")
             error = _ERROR_KINDS.get(error) if type(error) is str else None
-            if error is None:
-                return None
-        elif "error_kind" in record:
-            return None
-        elif kind is start:
-            if step_id is None or step_id in open_steps:
-                return None
+            common = error is not None
+        else:
+            common = "error_kind" not in record and (step_id is not None or kind is key)
+        if not common:
+            t_ms, kind, point, screen, step_id, error = _event_from_record(record, line_no())
+
+        sid, pid = get("session_id", ""), get("participant_id", "")
+        if sid != session_id or pid != participant_id:  # the first record, a changed id, or an id that is no string
+            sid, pid = str(sid), str(pid)
+            if session_id is None:
+                session_id, participant_id = sid, pid
+            for name, seen, value in (("session_id", session_id, sid), ("participant_id", participant_id, pid)):
+                if value != seen:
+                    raise ParseError(f"line {line_no()}: {name} changed from {seen!r} to {value!r}")
+        if t_ms < last_t:
+            raise ParseError(f"line {line_no()}: non-monotonic timestamp {t_ms} after {last_t}")
+        last_t = t_ms
+        if kind is start:
+            if step_id in open_steps:
+                raise ParseError(f"line {line_no()}: step {step_id!r} started while already open")
             open_steps.add(step_id)
         elif kind is end:
             if step_id not in open_steps:
-                return None
+                raise ParseError(f"line {line_no()}: unmatched step_end for {step_id!r}")
             open_steps.remove(step_id)
         events.append((t_ms, kind, point, screen, step_id, error))
 
-    if open_steps or session_id is None:
-        return None
-    return session_id, events
+    if open_steps:
+        raise ParseError(f"unmatched step_start for {sorted(open_steps)}")
+    if session_id is None:
+        raise ParseError("log contains no events")
+    return session_id, participant_id, events
 
 
 @dataclass

@@ -66,6 +66,9 @@ class PathPlan:
                 raise ValueError(f"path {self.path_id!r}: {name} must be {expected}, got {value!r}")
 
 
+_MAX_PLAN_SESSIONS = 100_000
+
+
 @dataclass(frozen=True)
 class ScenarioPlan:
     procedures: tuple[Procedure, ...]
@@ -79,6 +82,9 @@ class ScenarioPlan:
             value = getattr(self, name)
             if type(value) is not int or value < 0:  # by exact type, so bools stay out
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        sessions = self.participants * self.sessions_per_participant
+        if sessions > _MAX_PLAN_SESSIONS:
+            raise ValueError(f"plan: participants x sessions_per_participant must be at most {_MAX_PLAN_SESSIONS}, got {sessions}")
 
 
 def session_seed(plan_seed: int, participant: int, session_index: int) -> int:

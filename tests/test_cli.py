@@ -566,6 +566,10 @@ def _edit_plan(edit):
             _edit_plan(lambda plan, path: plan["paths"].append({"path_id": "P_99", "median_s": 1.0})),
             "path 'P_99' has no terminal node in the graph",
         ),
+        (
+            _edit_plan(lambda plan, path: plan.update(participants=1000, sessions_per_participant=101)),
+            "plan: participants x sessions_per_participant must be at most 100000, got 101000",
+        ),
     ],
 )
 def test_bad_plan_exits_two_naming_file(document, message, graph_file, plan_file, tmp_path, capsys):
@@ -744,6 +748,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "two_targets": tmp_path / "two_targets.json",
         "respelled_plan": tmp_path / "respelled_plan.json",
         "flipped_model": tmp_path / "flipped.npz",
+        "bom_data": tmp_path / "bom_data.csv",
+        "bom_session": tmp_path / "bom_session.jsonl",
+        "bom_config": tmp_path / "bom_config.json",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -797,6 +804,10 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     archive = bytearray(files["model"].read_bytes())
     archive[-3] ^= 0x01  # end-of-central-directory record: a high bit of the central directory's offset
     files["flipped_model"].write_bytes(archive)
+    # Files saved with a UTF-8 byte-order mark, as spreadsheet programs write them.
+    files["bom_data"].write_text(tiny_training_csv.read_text(), encoding="utf-8-sig")
+    files["bom_session"].write_text(_session_lines({"t_ms": 0, "kind": "key"}), encoding="utf-8-sig")
+    files["bom_config"].write_text(json.dumps({"pif": {"epochs": 0}}), encoding="utf-8-sig")
     procedures = json.loads(files["procedures"].read_text())
     procedures[0]["steps"][1]["target_path"] = "P_999"
     files["unknown_target"].write_text(json.dumps(procedures))
@@ -854,6 +865,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{deep_note}"], 2, "{deep_note}: line 1: not valid JSON (nested too deeply)"),
         ([*_SESSIONS, "{big_int}"], 2, "{big_int}: line 2: not valid JSON (Exceeds the limit (4300 digits)"),
         ([*_SESSIONS, "{sessions}", "--procedures", "{unknown_target}"], 2, _UNKNOWN_TARGET),
+        ([*_SESSIONS, "{sessions}", "{bom_session}"], 0, None),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
@@ -886,6 +898,7 @@ _EXIT_CODES = {
         (["--data", "{one_class}", "--model-out", "{tmp}/trained.npz"], 2, "{one_class}: training rows contain a single class"),
         (["--data", "{one_row}", "--model-out", "{tmp}/trained.npz"], 2, "{one_row}: need at least 2 training rows"),
         (["--config", "{zero_epochs}", "--model-out", "{tmp}/trained.npz"], 2, "{zero_epochs}: config pif.epochs: must be positive, got 0"),
+        (["--data", "{bom_data}", "--model-out", "{tmp}/trained.npz"], 0, None),
     ],
     "pif cv": [
         (["--data", "{data}", "--k", "3"], 0, None),
@@ -896,6 +909,7 @@ _EXIT_CODES = {
         (["--data", "{one_class}"], 2, "{one_class}: training rows contain a single class"),
         (["--data", "{skew}", "--k", "2"], 2, "--k: 2 folds of {skew} leave training split 2 with the single label HSI0"),
         (["--data", "{data}", "--config", "{deep}"], 2, "{deep}: not valid JSON (nested too deeply)"),
+        (["--data", "{data}", "--config", "{bom_config}"], 2, "{bom_config}: config pif.epochs: must be positive, got 0"),
     ],
     "pif predict": [
         (["--model", "{model}", "--features", "5,5,5"], 0, None),

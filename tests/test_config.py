@@ -91,6 +91,8 @@ def test_number_beyond_float_range_rejected():
         ({"embed": {"provider": "remote", "endpoint": " "}}, "config embed.endpoint: must be set"),
         ({"embed": {"provider": "remote", "endpoint": "embed-service"}},
          "config embed.endpoint: must be an http:// or https:// URL, got 'embed-service'"),
+        ({"pif": {"epochs": 10**30}}, f"config pif.epochs: must be at most 100000, got {10**30}"),
+        ({"pif": {"epochs": 100_001}}, "config pif.epochs: must be at most 100000, got 100001"),
     ],
 )
 def test_bad_value_rejected_naming_key(raw, message):
