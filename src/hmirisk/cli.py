@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__, dataset, forked
 from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, EmbeddingTransportError, LocalProvider, RemoteProvider, name_similarity
-from .graph import GraphError, UnknownPathError, load_graph, resolve_path
+from .graph import GraphError, load_graph
 from .ingest import align_lines, load_procedures, merge_samples, path_samples
 from .metrics import metric_vector, metrics_csv_rows
 from .pifnet import (
@@ -26,20 +26,14 @@ from .pifnet import (
     kfold_cv,
     load_model,
     load_training_csv,
+    ordered_labels,
     predict,
     save_model,
     stratified_folds,
     train,
 )
 from .report import assemble_report, write_report_files
-from .risk import (
-    detect_error_paths,
-    identify_hfes,
-    load_t95_overrides,
-    model_from_samples_or_p95,
-    system_category,
-    time_deviation_detail,
-)
+from .risk import detect_error_paths, identify_hfes, load_t95_overrides, system_category, time_deviation_detail, time_models
 from .simulate import generate_sessions, plan_from_document, write_sessions
 
 
@@ -138,7 +132,7 @@ def _session_files(paths: list[str]) -> list[Path]:
         else:
             files.append(p)
     if not files:
-        raise FileNotFoundError(f"no session files found in {paths}")
+        raise ValueError(f"--sessions: no session files found in {', '.join(paths)}")
     return files
 
 
@@ -165,32 +159,9 @@ def _load(path: str | Path, parse, read=_json):
 
 def _load_inputs(args):
     """Graph, procedures, the session files, and the function that aligns the
-    lines of one of them. Every declared step target must resolve in the
-    graph, and is kept as its canonical path id; a step id carries at most
-    one target."""
+    lines of one of them."""
     graph = _load(args.graph, load_graph)
-
-    def resolved_procedures(document):
-        procedures, declared = [], {}
-        for proc in load_procedures(document):
-            steps = []
-            for step in proc.steps:
-                if step.target_path is not None:
-                    try:
-                        step = replace(step, target_path=resolve_path(graph, step.target_path).path_id)
-                    except UnknownPathError as err:
-                        raise ValueError(f"procedure {proc.procedure_id!r}, step {step.step_id!r}: {err}") from None
-                    owner, target = declared.setdefault(step.step_id, (proc.procedure_id, step.target_path))
-                    if target != step.target_path:
-                        raise ValueError(
-                            f"step {step.step_id!r} targets {target} in procedure {owner!r} "
-                            f"and {step.target_path} in procedure {proc.procedure_id!r}"
-                        )
-                steps.append(step)
-            procedures.append(replace(proc, steps=tuple(steps)))
-        return procedures
-
-    procedures = _load(args.procedures, resolved_procedures) if getattr(args, "procedures", None) else []
+    procedures = _load(args.procedures, lambda doc: load_procedures(doc, graph)) if getattr(args, "procedures", None) else []
     targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
 
     def aligned(lines):
@@ -303,8 +274,7 @@ def _trained_model(path: str, pif_levels: bool = False):
 
 def _train_default_model(cfg: AppConfig, seed: int, rows=None):
     rows = rows if rows is not None else dataset.training_rows()
-    labels = sorted({label for _, label in rows})
-    model = init_model(seed, labels)
+    model = init_model(seed, ordered_labels(label for _, label in rows))
     train(model, rows, cfg.pif)
     return model
 
@@ -365,7 +335,7 @@ def _cmd_simulate(args, cfg: AppConfig) -> int:
     graph = _load(args.graph, load_graph)
 
     def sessions_of(document):
-        plan = plan_from_document(document)
+        plan = plan_from_document(document, graph)
         return generate_sessions(graph, plan if args.seed is None else replace(plan, seed=args.seed))
 
     sessions = _load(args.plan, sessions_of)
@@ -387,21 +357,7 @@ def _cmd_hfe(args, cfg: AppConfig) -> int:
     samples, _, _ = _fold(files, align)
     _, hfe = _detect(graph, samples, procedures, cfg)
 
-    time_models = {}
-    for path_id in sorted(set(samples) | set(overrides)):
-        # Fitted on the positive durations only, the detector's rule.
-        durations = [d for d in samples[path_id].durations if d > 0] if path_id in samples else []
-        if not durations and path_id not in overrides:
-            continue
-        model = model_from_samples_or_p95(durations, overrides.get(path_id))
-        time_models[path_id] = {
-            "mu": model.mu,
-            "sigma": model.sigma,
-            "median_s": model.median(),
-            "source": "empirical" if durations else "t95",
-        }
-
-    doc = {**hfe, "time_models": time_models}
+    doc = {**hfe, "time_models": time_models(samples, overrides)}
     (_out_dir(args) / "hfe.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     print(f"{len(hfe['candidates'])} candidate path(s); prioritized: {', '.join(hfe['prioritized_procedures']) or '-'}")
     return 0

@@ -31,8 +31,7 @@ import numpy as np
 LOCAL_DIM = 256
 LOCAL_PROVIDER_TAG = "local-trigram-v1"
 _HASH_PERSON = b"hmirisk-ngram-1"  # versioned; changing it changes every bucket
-_CACHE_MAGIC = b"HMEC"
-_CACHE_VERSION = 1
+_CACHE_HEADER = b"HMEC\x01"  # 4-byte magic, 1-byte version
 
 API_KEY_ENV = "HMIRISK_EMBED_API_KEY"
 
@@ -169,6 +168,7 @@ class EmbeddingCache:
 
     File layout: 4-byte magic, 1-byte version, then records of
     ``uint32 length | 32-byte sha256 key | uint32 dim | dim * float32``.
+    A non-empty file with any other header is an error naming the file.
     A record that runs past the end of the file is an interrupted append
     and is ignored; a complete record whose length is not ``36 + 4 * dim``
     is an error naming the file and the record's byte offset. Appends are
@@ -189,14 +189,11 @@ class EmbeddingCache:
     def _load(self, provider_tag: str) -> None:
         if provider_tag in self._loaded:
             return
-        self._loaded.add(provider_tag)
         path = self._file_for(provider_tag)
-        if not path.exists():
-            return
-        blob = path.read_bytes()
-        if len(blob) < 5 or blob[:4] != _CACHE_MAGIC or blob[4] != _CACHE_VERSION:
-            return
-        offset = 5
+        blob = path.read_bytes() if path.exists() else b""
+        if blob and not blob.startswith(_CACHE_HEADER):  # an empty file is a new cache
+            raise ValueError(f"{path}: not an embedding cache file: header {blob[:5]!r}, expected {_CACHE_HEADER!r}")
+        offset = len(_CACHE_HEADER)
         while offset + 4 <= len(blob):
             (length,) = struct.unpack_from("<I", blob, offset)
             offset += 4
@@ -208,6 +205,7 @@ class EmbeddingCache:
             values = np.frombuffer(blob, dtype="<f4", count=(length - 36) // 4, offset=offset + 36)
             self._mem[(provider_tag, bytes(key))] = values.copy()
             offset += length
+        self._loaded.add(provider_tag)
 
     def get(self, provider_tag: str, key: bytes) -> np.ndarray | None:
         self._load(provider_tag)
@@ -220,7 +218,7 @@ class EmbeddingCache:
         self._mem[(provider_tag, key)] = as_f32.astype(np.float32)
         with open(self._file_for(provider_tag), "ab") as fh:
             if fh.tell() == 0:
-                fh.write(_CACHE_MAGIC + bytes([_CACHE_VERSION]))
+                fh.write(_CACHE_HEADER)
             fh.write(struct.pack("<I", len(record)) + record)
 
 

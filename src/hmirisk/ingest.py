@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
-from .graph import InterfaceGraph, path_id_for
+from .graph import InterfaceGraph, UnknownPathError, path_id_for, resolve_path
 from .metrics import trajectory_length
 
 
@@ -88,26 +88,39 @@ class Procedure:
     steps: tuple[ProcedureStep, ...]
 
 
-def load_procedures(document: Any) -> list[Procedure]:
+def load_procedures(document: Any, g: InterfaceGraph) -> list[Procedure]:
     """Load one procedure (object) or several (array) from a decoded
-    document; an error names the procedure and the field."""
+    document; an error names the procedure and the field. A declared
+    ``target_path`` must resolve in ``g``, as a path id or an element id,
+    and is stored as its canonical path id; a step id carries at most one
+    target across the procedures (the same one twice is allowed)."""
     raw_list = [document] if isinstance(document, Mapping) else document
     if not isinstance(raw_list, (list, tuple)) or not all(isinstance(raw, Mapping) for raw in raw_list):
         raise ValueError("procedures must be a JSON object or an array of objects")
-    procedures = []
+    procedures, declared = [], {}
     for raw in raw_list:
         procedure_id, steps = raw.get("procedure_id"), raw.get("steps", [])
         if type(procedure_id) is not str:
             raise ValueError(f"procedure_id must be a string, got {procedure_id!r}")
         if not isinstance(steps, list) or not all(isinstance(s, Mapping) for s in steps):
             raise ValueError(f"procedure {procedure_id!r}: steps must be an array of objects")
+        loaded = []
         for n, s in enumerate(steps, start=1):
             for key in ("step_id", "text", "target_path"):
                 if type(s.get(key)) is not str and (key == "step_id" or s.get(key) is not None):
                     raise ValueError(f"procedure {procedure_id!r}, step {n}: {key} must be a string, got {s.get(key)!r}")
-        procedures.append(
-            Procedure(procedure_id, tuple(ProcedureStep(s["step_id"], s.get("text") or "", s.get("target_path")) for s in steps))
-        )
+            step_id, target = s["step_id"], s.get("target_path")
+            if target is not None:
+                try:
+                    target = resolve_path(g, target).path_id
+                except UnknownPathError as err:
+                    raise ValueError(f"procedure {procedure_id!r}, step {step_id!r}: {err}") from None
+                owner, first = declared.setdefault(step_id, (procedure_id, target))
+                if first != target:
+                    raise ValueError(f"step {step_id!r} targets {first} in procedure {owner!r} "
+                                     f"and {target} in procedure {procedure_id!r}")
+            loaded.append(ProcedureStep(step_id, s.get("text") or "", target))
+        procedures.append(Procedure(procedure_id, tuple(loaded)))
     return procedures
 
 

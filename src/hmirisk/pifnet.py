@@ -68,8 +68,13 @@ class CvResult:
 def _label_key(label: str):
     match = re.fullmatch(r"([A-Za-z]+)(\d+)", label)
     if match:
-        return (match.group(1), int(match.group(2)))
-    return (label, -1)
+        return (match.group(1), int(match.group(2)), label)  # the label itself orders HSI02 and HSI2
+    return (label, -1, label)
+
+
+def ordered_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """The distinct labels in model order: by prefix, then number (HSI2 before HSI10)."""
+    return tuple(sorted(set(labels), key=_label_key))
 
 
 class PifModel:
@@ -366,7 +371,7 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]
     for i, label in enumerate(labels):
         by_label.setdefault(label, []).append(i)
     cursor = 0
-    for label in sorted(by_label, key=_label_key):
+    for label in ordered_labels(by_label):
         indices = np.array(by_label[label])
         rng.shuffle(indices)
         for idx in indices:
@@ -398,7 +403,7 @@ def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfi
     if k > len(rows):
         raise ValueError(f"k={k} exceeds {len(rows)} rows")
     labels = [label for _, label in rows]
-    label_order = tuple(sorted(set(labels), key=_label_key))
+    label_order = ordered_labels(labels)
     folds = stratified_folds(labels, k, seed)
     n = min(forked.usable_cpus(), k)
     groups = [range(i * k // n, (i + 1) * k // n) for i in range(n)]

@@ -95,6 +95,11 @@ class TimeDeviation:
     flagged: bool
 
 
+def _positive_durations(sample: PathSamples) -> list[float]:
+    """The durations every time model is fitted on (see time_deviation_detail)."""
+    return [d for d in sample.durations if d > 0]
+
+
 def time_deviation_detail(
     samples: Mapping[str, PathSamples],
     grouping: Mapping[str, str],
@@ -118,7 +123,7 @@ def time_deviation_detail(
     out: dict[str, TimeDeviation] = {}
     for category in sorted(by_category):
         members = sorted(by_category[category])
-        positive = {p: [d for d in samples[p].durations if d > 0] for p in members}
+        positive = {p: _positive_durations(samples[p]) for p in members}
         with_data = [p for p in members if positive[p]]
         if len(with_data) < 2:
             log.warning("category %r has %d path(s) with durations; skipped", category, len(with_data))
@@ -142,6 +147,20 @@ def time_deviation_detail(
                 flagged=z >= tau,
             )
     return out
+
+
+def time_models(samples: Mapping[str, PathSamples], t95: Mapping[str, float]) -> dict[str, dict[str, Any]]:
+    """The ``time_models`` block of ``hfe.json``: each path's model fitted on
+    its positive durations, else converted from its t95; neither, no model."""
+    models = {}
+    for path_id in sorted(set(samples) | set(t95)):
+        durations = _positive_durations(samples[path_id]) if path_id in samples else []
+        if not durations and path_id not in t95:
+            continue
+        model = model_from_samples_or_p95(durations, t95.get(path_id))
+        source = "empirical" if durations else "t95"
+        models[path_id] = {"mu": model.mu, "sigma": model.sigma, "median_s": model.median(), "source": source}
+    return models
 
 
 def detect_time_deviated(
@@ -242,10 +261,11 @@ def identify_hfes(
     }
 
 
-def load_t95_overrides(lines: Iterable[str], g: InterfaceGraph | None = None) -> dict[str, float]:
+def load_t95_overrides(lines: Iterable[str], g: InterfaceGraph) -> dict[str, float]:
     """Parse the lines of the optional `path_id,t95_seconds` override CSV;
-    each t95 must be a positive finite number of seconds. With a graph,
-    each path_id must resolve in it and is keyed by its resolved path id."""
+    each t95 must be a positive finite number of seconds, and each path_id
+    must resolve in ``g`` (a path id or an element id) and is keyed by its
+    canonical path id."""
     overrides: dict[str, float] = {}
     first = None
     for line_no, line in enumerate(lines, start=1):
@@ -264,11 +284,8 @@ def load_t95_overrides(lines: Iterable[str], g: InterfaceGraph | None = None) ->
             raise ValueError(f"line {line_no}: non-numeric t95 in {line!r}") from None
         if not (math.isfinite(t95) and t95 > 0):
             raise ValueError(f"line {line_no}: t95 must be positive and finite in {line!r}")
-        path_id = parts[0].strip()
-        if g is not None:
-            try:
-                path_id = resolve_path(g, path_id).path_id
-            except UnknownPathError as err:
-                raise ValueError(f"line {line_no}: {err}") from None
-        overrides[path_id] = t95
+        try:
+            overrides[resolve_path(g, parts[0].strip()).path_id] = t95
+        except UnknownPathError as err:
+            raise ValueError(f"line {line_no}: {err}") from None
     return overrides

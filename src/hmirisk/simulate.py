@@ -264,15 +264,16 @@ def _number(raw: Mapping, key: str, default: float | None = None) -> float:
     return float(value)
 
 
-def plan_from_document(document: Mapping) -> ScenarioPlan:
+def plan_from_document(document: Mapping, g: InterfaceGraph) -> ScenarioPlan:
     """Build a plan from its JSON mirror (see the plan file schema), checking
-    every value; an error names the offending path."""
+    every value; an error names the offending path. Its procedures are
+    loaded by ``load_procedures(document["procedures"], g)``, by its rules."""
     if not isinstance(document, Mapping):
         raise ValueError(f"plan must be a JSON object, got {type(document).__name__}")
     for key in ("procedures", "paths"):
         if key not in document:
             raise ValueError(f"plan has no {key!r}")
-    procs = tuple(load_procedures(document["procedures"]))
+    procs = tuple(load_procedures(document["procedures"], g))
     raw_paths = document["paths"]
     if not isinstance(raw_paths, list):
         raise ValueError(f"plan paths must be an array, got {type(raw_paths).__name__}")

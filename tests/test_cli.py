@@ -22,7 +22,7 @@ from hmirisk.cli import main
 from hmirisk.graph import load_graph
 from hmirisk.ingest import align_events, align_lines, parse_session_log
 from hmirisk.metrics import trajectory_length
-from hmirisk.pifnet import init_model, save_model, training_csv
+from hmirisk.pifnet import init_model, load_model, save_model, training_csv
 
 
 class TestGraphValidate:
@@ -38,6 +38,12 @@ class TestGraphValidate:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["graph", "validate", str(tmp_path / "absent.json")]) == 2
+
+    def test_json_array_exits_one(self, tmp_path, capsys):
+        array = tmp_path / "array.json"
+        array.write_text("[]")
+        assert main(["graph", "validate", str(array)]) == 1
+        assert capsys.readouterr().out == "graph document must be a JSON object\n"
 
 
 class TestSimulate:
@@ -308,6 +314,23 @@ class TestPif:
         assert len(payload["fold_accuracies"]) == 3
         assert payload["mean"] == 1.0
 
+    def test_train_orders_labels_as_cv_does(self, tmp_path):
+        rows = [(f"P_{i}", (float(i), 0.0, 0.0), "HSI2" if i < 3 else "HSI10") for i in range(6)]
+        data, model_file = tmp_path / "train.csv", tmp_path / "model.npz"
+        data.write_text(training_csv(rows))
+        assert main(["pif", "train", "--data", str(data), "--model-out", str(model_file)]) == 0
+        assert load_model(model_file).label_order == ("HSI2", "HSI10")
+
+    def test_predict_data_prints_one_line_per_row(self, tiny_training_csv, tmp_path, capsys):
+        model_file = tmp_path / "model.npz"
+        assert main(["pif", "train", "--data", str(tiny_training_csv), "--model-out", str(model_file)]) == 0
+        capsys.readouterr()
+        assert main(["pif", "predict", "--model", str(model_file), "--data", str(tiny_training_csv)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        rows = tiny_training_csv.read_text().splitlines()[1:]
+        assert [record["features"] for record in records] == [[float(v) for v in row.split(",")[1:4]] for row in rows]
+        assert [record["label"] for record in records] == [row.split(",")[4] for row in rows]
+
     def test_predict_requires_input(self, tiny_training_csv, tmp_path, capsys):
         model_file = tmp_path / "model.npz"
         main(["pif", "train", "--data", str(tiny_training_csv), "--model-out", str(model_file)])
@@ -570,6 +593,11 @@ def _edit_plan(edit):
             _edit_plan(lambda plan, path: plan.update(participants=1000, sessions_per_participant=101)),
             "plan: participants x sessions_per_participant must be at most 100000, got 101000",
         ),
+        (
+            _edit_plan(lambda plan, path: plan["procedures"][0]["steps"][1].update(target_path="P_999")),
+            "procedure 'PR', step 's1': path 'P_999' has no terminal node in the graph",
+        ),
+        (_edit_plan(lambda plan, path: plan["paths"].pop()), "step 's2' targets unknown path 'P_13'"),
     ],
 )
 def test_bad_plan_exits_two_naming_file(document, message, graph_file, plan_file, tmp_path, capsys):
@@ -751,6 +779,12 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "bom_data": tmp_path / "bom_data.csv",
         "bom_session": tmp_path / "bom_session.jsonl",
         "bom_config": tmp_path / "bom_config.json",
+        "two_target_plan": tmp_path / "two_target_plan.json",
+        "empty_dir": tmp_path / "empty",
+        "blank_session": tmp_path / "blank_session.jsonl",
+        "foreign_cache": tmp_path / "foreign_cache.json",
+        "v2_cache": tmp_path / "v2_cache.json",
+        "v2_model": tmp_path / "v2_model.npz",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -789,6 +823,11 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     respelled = json.loads(plan_file.read_text())
     respelled["procedures"][0]["steps"][0]["target_path"] = "N_11"  # "paths" lists it as P_11
     files["respelled_plan"].write_text(json.dumps(respelled))
+    two_targets = json.loads(plan_file.read_text())
+    two_targets["procedures"].append({"procedure_id": "B", "steps": [{"step_id": "s1", "target_path": "N_13"}]})
+    files["two_target_plan"].write_text(json.dumps(two_targets))
+    files["empty_dir"].mkdir()
+    files["blank_session"].write_text("\n  \n\n")
     files["no_steps_plan"].write_text(json.dumps({"procedures": [{"procedure_id": "PR", "steps": []}], "paths": []}))
     deep = "[" * 100_000 + "]" * 100_000
     files["deep"].write_text(deep)
@@ -804,6 +843,12 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     archive = bytearray(files["model"].read_bytes())
     archive[-3] ^= 0x01  # end-of-central-directory record: a high bit of the central directory's offset
     files["flipped_model"].write_bytes(archive)
+    with np.load(files["model"]) as saved:
+        arrays = dict(saved)
+    meta = json.loads(bytes(arrays["meta_json"]))
+    arrays["meta_json"] = np.frombuffer(json.dumps({**meta, "format_version": 2}).encode(), dtype=np.uint8)
+    with open(files["v2_model"], "wb") as fh:
+        np.savez(fh, **arrays)
     # Files saved with a UTF-8 byte-order mark, as spreadsheet programs write them.
     files["bom_data"].write_text(tiny_training_csv.read_text(), encoding="utf-8-sig")
     files["bom_session"].write_text(_session_lines({"t_ms": 0, "kind": "key"}), encoding="utf-8-sig")
@@ -830,6 +875,11 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         (tmp_path / name).mkdir()
         (tmp_path / name / "local-trigram-v1.embcache").write_bytes(b"HMEC\x01" + record)
         files[name].write_text(json.dumps({"embed": {"cache_dir": str(tmp_path / name)}}))
+    # Cache files with a foreign header and with a later version's header.
+    for name, header in {"foreign_cache": b"NOPE\x01", "v2_cache": b"HMEC\x02"}.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "local-trigram-v1.embcache").write_bytes(header)
+        files[name].write_text(json.dumps({"embed": {"cache_dir": str(tmp_path / name)}}))
     return files
 
 
@@ -837,6 +887,7 @@ _SESSIONS = ["--graph", "{graph}", "--sessions"]
 _UNKNOWN_TARGET = "{unknown_target}: procedure 'PR', step 's1': path 'P_999' has no terminal node in the graph"
 _NO_NAME = "{no_name_graph}: element 'N_12': a name is needed to compare it with its screen"
 _BAD_CACHE = "{tmp}/%s/local-trigram-v1.embcache: cache record at byte 5: length %d does not fit its header"
+_FOREIGN_CACHE = "{tmp}/%s/local-trigram-v1.embcache: not an embedding cache file: header %r, expected b'HMEC\\x01'"
 
 # command, argv, expected exit code, what every error line must name
 _EXIT_CODES = {
@@ -854,6 +905,8 @@ _EXIT_CODES = {
         (["--graph", "{graph}", "--plan", "{unknown_path_plan}", "--out", "{tmp}/sim"], 2, "{unknown_path_plan}"),
         (["--graph", "{graph}", "--plan", "{no_steps_plan}", "--out", "{tmp}/sim"], 2, "{no_steps_plan}: plan declares no procedure steps"),
         (["--graph", "{graph}", "--plan", "{respelled_plan}", "--out", "{tmp}/sim"], 0, None),
+        (["--graph", "{graph}", "--plan", "{two_target_plan}", "--out", "{tmp}/sim"], 2,
+         "{two_target_plan}: step 's1' targets P_12 in procedure 'PR' and P_13 in procedure 'B'"),
     ],
     "ingest": [
         ([*_SESSIONS, "{sessions}"], 0, None),
@@ -866,6 +919,8 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{big_int}"], 2, "{big_int}: line 2: not valid JSON (Exceeds the limit (4300 digits)"),
         ([*_SESSIONS, "{sessions}", "--procedures", "{unknown_target}"], 2, _UNKNOWN_TARGET),
         ([*_SESSIONS, "{sessions}", "{bom_session}"], 0, None),
+        ([*_SESSIONS, "{empty_dir}"], 2, "--sessions: no session files found in {empty_dir}"),
+        ([*_SESSIONS, "{sessions}", "{blank_session}"], 2, "{blank_session}: log contains no events"),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
@@ -890,6 +945,9 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--config", "{big_dim_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("big_dim_cache", 44)),
         ([*_SESSIONS, "{sessions}", "--config", "{no_scheme}", "--out", "{tmp}/metrics"], 2,
          "{no_scheme}: config embed.endpoint: must be an http:// or https:// URL, got 'embed-service'"),
+        ([*_SESSIONS, "{sessions}", "--config", "{foreign_cache}", "--out", "{tmp}/metrics"], 2,
+         _FOREIGN_CACHE % ("foreign_cache", b"NOPE\x01")),
+        ([*_SESSIONS, "{sessions}", "--config", "{v2_cache}", "--out", "{tmp}/metrics"], 2, _FOREIGN_CACHE % ("v2_cache", b"HMEC\x02")),
     ],
     "pif train": [
         (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),
@@ -926,6 +984,8 @@ _EXIT_CODES = {
         (["--model", "{model}", "--features", ""], 2, "--features: could not convert string to float: ''"),
         (["--model", "{zip_version_model}", "--features", "5,5,5"], 2, "{zip_version_model}: not a readable model file (zip file version"),
         (["--model", "{flipped_model}", "--features", "5,5,5"], 2, "{flipped_model}: not a readable model file ("),
+        (["--model", "{model}", "--features", "nan,0,0"], 2, "--features: non-finite feature in 'nan,0,0'"),
+        (["--model", "{v2_model}", "--features", "5,5,5"], 2, "{v2_model}: not a readable model file (unsupported model format 2)"),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),

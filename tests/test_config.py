@@ -53,6 +53,11 @@ def test_fingerprint_stable_and_sensitive():
     assert config_fingerprint(changed) != a
 
 
+def test_optional_fields_take_null():
+    cfg = config_from_dict({"metrics": {"normalizer_px": None}, "embed": {"cache_dir": None}})
+    assert cfg == AppConfig() and cfg.metrics.normalizer_px is None and cfg.embed.cache_dir is None
+
+
 def test_number_fields_take_integers():
     cfg = config_from_dict({"riskpath": {"tau": 2}, "metrics": {"normalizer_px": 2654}})
     assert cfg.riskpath.tau == 2 and cfg.metrics.normalizer_px == 2654

@@ -3,6 +3,7 @@ from __future__ import annotations
 import http.server
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -125,6 +126,25 @@ class TestCache:
         file.write_bytes(blob + b"\x07\x00\x00\x00ab")  # interrupted append
         cache2 = EmbeddingCache(tmp_path)
         assert embed_text(provider, "alpha", cache2) == embed_text(provider, "alpha")
+
+    @pytest.mark.parametrize("content", [b"NOPE\x01", b"HMEC\x02", b"HMEC"])
+    def test_foreign_header_is_an_error_and_the_file_is_kept(self, tmp_path, content):
+        provider = LocalProvider()
+        file = tmp_path / f"{provider.provider_tag}.embcache"
+        file.write_bytes(content)
+        cache = EmbeddingCache(tmp_path)
+        for _ in range(2):  # the error stays; nothing is appended meanwhile
+            with pytest.raises(ValueError, match=f"^{re.escape(str(file))}: not an embedding cache file"):
+                embed_text(provider, "alpha", cache)
+        assert file.read_bytes() == content
+
+    def test_empty_file_is_a_new_cache(self, tmp_path):
+        file = tmp_path / f"{CountingProvider.provider_tag}.embcache"
+        file.write_bytes(b"")
+        first = embed_text(CountingProvider(), "alpha", EmbeddingCache(tmp_path))
+        assert file.read_bytes().startswith(b"HMEC\x01")
+        provider = CountingProvider()
+        assert embed_text(provider, "alpha", EmbeddingCache(tmp_path)) == first and provider.calls == 0
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

@@ -684,15 +684,15 @@ class TestMergeSamples:
         assert merged == path_samples(self.FILES)
 
 
-def test_load_procedures_single_and_list(tmp_path):
+def test_load_procedures_single_and_list(tmp_path, two_screen_graph):
     doc = {"procedure_id": "PR_9", "steps": [{"step_id": "s1", "text": "check pump", "target_path": "P_11"}]}
-    procs = load_procedures(doc)
+    procs = load_procedures(doc, two_screen_graph)
     assert procs[0].procedure_id == "PR_9"
     assert procs[0].steps[0].target_path == "P_11"
 
     file = tmp_path / "procs.json"
     file.write_text(json.dumps([doc, {"procedure_id": "PR_2", "steps": []}]))
-    assert [p.procedure_id for p in load_procedures(json.loads(file.read_text()))] == ["PR_9", "PR_2"]
+    assert [p.procedure_id for p in load_procedures(json.loads(file.read_text()), two_screen_graph)] == ["PR_9", "PR_2"]
 
 
 # --- reference implementations and generators for equivalence tests ---------

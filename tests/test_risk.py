@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hmirisk import dataset
 from hmirisk.ingest import ErrorKind, PathSamples, Procedure, ProcedureStep
 from hmirisk.risk import (
     LognormalTimeModel,
@@ -293,14 +294,17 @@ def test_39_path_pattern_recall_over_seeds():
 
 
 def test_t95_override_parsing():
+    g = dataset.build_reference_graph()
     text = "path_id,t95_seconds\nP_110,158.5\nP_121, 31.7\n"
-    assert load_t95_overrides(text.splitlines()) == {"P_110": 158.5, "P_121": 31.7}
+    assert load_t95_overrides(text.splitlines(), g) == {"P_110": 158.5, "P_121": 31.7}
     with pytest.raises(ValueError):
-        load_t95_overrides(["P_110,1,2"])
+        load_t95_overrides(["P_110,1,2"], g)
 
 
-def test_t95_override_skips_only_its_first_line_as_the_header():
-    assert load_t95_overrides(["", "PATH_ID,T95_SECONDS", "PATH_ID_2,10", "P_3,5"]) == {"PATH_ID_2": 10.0, "P_3": 5.0}
+def test_t95_override_skips_only_its_first_line_as_the_header(two_screen_graph):
+    assert load_t95_overrides(["", "PATH_ID,T95_SECONDS", "P_11,5"], two_screen_graph) == {"P_11": 5.0}
+    with pytest.raises(ValueError, match="^line 3: path 'PATH_ID_2' has no terminal node in the graph$"):
+        load_t95_overrides(["", "PATH_ID,T95_SECONDS", "PATH_ID_2,10", "P_11,5"], two_screen_graph)
 
 
 def test_t95_override_ids_resolve_in_the_graph(two_screen_graph):
@@ -322,4 +326,4 @@ def test_t95_override_ids_resolve_in_the_graph(two_screen_graph):
 )
 def test_t95_override_rejects_bad_value_naming_line(value, message):
     with pytest.raises(ValueError, match=f"^line 3: {message} in 'TP_1,{value}'$"):
-        load_t95_overrides(["path_id,t95_seconds", "P_110,158.5", f"TP_1,{value}"])
+        load_t95_overrides(["path_id,t95_seconds", "P_110,158.5", f"TP_1,{value}"], dataset.build_reference_graph())

@@ -319,7 +319,7 @@ def test_plan_from_document(two_screen_graph):
         "sessions_per_participant": 4,
         "seed": 77,
     }
-    plan = plan_from_document(doc)
+    plan = plan_from_document(doc, two_screen_graph)
     assert plan.paths["P_11"].median_s == 3.5
     assert plan.paths["P_11"].p_execution == 0.25
     assert plan.paths["P_11"].sigma == 0.28
