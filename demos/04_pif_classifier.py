@@ -6,10 +6,10 @@ the 39 evaluated paths and applied to three procedures that were never
 observed. Five-fold stratified cross-validation gives the accuracy band.
 """
 from hmirisk.dataset import PREDICTION_ROWS, training_rows
-from hmirisk.pifnet import evaluate, init_model, kfold_cv, pif_weights, predict, train
+from hmirisk.pifnet import evaluate, init_model, kfold_cv, ordered_labels, pif_weights, predict, train
 
 rows = training_rows()
-labels = sorted({label for _, label in rows})
+labels = ordered_labels(label for _, label in rows)
 print(f"{len(rows)} training rows, labels {labels}")
 
 cv = kfold_cv(rows, k=5, seed=0)

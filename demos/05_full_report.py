@@ -15,7 +15,7 @@ from hmirisk.dataset import (
     reference_procedures,
     training_rows,
 )
-from hmirisk.pifnet import init_model, predict, train
+from hmirisk.pifnet import init_model, ordered_labels, predict, train
 from hmirisk.report import assemble_report, write_report_files
 from hmirisk.risk import detect_error_paths, identify_hfes, time_deviation_detail
 
@@ -31,7 +31,7 @@ hfe = identify_hfes(errors, flagged, graph, reference_procedures(), detail)
 print(f"{len(hfe['candidates'])} HFE candidates; procedure priority: {', '.join(hfe['prioritized_procedures'])}")
 
 rows = training_rows()
-model = init_model(seed=0, label_order=sorted({label for _, label in rows}))
+model = init_model(seed=0, label_order=ordered_labels(label for _, label in rows))
 train(model, rows)
 
 assessments = []

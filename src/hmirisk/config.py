@@ -63,11 +63,12 @@ _SECTIONS = {
 _TYPES = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a finite number")}
 
 _MAX_EPOCHS = 100_000
+_MAX_TIMEOUT_MS = 3_600_000  # an hour; socket timeouts overflow far beyond it
 
 # The requirements a key's value must meet, each a test and its wording.
 _RANGES = {
     "embed.provider": [(lambda v: v in ("local", "remote"), "'local' or 'remote'")],
-    "embed.timeout_ms": [(lambda v: v > 0, "positive")],
+    "embed.timeout_ms": [(lambda v: v > 0, "positive"), (lambda v: v <= _MAX_TIMEOUT_MS, f"at most {_MAX_TIMEOUT_MS}")],
     "riskpath.tau": [(lambda v: v >= 0, "non-negative")],
     "riskpath.alpha": [(lambda v: v >= 0, "non-negative")],
     "metrics.theta": [(lambda v: 0 < v <= 1, "in (0, 1]")],

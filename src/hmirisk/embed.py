@@ -34,6 +34,9 @@ _HASH_PERSON = b"hmirisk-ngram-1"  # versioned; changing it changes every bucket
 _CACHE_HEADER = b"HMEC\x01"  # 4-byte magic, 1-byte version
 
 API_KEY_ENV = "HMIRISK_EMBED_API_KEY"
+MAX_BATCH = 64  # texts per request
+RETRIES = 3  # further attempts after a failed request
+BACKOFF_S = 0.5  # wait before retry n (from 0): BACKOFF_S * 2**n
 
 
 class EmbeddingTransportError(RuntimeError):
@@ -109,21 +112,10 @@ class LocalProvider:
 class RemoteProvider:
     """Generic JSON-over-HTTP embedding client with retries and batching."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        timeout_ms: int = 10_000,
-        max_batch: int = 64,
-        retries: int = 3,
-        backoff_s: float = 0.5,
-    ):
+    def __init__(self, endpoint: str, model: str, timeout_ms: int = 10_000):
         self.endpoint = endpoint
         self.model = model
         self.timeout_s = timeout_ms / 1000.0
-        self.max_batch = max_batch
-        self.retries = retries
-        self.backoff_s = backoff_s
         self.provider_tag = f"remote-{model}"
         self.calls = 0  # requests actually sent, for cache verification
 
@@ -135,7 +127,7 @@ class RemoteProvider:
             headers["Authorization"] = f"Bearer {key}"
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
         last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 self.calls += 1
                 with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
@@ -152,14 +144,14 @@ class RemoteProvider:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an HTTP error status carries the open response
                 last_error = exc
-                if attempt < self.retries:
-                    time.sleep(self.backoff_s * (2**attempt))
-        raise EmbeddingTransportError(f"embedding request failed after {self.retries + 1} attempts: {last_error}")
+                if attempt < RETRIES:
+                    time.sleep(BACKOFF_S * (2**attempt))
+        raise EmbeddingTransportError(f"embedding request failed after {RETRIES + 1} attempts: {last_error}")
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
         out: list[list[float]] = []
-        for start in range(0, len(texts), self.max_batch):
-            out.extend(self._post(texts[start : start + self.max_batch]))
+        for start in range(0, len(texts), MAX_BATCH):
+            out.extend(self._post(texts[start : start + MAX_BATCH]))
         return out
 
 

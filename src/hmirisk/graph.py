@@ -172,11 +172,12 @@ def _string(raw: Mapping[str, Any], key: str, owner: str) -> str:
     return value
 
 
-def _number(raw: Mapping[str, Any], key: str, owner: str) -> float:
-    """A required finite number; an error names the owner and the field."""
-    if key not in raw:
+def number_field(raw: Mapping[str, Any], key: str, owner: str, default: float | None = None) -> float:
+    """A finite number field of a JSON object, as a float; when absent, the
+    ``default``, else an error. An error names the owner and the field."""
+    if key not in raw and default is None:
         raise GraphError(f"{owner}: missing {key}")
-    value = raw[key]
+    value = raw.get(key, default)
     # By exact type, so a boolean is not a number; the range test is False
     # for NaN, infinities and ints too large for a float.
     if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
@@ -198,7 +199,7 @@ def load_graph(document: Mapping[str, Any]) -> InterfaceGraph:
     screens = []
     for n, raw in enumerate(_entries(document, "screens"), start=1):
         sid = _string(raw, "id", f"screen {n}")
-        size = {key: _number(raw, key, f"screen {sid!r}") for key in ("width_px", "height_px")}
+        size = {key: number_field(raw, key, f"screen {sid!r}") for key in ("width_px", "height_px")}
         for key, value in size.items():
             if value <= 0:
                 raise GraphError(f"screen {sid!r}: {key} must be positive, got {value:g}")
@@ -214,14 +215,14 @@ def load_graph(document: Mapping[str, Any]) -> InterfaceGraph:
         except (KeyError, ValueError):
             raise GraphError(f"{owner}: unknown kind {raw.get('kind')!r}") from None
         screen_id = _string(raw, "screen", owner)
-        position = (_number(raw, "x", owner), _number(raw, "y", owner))
+        position = (number_field(raw, "x", owner), number_field(raw, "y", owner))
         bbox = None
         if raw.get("bbox") is not None:
             box = raw["bbox"]
             if not isinstance(box, (list, tuple)) or len(box) != 4:
                 raise GraphError(f"{owner}: malformed bbox {box!r}")
             named = {f"bbox[{i}]": value for i, value in enumerate(box)}
-            bbox = tuple(_number(named, key, owner) for key in named)
+            bbox = tuple(number_field(named, key, owner) for key in named)
         elements.append(
             InterfaceElement(
                 id=elem_id,

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .graph import InterfaceGraph, UnknownPathError, path_id_for, resolve_path
 from .metrics import trajectory_length
 
@@ -124,6 +124,23 @@ def load_procedures(document: Any, g: InterfaceGraph) -> list[Procedure]:
     return procedures
 
 
+def csv_lines(lines: Iterable[str], header: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line number, stripped line, fields)`` for each data line of a CSV
+    whose columns ``header`` names. Blank lines are skipped, and so is the
+    first non-blank line when it starts with the first column's name in any
+    letter case (the header); a line with another number of fields is an
+    error naming it."""
+    first_column, width = header.split(",")[0], header.count(",") + 1
+    numbered = ((line_no, line.strip()) for line_no, line in enumerate(lines, start=1) if line.strip())
+    for n, (line_no, line) in enumerate(numbered):
+        if n == 0 and line.lower().startswith(first_column):
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"line {line_no}: expected {header!r}, got {line!r}")
+        yield line_no, line, fields
+
+
 _POINT_KINDS = {EventKind.MOVE, EventKind.CLICK}
 _STEP_KINDS = {EventKind.STEP_START, EventKind.STEP_END}
 _KINDS = {kind.value: kind for kind in EventKind}
@@ -132,6 +149,7 @@ _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", boo
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
 _ID_TYPES = {str, type(None)}
 _MAX_FLOAT = sys.float_info.max
+_MAX_T_MS = 2**53 - 1  # the largest integer a float holds exactly, so every duration is exact
 
 
 def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
@@ -146,6 +164,8 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
         raise ParseError(f"line {line_no}: malformed timestamp {t_ms!r}")
     if t_ms < 0:
         raise ParseError(f"line {line_no}: negative timestamp {t_ms}")
+    if t_ms > _MAX_T_MS:
+        raise ParseError(f"line {line_no}: timestamp above {_MAX_T_MS}")
 
     point = None
     if "x" in record or "y" in record:
@@ -358,10 +378,10 @@ def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
     """The session id, participant id and events of one log's lines, each
     event a plain tuple in the field order of TrackerEvent, or the ParseError
     of the first bad line. A record of the common shapes is checked inline:
-    an int timestamp, a string or absent screen and step id, and a move or
-    click with a finite int or float point, an error annotation with a known
-    error_kind, or a key, step start or step end (with a step id) with
-    neither. _event_from_record reads, or rejects, any other record. Every
+    an int timestamp in [0, 2**53 - 1], a string or absent screen and step
+    id, and a move or click with a finite int or float point, an error
+    annotation with a known error_kind, or a key, step start or step end
+    (with a step id) with neither. _event_from_record reads, or rejects, any other record. Every
     record then passes the id, order and nesting checks."""
     records = _line_records(lines)
     if records is None:  # decoded one line at a time, so errors come in line order
@@ -375,7 +395,7 @@ def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
         return numbers[len(events)]
 
     move, click, key, note = EventKind.MOVE, EventKind.CLICK, EventKind.KEY, EventKind.ERROR_ANNOTATION
-    start, end = EventKind.STEP_START, EventKind.STEP_END
+    start, end, max_t = EventKind.STEP_START, EventKind.STEP_END, _MAX_T_MS
     events: list[tuple[Any, ...]] = []
     open_steps: set[str] = set()
     session_id = participant_id = None  # the first record's, as text
@@ -388,7 +408,7 @@ def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
             kind = None
         screen, step_id = get("screen"), get("step_id")
         point = error = None
-        if kind is None or type(t_ms) is not int or t_ms < 0 or type(screen) not in _ID_TYPES or type(step_id) not in _ID_TYPES:
+        if kind is None or type(t_ms) is not int or not 0 <= t_ms <= max_t or type(screen) not in _ID_TYPES or type(step_id) not in _ID_TYPES:
             common = False
         elif kind is move or kind is click:
             x, y = get("x"), get("y")

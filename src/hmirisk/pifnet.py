@@ -35,6 +35,7 @@ import numpy as np
 
 from . import forked
 from .config import TrainConfig
+from .ingest import csv_lines
 
 INPUT_DIM = 3
 HIDDEN_SIZES = (128, 64, 32)
@@ -510,24 +511,15 @@ TRAINING_CSV_HEADER = "path_id,vd,sid,is,label"
 def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
     """Rows of ((vd, sid, is), label) from the lines of the
     `path_id,vd,sid,is,label` CSV; an error names the line."""
-    rows, first = [], None
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        first = first or line_no
-        if line_no == first and line.startswith("path_id"):  # the header
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {line_no}: expected 5 columns, got {len(parts)}")
+    rows = []
+    for line_no, line, fields in csv_lines(lines, TRAINING_CSV_HEADER):
         try:
-            features = (float(parts[1]), float(parts[2]), float(parts[3]))
+            features = (float(fields[1]), float(fields[2]), float(fields[3]))
         except ValueError:
             raise ValueError(f"line {line_no}: non-numeric feature in {line!r}") from None
         if not all(map(math.isfinite, features)):
             raise ValueError(f"line {line_no}: non-finite feature in {line!r}")
-        rows.append((features, parts[4].strip()))
+        rows.append((features, fields[4].strip()))
     return rows
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .graph import InterfaceGraph, UnknownPathError, resolve_path
-from .ingest import ErrorKind, PathSamples, Procedure
+from .ingest import ErrorKind, PathSamples, Procedure, csv_lines
 
 log = logging.getLogger(__name__)
 
@@ -109,8 +109,8 @@ def time_deviation_detail(
 
     For each category the log durations of all member paths are pooled;
     a path's z-score is (ln median_path - pooled mean) / pooled std. The
-    category threshold exp(mean + tau * std) converts back to seconds,
-    and tail_prob_at_threshold is the path's own fitted model evaluated
+    category threshold exp(mean + tau * std) converts back to seconds
+    (math.inf beyond the float range), and tail_prob_at_threshold is the path's own fitted model evaluated
     there. Categories with a single path are skipped with a warning;
     zero pooled variance yields no flags. Non-positive durations (e.g.
     zero-length steps) carry no information on the log scale and are
@@ -134,7 +134,10 @@ def time_deviation_detail(
         std = math.sqrt(var)
         if std == 0.0:
             continue
-        threshold_s = math.exp(mean + tau * std)
+        try:
+            threshold_s = math.exp(mean + tau * std)
+        except OverflowError:  # beyond every float: no duration reaches it
+            threshold_s = math.inf
         for p in with_data:
             model = fit_time_model(positive[p])
             z = (model.mu - mean) / std
@@ -265,27 +268,21 @@ def load_t95_overrides(lines: Iterable[str], g: InterfaceGraph) -> dict[str, flo
     """Parse the lines of the optional `path_id,t95_seconds` override CSV;
     each t95 must be a positive finite number of seconds, and each path_id
     must resolve in ``g`` (a path id or an element id) and is keyed by its
-    canonical path id."""
+    canonical path id, listed once."""
     overrides: dict[str, float] = {}
-    first = None
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        first = first or line_no
-        if line_no == first and line.lower().startswith("path_id"):  # the header
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {line_no}: expected 'path_id,t95_seconds', got {line!r}")
+    listed_on: dict[str, int] = {}
+    for line_no, line, (path_id, t95_text) in csv_lines(lines, "path_id,t95_seconds"):
         try:
-            t95 = float(parts[1])
+            t95 = float(t95_text)
         except ValueError:
             raise ValueError(f"line {line_no}: non-numeric t95 in {line!r}") from None
         if not (math.isfinite(t95) and t95 > 0):
             raise ValueError(f"line {line_no}: t95 must be positive and finite in {line!r}")
         try:
-            overrides[resolve_path(g, parts[0].strip()).path_id] = t95
+            path_id = resolve_path(g, path_id.strip()).path_id
         except UnknownPathError as err:
             raise ValueError(f"line {line_no}: {err}") from None
+        if listed_on.setdefault(path_id, line_no) != line_no:
+            raise ValueError(f"line {line_no}: path {path_id} is listed on line {listed_on[path_id]} too")
+        overrides[path_id] = t95
     return overrides

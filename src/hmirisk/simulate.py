@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graph import InterfaceGraph, resolve_path
+from .graph import InterfaceGraph, number_field, resolve_path
 from .ingest import ErrorKind, EventKind, Procedure, SessionLog, TrackerEvent, load_procedures, serialize_session
 from .risk import SIGMA_DEFAULT
 
@@ -43,7 +42,6 @@ _MAX_WAYPOINTS = 8
 # so 12 ms keeps t_ms strictly increasing.
 _MIN_DURATION_MS = 12
 _MAX_DURATION_S = 1e9  # keeps int64 millisecond clocks far from overflow
-_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -254,16 +252,6 @@ def write_sessions(logs: Iterable[SessionLog], out_dir: str | Path) -> list[str]
     return written
 
 
-def _number(raw: Mapping, key: str, default: float | None = None) -> float:
-    """A numeric field of a plan path entry, as a float; the field's range is PathPlan.validate's."""
-    if key not in raw and default is None:
-        raise ValueError(f"path {raw['path_id']!r}: missing {key}")
-    value = raw.get(key, default)
-    if type(value) not in (int, float) or not -_MAX_FLOAT <= value <= _MAX_FLOAT:  # no bool, NaN or 10**400
-        raise ValueError(f"path {raw['path_id']!r}: {key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def plan_from_document(document: Mapping, g: InterfaceGraph) -> ScenarioPlan:
     """Build a plan from its JSON mirror (see the plan file schema), checking
     every value; an error names the offending path. Its procedures are
@@ -281,14 +269,15 @@ def plan_from_document(document: Mapping, g: InterfaceGraph) -> ScenarioPlan:
     for raw in raw_paths:
         if not isinstance(raw, Mapping) or type(raw.get("path_id")) is not str:
             raise ValueError(f"each plan path must be an object with a string path_id, got {raw!r}")
+        owner = f"path {raw['path_id']!r}"
         if raw["path_id"] in paths:
-            raise ValueError(f"path {raw['path_id']!r} is listed twice")
+            raise ValueError(f"{owner} is listed twice")
         path_plan = PathPlan(
             raw["path_id"],
-            _number(raw, "median_s"),
-            _number(raw, "sigma", SIGMA_DEFAULT),
-            _number(raw, "p_execution", 0.0),
-            _number(raw, "p_outcome", 0.0),
+            number_field(raw, "median_s", owner),
+            number_field(raw, "sigma", owner, SIGMA_DEFAULT),
+            number_field(raw, "p_execution", owner, 0.0),
+            number_field(raw, "p_outcome", owner, 0.0),
         )
         path_plan.validate()
         paths[path_plan.path_id] = path_plan

@@ -785,6 +785,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "foreign_cache": tmp_path / "foreign_cache.json",
         "v2_cache": tmp_path / "v2_cache.json",
         "v2_model": tmp_path / "v2_model.npz",
+        "far_session": tmp_path / "far_session.jsonl",
+        "long_timeout": tmp_path / "long_timeout.json",
+        "huge_tau": tmp_path / "huge_tau.json",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -880,6 +883,15 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         (tmp_path / name).mkdir()
         (tmp_path / name / "local-trigram-v1.embcache").write_bytes(header)
         files[name].write_text(json.dumps({"embed": {"cache_dir": str(tmp_path / name)}}))
+    # A step ending beyond the float range, a socket timeout beyond the
+    # platform's clock, and a time threshold beyond the float range.
+    files["far_session"].write_text(_session_lines(
+        {"t_ms": 0, "kind": "step_start", "step_id": "s0"}, {"t_ms": int("9" * 400), "kind": "step_end", "step_id": "s0"}
+    ))
+    files["long_timeout"].write_text(json.dumps(
+        {"embed": {"provider": "remote", "endpoint": "http://127.0.0.1:9/x", "model": "m", "timeout_ms": 10**30}}
+    ))
+    files["huge_tau"].write_text(json.dumps({"riskpath": {"tau": 10000}}))
     return files
 
 
@@ -921,6 +933,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "{bom_session}"], 0, None),
         ([*_SESSIONS, "{empty_dir}"], 2, "--sessions: no session files found in {empty_dir}"),
         ([*_SESSIONS, "{sessions}", "{blank_session}"], 2, "{blank_session}: log contains no events"),
+        ([*_SESSIONS, "{sessions}", "{far_session}"], 2, "{far_session}: line 2: timestamp above 9007199254740991"),
     ],
     "hfe": [
         ([*_SESSIONS, "{sessions}", "--t95", "{t95}", "--out", "{tmp}/hfe"], 0, None),
@@ -932,6 +945,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "{bad_session}", "--t95", "{bad_t95}", "--out", "{tmp}/hfe"], 2, "{bad_t95}: line 2"),
         ([*_SESSIONS, "{sessions}", "--procedures", "{two_targets}", "--out", "{tmp}/hfe"], 2,
          "{two_targets}: step 's1' targets P_11 in procedure 'A' and P_12 in procedure 'B'"),
+        ([*_SESSIONS, "{sessions}", "--config", "{huge_tau}", "--out", "{tmp}/hfe"], 0, None),
     ],
     "metrics": [
         ([*_SESSIONS, "{sessions}", "--out", "{tmp}/metrics"], 0, None),
@@ -948,6 +962,8 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--config", "{foreign_cache}", "--out", "{tmp}/metrics"], 2,
          _FOREIGN_CACHE % ("foreign_cache", b"NOPE\x01")),
         ([*_SESSIONS, "{sessions}", "--config", "{v2_cache}", "--out", "{tmp}/metrics"], 2, _FOREIGN_CACHE % ("v2_cache", b"HMEC\x02")),
+        ([*_SESSIONS, "{sessions}", "--config", "{long_timeout}", "--out", "{tmp}/metrics"], 2,
+         "{long_timeout}: config embed.timeout_ms: must be at most 3600000, got " + str(10**30)),
     ],
     "pif train": [
         (["--data", "{data}", "--model-out", "{tmp}/trained.npz"], 0, None),
@@ -999,6 +1015,7 @@ _EXIT_CODES = {
         ([*_SESSIONS, "{sessions}", "--model", "{zip_version_model}", "--out", "{tmp}/report"], 2, "{zip_version_model}: not a readable model file (zip file version"),
         (["--graph", "{no_name_graph}", "--sessions", "{sessions}", "--out", "{tmp}/report"], 2, _NO_NAME),
         ([*_SESSIONS, "{sessions}", "{bad_session}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
+        ([*_SESSIONS, "{sessions}", "{far_session}", "--out", "{tmp}/report"], 2, "{far_session}: line 2: timestamp above 9007199254740991"),
     ],
 }
 

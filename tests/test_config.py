@@ -98,6 +98,7 @@ def test_number_beyond_float_range_rejected():
          "config embed.endpoint: must be an http:// or https:// URL, got 'embed-service'"),
         ({"pif": {"epochs": 10**30}}, f"config pif.epochs: must be at most 100000, got {10**30}"),
         ({"pif": {"epochs": 100_001}}, "config pif.epochs: must be at most 100000, got 100001"),
+        ({"embed": {"timeout_ms": 3_600_001}}, "config embed.timeout_ms: must be at most 3600000, got 3600001"),
     ],
 )
 def test_bad_value_rejected_naming_key(raw, message):

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from hmirisk import embed
 from hmirisk.embed import (
     EmbeddingCache,
     EmbeddingTransportError,
@@ -183,21 +184,26 @@ def embed_server():
 
 
 class TestRemoteProvider:
-    def test_round_trip_and_batching(self, embed_server):
-        provider = RemoteProvider(embed_server, "demo-model", max_batch=2)
+    def test_round_trip_and_batching(self, embed_server, monkeypatch):
+        monkeypatch.setattr(embed, "MAX_BATCH", 2)
+        provider = RemoteProvider(embed_server, "demo-model")
         texts = ["a pump", "b pump", "c pump", "d pump", "e pump"]
         vectors = provider.embed_batch(texts)
         assert len(vectors) == 5
         assert provider.calls == 3  # ceil(5 / 2) requests
 
-    def test_retry_then_success(self, embed_server):
+    def test_retry_then_success(self, embed_server, monkeypatch):
         _Handler.fail_next = 2
-        provider = RemoteProvider(embed_server, "demo-model", retries=3, backoff_s=0.01)
+        monkeypatch.setattr(embed, "RETRIES", 3)
+        monkeypatch.setattr(embed, "BACKOFF_S", 0.01)
+        provider = RemoteProvider(embed_server, "demo-model")
         vectors = provider.embed_batch(["pump"])
         assert len(vectors) == 1
 
-    def test_unreachable_raises_transport_error(self):
-        provider = RemoteProvider("http://127.0.0.1:9/none", "demo", timeout_ms=200, retries=1, backoff_s=0.01)
+    def test_unreachable_raises_transport_error(self, monkeypatch):
+        monkeypatch.setattr(embed, "RETRIES", 1)
+        monkeypatch.setattr(embed, "BACKOFF_S", 0.01)
+        provider = RemoteProvider("http://127.0.0.1:9/none", "demo", timeout_ms=200)
         with pytest.raises(EmbeddingTransportError):
             provider.embed_batch(["pump"])
 

@@ -20,6 +20,7 @@ from hmirisk.graph import (
     UnknownPathError,
     graph_to_document,
     load_graph,
+    number_field,
     path_id_for,
     resolve_path,
     validate_graph,
@@ -253,3 +254,12 @@ def test_pipeline_modules_import_without_embedding_or_network_code():
     env = {**os.environ, "PYTHONPATH": str(Path(hmirisk.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_number_field_default_fills_only_an_absent_key():
+    assert number_field({}, "sigma", "path 'P_1'", 0.28) == 0.28
+    assert number_field({"sigma": 2}, "sigma", "path 'P_1'", 0.28) == 2.0
+    with pytest.raises(GraphError, match=r"^path 'P_1': sigma must be a finite number, got None$"):
+        number_field({"sigma": None}, "sigma", "path 'P_1'", 0.28)
+    with pytest.raises(GraphError, match=r"^path 'P_1': missing median_s$"):
+        number_field({}, "median_s", "path 'P_1'")

@@ -867,3 +867,15 @@ def _brute_hit(g, screen_id, point, snap_radius):
     if near[0][2]:
         cases.add("bboxless-snap")
     return near[0][1], cases
+
+
+@pytest.mark.parametrize("t_ms", [2**53, 10**400, str(2**53)])
+def test_timestamp_beyond_exact_float_range_names_its_line(t_ms):
+    """2**53 - 1 ms is the last timestamp a float holds exactly; a later one is
+    a parse error, not an overflow, in both readers."""
+    lines = [_line(t_ms=0, kind="step_start", step_id="s1"), _line(t_ms=t_ms, kind="step_end", step_id="s1")]
+    for read in (parse_session_log, lambda ls: align_lines(_screen_a_graph(), ls)):
+        with pytest.raises(ParseError, match=f"^line 2: timestamp above {2**53 - 1}$"):
+            read(lines)
+    ok = [lines[0], _line(t_ms=2**53 - 1, kind="step_end", step_id="s1")]
+    assert align_lines(_screen_a_graph(), ok).steps[0].duration_s == (2**53 - 1) / 1000.0

@@ -529,3 +529,13 @@ class TestTrainedBits:
         assert kfold_cv(dataset.training_rows(), 5, 0) == CvResult(
             (1.0, 0.875, 0.875, 0.75, 0.8571428571428571), 0.8714285714285713, 0.08874838314135126
         )
+
+
+def test_training_csv_header_in_any_letter_case():
+    lines = ["PATH_ID,VD,SID,IS,LABEL", "P_1,0.1,0.2,0.3,HSI0"]
+    assert load_training_csv(lines) == [((0.1, 0.2, 0.3), "HSI0")]
+
+
+def test_training_csv_names_line_with_wrong_field_count():
+    with pytest.raises(ValueError, match=r"^line 3: expected 'path_id,vd,sid,is,label', got 'P_2,0,0'$"):
+        load_training_csv(["path_id,vd,sid,is,label", "P_1,0.25,0,0.4,HSI0", "P_2,0,0"])

@@ -327,3 +327,25 @@ def test_t95_override_ids_resolve_in_the_graph(two_screen_graph):
 def test_t95_override_rejects_bad_value_naming_line(value, message):
     with pytest.raises(ValueError, match=f"^line 3: {message} in 'TP_1,{value}'$"):
         load_t95_overrides(["path_id,t95_seconds", "P_110,158.5", f"TP_1,{value}"], dataset.build_reference_graph())
+
+
+def test_t95_override_names_line_with_wrong_field_count():
+    with pytest.raises(ValueError, match=r"^line 2: expected 'path_id,t95_seconds', got 'P_110,1,2'$"):
+        load_t95_overrides(["path_id,t95_seconds", "P_110,1,2"], dataset.build_reference_graph())
+
+
+@pytest.mark.parametrize("second", ["P_112", "N_112"])
+def test_t95_override_path_listed_twice(second):
+    lines = ["path_id,t95_seconds", "P_112,10", "P_110,5", f"{second},20"]
+    with pytest.raises(ValueError, match=r"^line 4: path P_112 is listed on line 2 too$"):
+        load_t95_overrides(lines, dataset.build_reference_graph())
+
+
+def test_threshold_beyond_float_range_is_infinite():
+    """A tau that puts exp(mean + tau * std) past the largest float gives an
+    infinite threshold with no tail mass, and flags nothing."""
+    durations = {"P_A": [2.0, 2.0, 2.2], "P_B": [2.0, 1.9, 2.0], "P_C": [8.0, 8.2, 8.0]}
+    detail = time_deviation_detail(samples_of(durations), {p: "c" for p in durations}, tau=10_000)
+    assert set(detail) == set(durations)
+    for d in detail.values():
+        assert d.threshold_s == math.inf and d.tail_prob_at_threshold == 0.0 and not d.flagged
