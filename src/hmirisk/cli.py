@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -32,7 +33,7 @@ from .pifnet import (
     stratified_folds,
     train,
 )
-from .report import assemble_report, write_report_files
+from .report import assemble_report, json_text, write_report_files
 from .risk import detect_error_paths, identify_hfes, load_t95_overrides, system_category, time_deviation_detail, time_models
 from .simulate import generate_sessions, plan_from_document, write_sessions
 
@@ -157,19 +158,6 @@ def _load(path: str | Path, parse, read=_json):
         raise ValueError(f"{path}: {err}") from None
 
 
-def _load_inputs(args):
-    """Graph, procedures, the session files, and the function that aligns the
-    lines of one of them."""
-    graph = _load(args.graph, load_graph)
-    procedures = _load(args.procedures, lambda doc: load_procedures(doc, graph)) if getattr(args, "procedures", None) else []
-    targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
-
-    def aligned(lines):
-        return align_lines(graph, lines, targets)
-
-    return graph, procedures, _session_files(args.sessions), aligned
-
-
 # Session bytes a forked worker needs to pay for itself. On 2 CPUs a 2-way
 # split of the ingest fold cost 8-26 ms more CPU than the serial fold at
 # every size; it was no faster at 0.27 MB, and at 4.2 MB (128 sessions) it
@@ -219,7 +207,7 @@ def _fold_files(files: list[Path], align):
     return path_samples(traces()), tuple(tally)
 
 
-def _fold(files: list[Path], align, meanwhile=lambda: None, *, _chunks: int | None = None):
+def _fold(files: list[Path], align, meanwhile, *, _chunks: int | None = None):
     """Per-path samples and the ingest tally of the session files, equal to a
     serial fold in file order (its error too), and the result of
     ``meanwhile()``. The files are split into contiguous chunks, one per
@@ -230,15 +218,6 @@ def _fold(files: list[Path], align, meanwhile=lambda: None, *, _chunks: int | No
     results, extra = forked.fork_map(tasks, meanwhile)
     parts, tallies = zip(*results)
     return merge_samples(parts), tuple(map(sum, zip(*tallies))), extra
-
-
-def _similarity(cfg: AppConfig):
-    cache = EmbeddingCache(cfg.embed.cache_dir) if cfg.embed.cache_dir else None
-    if cfg.embed.provider == "remote":
-        provider = RemoteProvider(cfg.embed.endpoint, cfg.embed.model, cfg.embed.timeout_ms)
-    else:
-        provider = LocalProvider()
-    return name_similarity(provider, cache)
 
 
 def _training_rows(data_arg: str | None):
@@ -272,8 +251,7 @@ def _trained_model(path: str, pif_levels: bool = False):
     return _load(path, checked, read=Path)
 
 
-def _train_default_model(cfg: AppConfig, seed: int, rows=None):
-    rows = rows if rows is not None else dataset.training_rows()
+def _train_model(cfg: AppConfig, seed: int, rows):
     model = init_model(seed, ordered_labels(label for _, label in rows))
     train(model, rows, cfg.pif)
     return model
@@ -285,7 +263,12 @@ def _path_metric_entries(graph, graph_file, samples, cfg: AppConfig):
     sessions in any order give the same bits). An element the metrics
     cannot use is an error of ``graph_file``, and a remote embedding
     service that fails is an error of ``embed.endpoint``."""
-    sim = _similarity(cfg)
+    cache = EmbeddingCache(cfg.embed.cache_dir) if cfg.embed.cache_dir else None
+    if cfg.embed.provider == "remote":
+        provider = RemoteProvider(cfg.embed.endpoint, cfg.embed.model, cfg.embed.timeout_ms)
+    else:
+        provider = LocalProvider()
+    sim = name_similarity(provider, cache)
     entries = []
     for path_id in sorted(samples):
         lengths = samples[path_id].traversals
@@ -309,6 +292,28 @@ def _detect(graph, samples, procedures, cfg: AppConfig):
     time_flagged = {p for p, d in detail.items() if d.flagged}
     errors = detect_error_paths(samples, cfg.riskpath.alpha)
     return grouping, identify_hfes(errors, time_flagged, graph, procedures, detail)
+
+
+# What _analyse returns; tally is (sessions, steps, unaligned steps).
+_Analysis = namedtuple("_Analysis", "graph procedures samples tally t95 model")
+
+
+def _analyse(args, cfg: AppConfig) -> _Analysis:
+    """The core of ingest, hfe, metrics and report. Every input file the
+    command names is read first, in the order graph, procedures, session
+    list, --t95, --model; then the session files are folded. The default
+    model does not depend on the sessions, so report without --model
+    trains it while children fold their chunks."""
+    graph = _load(args.graph, load_graph)
+    procedures = _load(args.procedures, lambda doc: load_procedures(doc, graph)) if getattr(args, "procedures", None) else []
+    targets = {step.step_id: step.target_path for proc in procedures for step in proc.steps if step.target_path}
+    files = _session_files(args.sessions)
+    t95 = _load(args.t95, lambda lines: load_t95_overrides(lines, graph), _lines) if getattr(args, "t95", None) else {}
+    given = _trained_model(args.model, pif_levels=True) if getattr(args, "model", None) else None
+    default = args.command == "report" and given is None
+    meanwhile = partial(_train_model, cfg, args.seed, dataset.training_rows()) if default else lambda: given
+    samples, tally, model = _fold(files, lambda lines: align_lines(graph, lines, targets), meanwhile)
+    return _Analysis(graph, procedures, samples, tally, t95, model)
 
 
 def _out_dir(args) -> Path:
@@ -345,28 +350,23 @@ def _cmd_simulate(args, cfg: AppConfig) -> int:
 
 
 def _cmd_ingest(args, cfg: AppConfig) -> int:
-    _, _, files, align = _load_inputs(args)
-    _, (sessions, steps, unaligned), _ = _fold(files, align)
+    sessions, steps, unaligned = _analyse(args, cfg).tally
     print(f"aligned {steps} steps from {sessions} session(s); {unaligned} unaligned")
     return 0
 
 
 def _cmd_hfe(args, cfg: AppConfig) -> int:
-    graph, procedures, files, align = _load_inputs(args)
-    overrides = _load(args.t95, lambda lines: load_t95_overrides(lines, graph), _lines) if args.t95 else {}
-    samples, _, _ = _fold(files, align)
-    _, hfe = _detect(graph, samples, procedures, cfg)
-
-    doc = {**hfe, "time_models": time_models(samples, overrides)}
-    (_out_dir(args) / "hfe.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    run = _analyse(args, cfg)
+    _, hfe = _detect(run.graph, run.samples, run.procedures, cfg)
+    doc = {**hfe, "time_models": time_models(run.samples, run.t95)}
+    (_out_dir(args) / "hfe.json").write_text(json_text("hfe.json", doc, indent=2), encoding="utf-8")
     print(f"{len(hfe['candidates'])} candidate path(s); prioritized: {', '.join(hfe['prioritized_procedures']) or '-'}")
     return 0
 
 
 def _cmd_metrics(args, cfg: AppConfig) -> int:
-    graph, _, files, align = _load_inputs(args)
-    samples, _, _ = _fold(files, align)
-    entries = _path_metric_entries(graph, args.graph, samples, cfg)
+    run = _analyse(args, cfg)
+    entries = _path_metric_entries(run.graph, args.graph, run.samples, cfg)
     text = "\n".join(metrics_csv_rows(entries)) + "\n"
     (_out_dir(args) / "metrics.csv").write_text(text, encoding="utf-8")
     print(f"metrics for {len(entries)} path(s) written to {args.out}/metrics.csv")
@@ -375,7 +375,7 @@ def _cmd_metrics(args, cfg: AppConfig) -> int:
 
 def _cmd_pif_train(args, cfg: AppConfig) -> int:
     rows = _training_rows(args.data)
-    model = _train_default_model(cfg, args.seed, rows)
+    model = _train_model(cfg, args.seed, rows)
     save_model(model, args.model_out)
     print(f"trained on {len(rows)} rows; training accuracy {evaluate(model, rows):.4f}; saved to {args.model_out}")
     return 0
@@ -395,7 +395,7 @@ def _cmd_pif_cv(args, cfg: AppConfig) -> int:
                 f"--k: {args.k} folds of {source} leave training split {fold} with the single label {kept.pop()}"
             )
     result = kfold_cv(rows, k=args.k, seed=args.seed, hyper=cfg.pif)
-    print(json.dumps({"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
+    print(json_text("stdout", {"fold_accuracies": list(result.fold_accuracies), "mean": result.mean, "std": result.std}))
     return 0
 
 
@@ -425,25 +425,20 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
             label, probs = predict(model, features)
             outputs.append({"features": list(features), "label": label, "probabilities": probs})
     for record in outputs:
-        print(json.dumps(record))
+        print(json_text("stdout", record))
     return 0
 
 
 def _cmd_report(args, cfg: AppConfig) -> int:
-    graph, procedures, files, align = _load_inputs(args)
-    given = _trained_model(args.model, pif_levels=True) if args.model else None
-    # The default model does not depend on the sessions: it is trained while
-    # children fold their chunks.
-    meanwhile = (lambda: given) if args.model else (lambda: _train_default_model(cfg, args.seed))
-    samples, _, model = _fold(files, align, meanwhile)
-    grouping, hfe = _detect(graph, samples, procedures, cfg)
+    run = _analyse(args, cfg)
+    grouping, hfe = _detect(run.graph, run.samples, run.procedures, cfg)
     assessments = []
-    for path_id, metric in _path_metric_entries(graph, args.graph, samples, cfg):
-        label, probs = predict(model, (metric["vd"], metric["sid"], metric["is"]))
+    for path_id, metric in _path_metric_entries(run.graph, args.graph, run.samples, cfg):
+        label, probs = predict(run.model, (metric["vd"], metric["sid"], metric["is"]))
         assessments.append((path_id, metric, label, probs))
 
-    report = assemble_report(graph, hfe, assessments, cfg)
-    written = write_report_files(report, _out_dir(args), samples, grouping)
+    report = assemble_report(run.graph, hfe, assessments, cfg)
+    written = write_report_files(report, _out_dir(args), run.samples, grouping)
     print(f"report written: {', '.join(written)}")
     return 0
 

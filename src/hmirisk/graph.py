@@ -18,6 +18,9 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
 SNAP_RADIUS_PX = 12.0  # a click this close to an element's center hits it when no bbox contains it
+# The largest magnitude of a pixel coordinate or size, in graphs and session
+# points alike, so no diagonal, distance or trajectory length overflows.
+MAX_COORD_PX = 1e6
 
 
 class ElementKind(str, Enum):
@@ -185,6 +188,14 @@ def number_field(raw: Mapping[str, Any], key: str, owner: str, default: float | 
     return float(value)
 
 
+def _pixels(raw: Mapping[str, Any], key: str, owner: str) -> float:
+    """A required number field in pixels, at most MAX_COORD_PX in magnitude."""
+    value = number_field(raw, key, owner)
+    if abs(value) > MAX_COORD_PX:
+        raise GraphError(f"{owner}: {key} must be at most {MAX_COORD_PX:.0f} px in magnitude, got {value!r}")
+    return value
+
+
 def load_graph(document: Mapping[str, Any]) -> InterfaceGraph:
     """Parse and validate a decoded graph document.
 
@@ -199,7 +210,7 @@ def load_graph(document: Mapping[str, Any]) -> InterfaceGraph:
     screens = []
     for n, raw in enumerate(_entries(document, "screens"), start=1):
         sid = _string(raw, "id", f"screen {n}")
-        size = {key: number_field(raw, key, f"screen {sid!r}") for key in ("width_px", "height_px")}
+        size = {key: _pixels(raw, key, f"screen {sid!r}") for key in ("width_px", "height_px")}
         for key, value in size.items():
             if value <= 0:
                 raise GraphError(f"screen {sid!r}: {key} must be positive, got {value:g}")
@@ -215,14 +226,14 @@ def load_graph(document: Mapping[str, Any]) -> InterfaceGraph:
         except (KeyError, ValueError):
             raise GraphError(f"{owner}: unknown kind {raw.get('kind')!r}") from None
         screen_id = _string(raw, "screen", owner)
-        position = (number_field(raw, "x", owner), number_field(raw, "y", owner))
+        position = (_pixels(raw, "x", owner), _pixels(raw, "y", owner))
         bbox = None
         if raw.get("bbox") is not None:
             box = raw["bbox"]
             if not isinstance(box, (list, tuple)) or len(box) != 4:
                 raise GraphError(f"{owner}: malformed bbox {box!r}")
             named = {f"bbox[{i}]": value for i, value in enumerate(box)}
-            bbox = tuple(number_field(named, key, owner) for key in named)
+            bbox = tuple(_pixels(named, key, owner) for key in named)
         elements.append(
             InterfaceElement(
                 id=elem_id,

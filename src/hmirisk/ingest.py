@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
-from .graph import InterfaceGraph, UnknownPathError, path_id_for, resolve_path
+from .graph import MAX_COORD_PX, InterfaceGraph, UnknownPathError, path_id_for, resolve_path
 from .metrics import trajectory_length
 
 
@@ -148,7 +147,6 @@ _ERROR_KINDS = {kind.value: kind for kind in ErrorKind}
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
 _ID_TYPES = {str, type(None)}
-_MAX_FLOAT = sys.float_info.max
 _MAX_T_MS = 2**53 - 1  # the largest integer a float holds exactly, so every duration is exact
 
 
@@ -178,6 +176,8 @@ def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
             raise ParseError(f"line {line_no}: malformed point") from None
         if not (math.isfinite(point[0]) and math.isfinite(point[1])):
             raise ParseError(f"line {line_no}: non-finite point {point}")
+        if abs(point[0]) > MAX_COORD_PX or abs(point[1]) > MAX_COORD_PX:
+            raise ParseError(f"line {line_no}: point {point} is more than {MAX_COORD_PX:.0f} px from 0 on an axis")
     if (point is not None) != (kind in _POINT_KINDS):
         raise ParseError(f"line {line_no}: {kind.value} events {'require' if kind in _POINT_KINDS else 'forbid'} a point")
 
@@ -379,7 +379,7 @@ def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
     event a plain tuple in the field order of TrackerEvent, or the ParseError
     of the first bad line. A record of the common shapes is checked inline:
     an int timestamp in [0, 2**53 - 1], a string or absent screen and step
-    id, and a move or click with a finite int or float point, an error
+    id, and a move or click with an int or float point within ±MAX_COORD_PX, an error
     annotation with a known error_kind, or a key, step start or step end
     (with a step id) with neither. _event_from_record reads, or rejects, any other record. Every
     record then passes the id, order and nesting checks."""
@@ -412,9 +412,9 @@ def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
             common = False
         elif kind is move or kind is click:
             x, y = get("x"), get("y")
-            # The range test is False for NaN, infinities and ints too large for a float.
+            # The range test is False for NaN, infinities and coordinates out of bounds.
             common = ("error_kind" not in record and type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
-                      and -_MAX_FLOAT <= x <= _MAX_FLOAT and -_MAX_FLOAT <= y <= _MAX_FLOAT)
+                      and -MAX_COORD_PX <= x <= MAX_COORD_PX and -MAX_COORD_PX <= y <= MAX_COORD_PX)
             point = (float(x), float(y)) if common else None
         elif "x" in record or "y" in record:
             common = False

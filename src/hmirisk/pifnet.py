@@ -519,6 +519,8 @@ def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, fl
             raise ValueError(f"line {line_no}: non-numeric feature in {line!r}") from None
         if not all(map(math.isfinite, features)):
             raise ValueError(f"line {line_no}: non-finite feature in {line!r}")
+        if not fields[4].strip():
+            raise ValueError(f"line {line_no}: empty label in {line!r}")
         rows.append((features, fields[4].strip()))
     return rows
 

@@ -123,8 +123,17 @@ def assemble_report(
     }
 
 
+def json_text(output: str, doc: Any, **kwargs: Any) -> str:
+    """``json.dumps(doc, **kwargs)``, refusing NaN and infinities, which JSON
+    cannot hold: a refusal is a ValueError naming ``output``."""
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"{output}: {err}") from None
+
+
 def report_json(report: Mapping[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    return json_text("report.json", report, indent=2, sort_keys=True)
 
 
 # --- file emission --------------------------------------------------------

@@ -8,6 +8,16 @@ from hmirisk.cli import main
 from hmirisk.graph import graph_to_document, load_graph
 
 
+def strict_json_loads(text):
+    """``json.loads`` that rejects ``NaN`` and ``Infinity``: Python's json
+    module writes and reads them, but they are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def electrical_branch_graph():
     """Two-branch fixture: N_100 -> N_110 and N_400 -> N_410 -> N_411..N_415."""

@@ -24,6 +24,8 @@ from hmirisk.ingest import align_events, align_lines, parse_session_log
 from hmirisk.metrics import trajectory_length
 from hmirisk.pifnet import init_model, load_model, save_model, training_csv
 
+from conftest import strict_json_loads
+
 
 class TestGraphValidate:
     def test_valid_graph_exits_zero(self, graph_file, capsys):
@@ -431,6 +433,8 @@ def test_session_order_does_not_change_outputs(graph_file, plan_file, tmp_path):
         for command in ("report", "hfe", "metrics"):
             argv = [command, "--graph", str(graph_file), "--sessions", *order, "--out", str(out / command)]
             assert main(argv + ["--procedures", str(procedures)] * (command != "metrics")) == 0
+        for p in out.rglob("*.json"):
+            strict_json_loads(p.read_text())
         outputs.append(
             {
                 str(p.relative_to(out)): re.sub(rb'"generated_at": "[^"]*"', b"", p.read_bytes())
@@ -470,6 +474,56 @@ def test_each_session_parsed_once_and_released(command, graph_file, sessions_dir
     assert main(argv) == 0
     # Each session file holds one session, named after the file.
     assert sorted(parsed) == sorted(file.stem for file in sessions_dir.glob("*.jsonl"))
+
+
+def test_inputs_are_read_in_order_before_the_fold(cli_inputs, monkeypatch, capsys):
+    """The session commands read graph, procedures, the session list,
+    --t95 and --model in that order, all before any session file, so the
+    first bad input in that order is the one reported."""
+    read: list[str] = []
+    load = cli._load
+
+    def recording(path, *args, **kwargs):
+        read.append(str(path))
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load", recording)
+    f = {name: str(path) for name, path in cli_inputs.items()}
+    sessions = sorted(str(p) for p in cli_inputs["sessions"].glob("*.jsonl"))
+    inputs = ["--graph", f["graph"], "--sessions", f["sessions"], "--procedures", f["procedures"]]
+    assert main(["hfe", *inputs, "--t95", f["t95"], "--out", f"{f['tmp']}/hfe"]) == 0
+    assert read == [f["graph"], f["procedures"], f["t95"], *sessions]
+    read.clear()
+    assert main(["report", *inputs, "--model", f["model"], "--out", f"{f['tmp']}/report"]) == 0
+    assert read == [f["graph"], f["procedures"], f["model"], *sessions]
+    capsys.readouterr()
+    read.clear()
+    assert main(["report", "--graph", f["broken"], "--sessions", f["sessions"], "--model", f["bad_model"]]) == 2
+    assert read == [f["broken"]] and capsys.readouterr().err.startswith(f"error: {f['broken']}: ")
+    assert main(["hfe", "--graph", f["graph"], "--sessions", f["empty_dir"], "--t95", f["bad_t95"]]) == 2
+    assert capsys.readouterr().err.startswith("error: --sessions: no session files found")
+
+
+_STEPS = ("identify_hfes", "metric_vector", "train")
+
+
+@pytest.mark.parametrize(
+    "command, needs",
+    [("ingest", ()), ("hfe", ("identify_hfes",)), ("metrics", ("metric_vector",)), ("report", _STEPS)],
+)
+@pytest.mark.parametrize("step", _STEPS)
+def test_a_command_runs_only_the_steps_it_writes(command, needs, step, graph_file, sessions_dir, tmp_path, monkeypatch, capsys):
+    """With one analysis step made to fail, a command that does not need it
+    still exits 0: hfe never embeds or trains, metrics never detects or
+    trains, and ingest does neither."""
+
+    def failing(*args, **kwargs):
+        raise ValueError(f"{step} ran")
+
+    monkeypatch.setattr(cli, step, failing)
+    argv = [command, "--graph", str(graph_file), "--sessions", str(sessions_dir)]
+    assert main(argv + ["--out", str(tmp_path / "out")] * (command != "ingest")) == (2 if step in needs else 0)
+    assert capsys.readouterr().err == (f"error: {step} ran\n" if step in needs else "")
 
 
 @pytest.mark.parametrize(
@@ -711,6 +765,8 @@ def test_bad_procedures_exit_two_naming_file(document, message, graph_file, sess
         (lambda doc: doc["elements"][1].update(screen=0), "element 'N_11': screen must be a string, got 0"),
         (lambda doc: doc["elements"][1].update(parent=1), "element 'N_11': parent must be a string, got 1"),
         (lambda doc: doc["screens"][0].update(id=5), "screen 1: id must be a string, got 5"),
+        (lambda doc: doc["elements"][1].update(x=-1_000_001), "element 'N_11': x must be at most 1000000 px in magnitude, got -1000001.0"),
+        (lambda doc: doc["elements"][1].update(bbox=[0, 0, 2e6, 1]), "element 'N_11': bbox[2] must be at most 1000000 px in magnitude, got 2000000.0"),
     ],
 )
 def test_malformed_graph_document_names_field(edit, message, graph_file, capsys):
@@ -788,6 +844,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "far_session": tmp_path / "far_session.jsonl",
         "long_timeout": tmp_path / "long_timeout.json",
         "huge_tau": tmp_path / "huge_tau.json",
+        "wide_graph": tmp_path / "wide_graph.json",
+        "far_point_session": tmp_path / "far_point_session.jsonl",
+        "blank_label": tmp_path / "blank_label.csv",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -892,6 +951,20 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         {"embed": {"provider": "remote", "endpoint": "http://127.0.0.1:9/x", "model": "m", "timeout_ms": 10**30}}
     ))
     files["huge_tau"].write_text(json.dumps({"riskpath": {"tau": 10000}}))
+    # Screens whose diagonal, and moves whose distance, overflow a float; a
+    # training row without a label.
+    wide = json.loads(graph_file.read_text())
+    for screen in wide["screens"]:
+        screen["width_px"] = screen["height_px"] = 1.7e308
+    files["wide_graph"].write_text(json.dumps(wide))
+    files["far_point_session"].write_text(_session_lines(
+        {"t_ms": 0, "kind": "step_start", "step_id": "s0"},
+        {"t_ms": 5, "kind": "move", "x": 1.7e308, "y": 300, "screen": "A", "step_id": "s0"},
+        {"t_ms": 6, "kind": "move", "x": -1.7e308, "y": 300, "screen": "A", "step_id": "s0"},
+        {"t_ms": 9, "kind": "click", "x": 200, "y": 300, "screen": "A", "step_id": "s0"},
+        {"t_ms": 12, "kind": "step_end", "step_id": "s0"},
+    ))
+    files["blank_label"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,\nP_2,1,1,1,HSI1\nP_3,2,2,2,HSI1\n")
     return files
 
 
@@ -909,6 +982,7 @@ _EXIT_CODES = {
         (["{broken}"], 2, "{broken}"),
         (["{no_roots}"], 1, None),
         (["{deep}"], 2, "{deep}: not valid JSON (nested too deeply)"),
+        (["{wide_graph}"], 1, None),
     ],
     "simulate": [
         (["--graph", "{graph}", "--plan", "{plan}", "--out", "{tmp}/sim"], 0, None),
@@ -973,6 +1047,7 @@ _EXIT_CODES = {
         (["--data", "{one_row}", "--model-out", "{tmp}/trained.npz"], 2, "{one_row}: need at least 2 training rows"),
         (["--config", "{zero_epochs}", "--model-out", "{tmp}/trained.npz"], 2, "{zero_epochs}: config pif.epochs: must be positive, got 0"),
         (["--data", "{bom_data}", "--model-out", "{tmp}/trained.npz"], 0, None),
+        (["--data", "{blank_label}", "--model-out", "{tmp}/trained.npz"], 2, "{blank_label}: line 2: empty label in 'P_1,0,0,0,'"),
     ],
     "pif cv": [
         (["--data", "{data}", "--k", "3"], 0, None),
@@ -1016,6 +1091,10 @@ _EXIT_CODES = {
         (["--graph", "{no_name_graph}", "--sessions", "{sessions}", "--out", "{tmp}/report"], 2, _NO_NAME),
         ([*_SESSIONS, "{sessions}", "{bad_session}", "--model", "{bad_model}", "--out", "{tmp}/report"], 2, "{bad_model}"),
         ([*_SESSIONS, "{sessions}", "{far_session}", "--out", "{tmp}/report"], 2, "{far_session}: line 2: timestamp above 9007199254740991"),
+        (["--graph", "{wide_graph}", "--sessions", "{sessions}", "--out", "{tmp}/report"], 2,
+         "{wide_graph}: screen 'A': width_px must be at most 1000000 px in magnitude, got 1.7e+308"),
+        ([*_SESSIONS, "{sessions}", "{far_point_session}", "--out", "{tmp}/report"], 2,
+         "{far_point_session}: line 2: point (1.7e+308, 300.0) is more than 1000000 px from 0 on an axis"),
     ],
 }
 
@@ -1054,3 +1133,20 @@ def test_unreachable_embedding_endpoint_exits_two(cli_inputs, monkeypatch, capsy
     assert "Traceback" not in captured.out + captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: embed.endpoint: http://127.0.0.1:9/embed: ")
+
+
+@pytest.mark.parametrize(
+    "argv, step, value, output",
+    [
+        (["hfe", *_SESSIONS, "{sessions}", "--out", "{tmp}/hfe"], "time_models", {"P_11": {"median_s": math.inf}}, "hfe.json"),
+        (["pif", "predict", "--model", "{model}", "--features", "5,5,5"], "predict", ("HSI0", {"HSI0": math.nan}), "stdout"),
+    ],
+    ids=["hfe", "pif predict"],
+)
+def test_a_non_finite_output_value_is_an_error_naming_the_output(argv, step, value, output, cli_inputs, monkeypatch, capsys):
+    monkeypatch.setattr(cli, step, lambda *args: value)
+    assert main([arg.format(**cli_inputs) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {output}: Out of range float values are not JSON compliant")
+    assert not (cli_inputs["tmp"] / "hfe" / "hfe.json").exists()

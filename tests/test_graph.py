@@ -182,6 +182,14 @@ def test_layout_diagonal_union(two_screen_graph):
     assert two_screen_graph.layout_diagonal == pytest.approx((800**2 + 600**2) ** 0.5)
 
 
+def test_coordinates_on_the_bound_load_and_keep_the_diagonal_finite(two_screen_graph):
+    document = graph_to_document(two_screen_graph)
+    for screen in document["screens"]:
+        screen["width_px"] = screen["height_px"] = 1_000_000
+    document["elements"][1].update(x=-1e6, y=-1e6, bbox=[-1e6, -1e6, 1e6, 1e6])
+    assert load_graph(document).layout_diagonal == math.hypot(1e6, 1e6)
+
+
 # Values a fuzzed field can take: every JSON type, plus the non-finite and
 # too-large numbers a Python decoder accepts.
 _FUZZ_VALUES = (None, True, False, 0, -1, 2.5, "", "S", "P1", [], {}, [1, 2, 3, 4], math.nan, math.inf, -math.inf, 10**400)

@@ -140,6 +140,10 @@ class TestParseSessionLog:
         assert point == (10.0, 20.0)
         assert all(type(v) is float for v in point)
 
+    def test_points_on_the_coordinate_bound_accepted(self):
+        lines = [_line(t_ms=0, kind="move", x=1_000_000, y=-1e6, screen="A")]
+        assert parse_session_log(lines).events[0].point == (1e6, -1e6)
+
     def test_string_timestamp_accepted(self):
         assert parse_session_log([_line(t_ms="100", kind="key")]).events[0].t_ms == 100
 
@@ -169,6 +173,8 @@ class TestParseSessionLog:
                 "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit)",
                 id="4301-digit-int",
             ),
+            ({"t_ms": 0, "kind": "move", "x": 1_000_001, "y": 1}, "point (1000001.0, 1.0) is more than 1000000 px from 0 on an axis"),
+            ({"t_ms": 0, "kind": "click", "x": 1.5, "y": -1.7e308}, "point (1.5, -1.7e+308) is more than 1000000 px from 0 on an axis"),
         ],
     )
     def test_bad_value_is_parse_error(self, record, message):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from importlib import resources
 
@@ -20,6 +21,8 @@ from hmirisk.report import (
     write_report_files,
 )
 from hmirisk.risk import detect_error_paths, identify_hfes
+
+from conftest import strict_json_loads
 
 
 class TestConflictQuadrant:
@@ -136,7 +139,7 @@ class TestFiles:
         )
         names = {p.split("/")[-1] for p in written}
         assert names == {"report.json", "candidates.csv", "metrics.csv", "durations_by_category.csv"}
-        parsed = json.loads((tmp_path / "report.json").read_text())
+        parsed = strict_json_loads((tmp_path / "report.json").read_text())
         assert parsed["schema_version"] == 1
 
     def test_candidates_csv_layout(self, two_screen_graph):
@@ -270,8 +273,16 @@ def _none_label_report(graph):
         ("P_13", metric(), None, {}),
     ]
     doc = assemble_report(graph, hfe, rows, AppConfig(), generated_at="t0")
-    assert json.loads(report_json(doc)) == doc
+    assert strict_json_loads(report_json(doc)) == doc
     return doc
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_json_refuses_non_finite_numbers(value, two_screen_graph):
+    doc = _none_label_report(two_screen_graph)
+    doc["assessments"][0]["metrics"]["vd"] = value
+    with pytest.raises(ValueError, match=r"^report\.json: Out of range float values are not JSON compliant"):
+        report_json(doc)
 
 
 @pytest.mark.parametrize("build", [_empty_report, _none_label_report], ids=["empty", "none_label"])
@@ -286,7 +297,7 @@ def test_cli_report_matches_schema(graph_file, plan_file, sessions_dir, tmp_path
     out = tmp_path / "out"
     argv = ["--graph", str(graph_file), "--sessions", str(sessions_dir), "--procedures", str(procedures)]
     assert main(["report", *argv, "--out", str(out)]) == 0
-    doc = json.loads((out / "report.json").read_text())
+    doc = strict_json_loads((out / "report.json").read_text())
     assert doc["hfe"]["candidates"] and len(doc["assessments"]) == 3
     assert schema_errors(doc, SCHEMA) == []
 
@@ -299,7 +310,7 @@ def test_cli_hfe_matches_schema(graph_file, plan_file, sessions_dir, tmp_path):
     out = tmp_path / "out"
     argv = ["--graph", str(graph_file), "--sessions", str(sessions_dir), "--procedures", str(procedures)]
     assert main(["hfe", *argv, "--out", str(out)]) == 0
-    doc = json.loads((out / "hfe.json").read_text())
+    doc = strict_json_loads((out / "hfe.json").read_text())
     assert doc["candidates"] and doc["per_procedure"] and doc["time_models"]
     assert schema_errors(doc, SCHEMA["properties"]["hfe"]) == []
 
