@@ -19,7 +19,7 @@ from .config import AppConfig, config_from_dict
 from .embed import EmbeddingCache, EmbeddingTransportError, LocalProvider, RemoteProvider, name_similarity
 from .graph import GraphError, load_graph
 from .ingest import align_lines, load_procedures, merge_samples, path_samples
-from .metrics import metric_vector, metrics_csv_rows
+from .metrics import compared_names, metric_vector, metrics_csv_rows
 from .pifnet import (
     PIF_WEIGHT_TABLE,
     evaluate,
@@ -32,6 +32,7 @@ from .pifnet import (
     save_model,
     stratified_folds,
     train,
+    training_csv_rows,
 )
 from .report import assemble_report, json_text, write_report_files
 from .risk import detect_error_paths, identify_hfes, load_t95_overrides, system_category, time_deviation_detail, time_models
@@ -260,7 +261,8 @@ def _train_model(cfg: AppConfig, seed: int, rows):
 def _path_metric_entries(graph, graph_file, samples, cfg: AppConfig):
     """Per-path metric vectors; the span uses the mean traversal across
     recorded instances of the path (an exactly rounded sum, so the same
-    sessions in any order give the same bits). An element the metrics
+    sessions in any order give the same bits). The names the metrics
+    compare are embedded up front, in one batch. An element the metrics
     cannot use is an error of ``graph_file``, and a remote embedding
     service that fails is an error of ``embed.endpoint``."""
     cache = EmbeddingCache(cfg.embed.cache_dir) if cfg.embed.cache_dir else None
@@ -268,20 +270,20 @@ def _path_metric_entries(graph, graph_file, samples, cfg: AppConfig):
         provider = RemoteProvider(cfg.embed.endpoint, cfg.embed.model, cfg.embed.timeout_ms)
     else:
         provider = LocalProvider()
-    sim = name_similarity(provider, cache)
-    entries = []
-    for path_id in sorted(samples):
-        lengths = samples[path_id].traversals
-        mean_px = math.fsum(lengths) / len(lengths) if lengths else 0.0
-        try:
+    path_ids, entries = sorted(samples), []
+    try:
+        sim = name_similarity(provider, cache, compared_names(graph, path_ids))
+        for path_id in path_ids:
+            lengths = samples[path_id].traversals
+            mean_px = math.fsum(lengths) / len(lengths) if lengths else 0.0
             metric = metric_vector(
                 graph, path_id, mean_px, sim, theta=cfg.metrics.theta, normalizer_px=cfg.metrics.normalizer_px
             )
-        except GraphError as err:
-            raise ValueError(f"{graph_file}: {err}") from None
-        except EmbeddingTransportError as err:
-            raise ValueError(f"embed.endpoint: {cfg.embed.endpoint}: {err}") from None
-        entries.append((path_id, metric))
+            entries.append((path_id, metric))
+    except GraphError as err:
+        raise ValueError(f"{graph_file}: {err}") from None
+    except EmbeddingTransportError as err:
+        raise ValueError(f"embed.endpoint: {cfg.embed.endpoint}: {err}") from None
     return entries
 
 
@@ -404,11 +406,21 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
         raise ValueError("pif predict needs --features or --data")
     model = _trained_model(args.model)
 
-    def rows_of(lines):
-        rows = load_training_csv(lines)
+    def record(features):
+        label, probs = predict(model, features)
+        return {"features": list(features), "label": label, "probabilities": probs}
+
+    def records_of(lines):
+        rows = list(training_csv_rows(lines))
         if not rows:
             raise ValueError("no rows to predict")
-        return rows
+        records = []
+        for line_no, features, _ in rows:
+            try:
+                records.append(record(features))
+            except ValueError as err:
+                raise ValueError(f"line {line_no}: {err}") from None
+        return records
 
     outputs = []
     if args.features is not None:
@@ -416,16 +428,13 @@ def _cmd_pif_predict(args, cfg: AppConfig) -> int:
             values = tuple(float(v) for v in args.features.split(","))
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite feature in {args.features!r}")
-            label, probs = predict(model, values)
+            outputs.append(record(values))
         except ValueError as err:
             raise ValueError(f"--features: {err}") from None
-        outputs.append({"features": list(values), "label": label, "probabilities": probs})
     if args.data is not None:
-        for features, _ in _load(args.data, rows_of, _lines):
-            label, probs = predict(model, features)
-            outputs.append({"features": list(features), "label": label, "probabilities": probs})
-    for record in outputs:
-        print(json_text("stdout", record))
+        outputs.extend(_load(args.data, records_of, _lines))
+    lines = [json_text("stdout", output) for output in outputs]  # all of them, before any is printed
+    print(*lines, sep="\n")
     return 0
 
 

@@ -19,8 +19,6 @@ import os
 import struct
 import time
 import unicodedata
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,7 +95,7 @@ def local_embed(text: str) -> EmbeddingVector:
 class Provider(Protocol):
     provider_tag: str
 
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]: ...
+    def embed_batch(self, texts: Sequence[str]) -> list[Sequence[float]]: ...
 
 
 class LocalProvider:
@@ -105,8 +103,8 @@ class LocalProvider:
 
     provider_tag = LOCAL_PROVIDER_TAG
 
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        return [list(local_embed(t).values) for t in texts]
+    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:  # arrays: no float object per value
+        return [np.asarray(local_embed(t).values) for t in texts]
 
 
 class RemoteProvider:
@@ -120,6 +118,7 @@ class RemoteProvider:
         self.calls = 0  # requests actually sent, for cache verification
 
     def _post(self, texts: Sequence[str]) -> list[list[float]]:
+        import urllib.error, urllib.request  # here, not at the top: they load ssl, http.client and email
         payload = json.dumps({"model": self.model, "input": list(texts)}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(API_KEY_ENV)
@@ -138,8 +137,6 @@ class RemoteProvider:
                         f"service returned {len(vectors)} vectors for {len(texts)} inputs"
                     )
                 return [[float(x) for x in vec] for vec in vectors]
-            except EmbeddingTransportError:
-                raise
             except (urllib.error.URLError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an HTTP error status carries the open response
@@ -214,33 +211,35 @@ class EmbeddingCache:
             fh.write(struct.pack("<I", len(record)) + record)
 
 
-def text_key(text: str) -> bytes:
-    return hashlib.sha256(_normalize_text(text).encode("utf-8")).digest()
+def embed_texts(provider: Provider, texts: Sequence[str], cache: EmbeddingCache | None = None) -> list[EmbeddingVector]:
+    """Embed ``texts`` through ``provider``, consulting the cache first; the
+    distinct misses go out in one ``embed_batch`` call. Identical
+    (provider_tag, text) pairs return byte-identical vectors whether served
+    fresh, from memory, or from a cache file written by an earlier process."""
+    tag = provider.provider_tag
+    normalized = [_normalize_text(text) for text in texts]
+    keys = [hashlib.sha256(text.encode("utf-8")).digest() for text in normalized]
+    hits = {key: cache.get(tag, key) for key in keys} if cache is not None else {}
+    vectors = {key: _finalize(hit, tag) for key, hit in hits.items() if hit is not None}
+    misses = {key: text for key, text in zip(keys, normalized) if key not in vectors}
+    for key, raw in zip(misses, provider.embed_batch(list(misses.values())) if misses else ()):
+        vectors[key] = _finalize(raw, tag)
+        if cache is not None:
+            cache.put(tag, key, np.asarray(vectors[key].values))
+    return [vectors[key] for key in keys]
 
 
 def embed_text(provider: Provider, text: str, cache: EmbeddingCache | None = None) -> EmbeddingVector:
-    """Embed one text through ``provider``, consulting the cache first.
-
-    Identical (provider_tag, text) pairs return byte-identical vectors
-    whether served fresh, from memory, or from a cache file written by an
-    earlier process.
-    """
-    normalized = _normalize_text(text)
-    key = text_key(normalized)
-    if cache is not None:
-        hit = cache.get(provider.provider_tag, key)
-        if hit is not None:
-            return _finalize(hit, provider.provider_tag)
-    vector = _finalize(provider.embed_batch([normalized])[0], provider.provider_tag)
-    if cache is not None:
-        cache.put(provider.provider_tag, key, np.asarray(vector.values))
-    return vector
+    """Embed one text; see :func:`embed_texts`."""
+    return embed_texts(provider, [text], cache)[0]
 
 
-def name_similarity(provider: Provider | None = None, cache: EmbeddingCache | None = None) -> Callable[[str, str], float]:
-    """Build a (name, name) -> cosine similarity function for the metrics layer."""
+def name_similarity(provider: Provider | None = None, cache: EmbeddingCache | None = None,
+                    names: Sequence[str] = ()) -> Callable[[str, str], float]:
+    """Build a (name, name) -> cosine similarity function for the metrics
+    layer; ``names`` are embedded up front, any other name on first use."""
     active = provider if provider is not None else LocalProvider()
-    memo: dict[str, EmbeddingVector] = {}
+    memo = dict(zip(names, embed_texts(active, names, cache)))
 
     def sim(a: str, b: str) -> float:
         for text in (a, b):

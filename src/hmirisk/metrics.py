@@ -109,6 +109,15 @@ def metric_vector(
     }
 
 
+def compared_names(g: InterfaceGraph, path_ids: Iterable[str]) -> list[str]:
+    """The distinct names :func:`metric_vector` compares for these paths:
+    the non-blank names on each target's screen, if it holds more than one
+    element (a blank one is :func:`metric_vector`'s error to report)."""
+    screens = dict.fromkeys(g.by_id[resolve_path(g, path_id).node_chain[-1]].screen_id for path_id in path_ids)
+    shared = [on_screen for on_screen in map(g.screen_elements, screens) if len(on_screen) > 1]
+    return list(dict.fromkeys(e.name for on_screen in shared for e in on_screen if e.name.strip()))
+
+
 METRICS_CSV_HEADER = "path_id,vd_num,vd_den,sid_num,sid_den,is_num_px,is_den_px,vd,sid,is"
 
 

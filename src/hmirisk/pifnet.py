@@ -29,7 +29,7 @@ import zipfile
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -325,7 +325,7 @@ def train(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = No
     X, y = _rows_to_arrays(rows, model.label_order)
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
-    if len(np.unique(y)) < 2:
+    if (y == y[0]).all():  # not np.unique, which imports numpy.ma
         raise ValueError("training rows contain a single class")
 
     model.standardizer = Standardizer.fit(X)
@@ -346,14 +346,20 @@ def train(model: PifModel, rows: Sequence[tuple], hyper: TrainConfig | None = No
 
 
 def predict(model: PifModel, features) -> tuple[str, dict[str, float]]:
-    """Label and class probabilities for one metric vector."""
+    """Label and class probabilities for one metric vector. Features so far
+    from the training data that the standardized input or the
+    probabilities overflow are a ValueError, not a warning."""
     if not model.trained or model.standardizer is None:
         raise ValueError("model is not trained")
     x = _as_features(features)
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
-    logits = _forward_eval(model, model.standardizer.transform(x[None, :]))
-    probs = _softmax(logits, np.empty((1, 1)))[0]
+    with np.errstate(all="ignore"):
+        standardized = model.standardizer.transform(x[None, :])
+        probs = _softmax(_forward_eval(model, standardized), np.empty((1, 1)))[0]
+    for name, values in (("standardized features", standardized), ("class probabilities", probs)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} are not finite: the features lie too far outside the training data")
     label = model.label_order[int(np.argmax(probs))]
     return label, {lab: float(p) for lab, p in zip(model.label_order, probs)}
 
@@ -421,7 +427,8 @@ def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfi
 MODEL_FORMAT_VERSION = 1
 
 
-def save_model(model: PifModel, path: str | Path) -> None:
+def _named_arrays(model: PifModel) -> dict[str, np.ndarray]:
+    """The model's arrays under their names in a model file."""
     arrays = {f"param_{k}": v for k, v in model.params.items()}
     for i in range(len(HIDDEN_SIZES)):
         arrays[f"running_mean{i}"] = model.running_mean[i]
@@ -429,6 +436,11 @@ def save_model(model: PifModel, path: str | Path) -> None:
     if model.standardizer is not None:
         arrays["std_mean"] = model.standardizer.mean
         arrays["std_std"] = model.standardizer.std
+    return arrays
+
+
+def save_model(model: PifModel, path: str | Path) -> None:
+    arrays = _named_arrays(model)
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
         "label_order": list(model.label_order),
@@ -472,11 +484,25 @@ def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...] | N
     return array if shape is None else array.astype(np.float64)
 
 
+def _check_numbers(model: PifModel) -> None:
+    """Numbers a prediction can use: every array finite, the standardizer's
+    std positive and the batch-norm running variances non-negative."""
+    for name, array in _named_arrays(model).items():
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name}: holds a NaN or an infinity")
+    if model.standardizer is not None and not (model.standardizer.std > 0).all():
+        raise ValueError(f"std_std: must be positive, got {model.standardizer.std.tolist()}")
+    for i, var in enumerate(model.running_var):
+        if (var < 0).any():
+            raise ValueError(f"running_var{i}: must be non-negative")
+
+
 def load_model(path: str | Path) -> PifModel:
     """A model written by :func:`save_model`; a file that is not one is a
     ValueError, and one that cannot be opened an OSError that names it.
     Every array must have the shape the network of the file's labels
-    implies, checked before the array is read."""
+    implies, checked before the array is read, and numbers a prediction
+    can use (:func:`_check_numbers`)."""
     file = open(path, "rb")
     try:
         with file, zipfile.ZipFile(file) as archive:
@@ -498,6 +524,7 @@ def load_model(path: str | Path) -> PifModel:
                     std=_read_member(archive, "std_std", (INPUT_DIM,)),
                 )
             model.trained = bool(meta["trained"])
+            _check_numbers(model)
     except (OSError, ValueError, KeyError, TypeError, EOFError, RecursionError, NotImplementedError, zipfile.BadZipFile) as err:
         raise ValueError(f"not a readable model file ({err})") from None
     return model
@@ -508,10 +535,9 @@ def load_model(path: str | Path) -> PifModel:
 TRAINING_CSV_HEADER = "path_id,vd,sid,is,label"
 
 
-def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
-    """Rows of ((vd, sid, is), label) from the lines of the
+def training_csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, tuple[float, float, float], str]]:
+    """(line number, (vd, sid, is), label) for each row of the lines of the
     `path_id,vd,sid,is,label` CSV; an error names the line."""
-    rows = []
     for line_no, line, fields in csv_lines(lines, TRAINING_CSV_HEADER):
         try:
             features = (float(fields[1]), float(fields[2]), float(fields[3]))
@@ -521,8 +547,12 @@ def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, fl
             raise ValueError(f"line {line_no}: non-finite feature in {line!r}")
         if not fields[4].strip():
             raise ValueError(f"line {line_no}: empty label in {line!r}")
-        rows.append((features, fields[4].strip()))
-    return rows
+        yield line_no, features, fields[4].strip()
+
+
+def load_training_csv(lines: Iterable[str]) -> list[tuple[tuple[float, float, float], str]]:
+    """Rows of ((vd, sid, is), label) of :func:`training_csv_rows`."""
+    return [(features, label) for _, features, label in training_csv_rows(lines)]
 
 
 def training_csv(entries: Iterable[tuple[str, tuple[float, float, float], str]]) -> str:

@@ -21,7 +21,7 @@ import json
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, config_fingerprint
@@ -159,16 +159,14 @@ def candidates_csv(hfe: Mapping[str, Any]) -> str:
     return buf.getvalue()
 
 
-def duration_series_csv(samples: Mapping[str, PathSamples], grouping: Mapping[str, str]) -> str:
-    """Long-format plot data: one row per (category, path, duration),
-    durations ascending within a path."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def duration_series_csv(samples: Mapping[str, PathSamples], grouping: Mapping[str, str], out: TextIO) -> None:
+    """Write long-format plot data to the text stream ``out``: one row per
+    (category, path, duration), durations ascending within a path."""
+    writer = csv.writer(out)
     writer.writerow(["category", "path_id", "duration_s"])
     for path_id in sorted(samples):
-        for duration in sorted(samples[path_id].durations):
-            writer.writerow([grouping.get(path_id, ""), path_id, f"{duration:.6g}"])
-    return buf.getvalue()
+        category = grouping.get(path_id, "")
+        writer.writerows([category, path_id, f"{duration:.6g}"] for duration in sorted(samples[path_id].durations))
 
 
 def write_report_files(
@@ -194,5 +192,8 @@ def write_report_files(
         "metrics.csv",
         "\n".join(metrics_csv_rows((a["path_id"], a["metrics"]) for a in report["assessments"])) + "\n",
     )
-    emit("durations_by_category.csv", duration_series_csv(samples, grouping))
+    path = out / "durations_by_category.csv"  # the largest file, streamed
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        duration_series_csv(samples, grouping, fh)
+    written.append(str(path))
     return written

@@ -847,6 +847,8 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "wide_graph": tmp_path / "wide_graph.json",
         "far_point_session": tmp_path / "far_point_session.jsonl",
         "blank_label": tmp_path / "blank_label.csv",
+        "overflow_data": tmp_path / "overflow_data.csv",
+        "poisoned_model": tmp_path / "poisoned.npz",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -965,6 +967,13 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         {"t_ms": 12, "kind": "step_end", "step_id": "s0"},
     ))
     files["blank_label"].write_text("path_id,vd,sid,is,label\nP_1,0,0,0,\nP_2,1,1,1,HSI1\nP_3,2,2,2,HSI1\n")
+    # Rows to predict whose second overflows the trained model, and a model
+    # file holding an infinite weight and a NaN and a zero standard deviation.
+    files["overflow_data"].write_text("path_id,vd,sid,is,label\nP_1,5,5,5,HSI0\nP_2,1e308,-1e308,1e308,HSI0\n")
+    poisoned = load_model(files["model"])
+    poisoned.params["W1"][0, 0] = np.inf
+    poisoned.standardizer.std[:] = (np.nan, 1.0, 0.0)
+    save_model(poisoned, files["poisoned_model"])
     return files
 
 
@@ -973,6 +982,8 @@ _UNKNOWN_TARGET = "{unknown_target}: procedure 'PR', step 's1': path 'P_999' has
 _NO_NAME = "{no_name_graph}: element 'N_12': a name is needed to compare it with its screen"
 _BAD_CACHE = "{tmp}/%s/local-trigram-v1.embcache: cache record at byte 5: length %d does not fit its header"
 _FOREIGN_CACHE = "{tmp}/%s/local-trigram-v1.embcache: not an embedding cache file: header %r, expected b'HMEC\\x01'"
+_OVERFLOW = "class probabilities are not finite: the features lie too far outside the training data"
+_POISONED = "{poisoned_model}: not a readable model file (param_W1: holds a NaN or an infinity)"
 
 # command, argv, expected exit code, what every error line must name
 _EXIT_CODES = {
@@ -1077,6 +1088,9 @@ _EXIT_CODES = {
         (["--model", "{flipped_model}", "--features", "5,5,5"], 2, "{flipped_model}: not a readable model file ("),
         (["--model", "{model}", "--features", "nan,0,0"], 2, "--features: non-finite feature in 'nan,0,0'"),
         (["--model", "{v2_model}", "--features", "5,5,5"], 2, "{v2_model}: not a readable model file (unsupported model format 2)"),
+        (["--model", "{model}", "--features", "1e308,-1e308,1e308"], 2, "--features: " + _OVERFLOW),
+        (["--model", "{model}", "--data", "{overflow_data}"], 2, "{overflow_data}: line 3: " + _OVERFLOW),
+        (["--model", "{poisoned_model}", "--features", "5,5,5"], 2, _POISONED),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),
@@ -1095,6 +1109,7 @@ _EXIT_CODES = {
          "{wide_graph}: screen 'A': width_px must be at most 1000000 px in magnitude, got 1.7e+308"),
         ([*_SESSIONS, "{sessions}", "{far_point_session}", "--out", "{tmp}/report"], 2,
          "{far_point_session}: line 2: point (1.7e+308, 300.0) is more than 1000000 px from 0 on an axis"),
+        ([*_SESSIONS, "{sessions}", "--model", "{poisoned_model}", "--out", "{tmp}/report"], 2, _POISONED),
     ],
 }
 
@@ -1150,3 +1165,55 @@ def test_a_non_finite_output_value_is_an_error_naming_the_output(argv, step, val
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: {output}: Out of range float values are not JSON compliant")
     assert not (cli_inputs["tmp"] / "hfe" / "hfe.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--features", "1e308,-1e308,1e308"], ["--data", "{overflow_data}"]], ids=["features", "data"])
+def test_an_overflowing_prediction_prints_nothing(argv, cli_inputs, capsys):
+    """An input the model cannot score is one error line, and no row scored
+    before it reaches stdout."""
+    assert main(["pif", "predict", "--model", str(cli_inputs["model"]), *(arg.format(**cli_inputs) for arg in argv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_names_are_embedded_in_one_batch_and_the_cache_changes_no_byte(graph_file, sessions_dir, tmp_path, monkeypatch):
+    """report gives the provider the distinct names it compares in one call;
+    a cache then serves them all, and the outputs are the same bytes with
+    no cache, a cold one and a warm one."""
+    batches = []
+
+    class Counting(embed.LocalProvider):
+        def embed_batch(self, texts):
+            batches.append(list(texts))
+            return super().embed_batch(texts)
+
+    monkeypatch.setattr(cli, "LocalProvider", Counting)
+    config = tmp_path / "cached.json"
+    config.write_text(json.dumps({"embed": {"cache_dir": str(tmp_path / "cache")}}))
+    outputs = []
+    for run, extra in enumerate(([], ["--config", str(config)], ["--config", str(config)])):
+        out = tmp_path / f"run{run}"
+        assert main(["report", "--graph", str(graph_file), "--sessions", str(sessions_dir), "--out", str(out), *extra]) == 0
+        stamps = rb'"(generated_at|config_fingerprint)": "[^"]*"'  # the fingerprint covers embed.cache_dir
+        outputs.append({p.name: re.sub(stamps, b"", p.read_bytes()) for p in sorted(out.iterdir())})
+    assert len(batches) == 2 and batches[0] == batches[1]  # no cache, then a cold one; the warm one asks nothing
+    assert len(batches[0]) == len(set(batches[0])) > 1
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_report_and_training_load_no_http_client_or_numpy_ma(cli_inputs):
+    """With the local provider, report and pif train load neither the HTTP
+    and TLS stack, which the remote provider imports on its first request,
+    nor numpy.ma, which np.unique would import."""
+    report = ["report", "--graph", str(cli_inputs["graph"]), "--sessions", str(cli_inputs["sessions"]),
+              "--procedures", str(cli_inputs["procedures"]), "--out", str(cli_inputs["tmp"] / "report")]
+    train = ["pif", "train", "--data", str(cli_inputs["data"]), "--model-out", str(cli_inputs["tmp"] / "m.npz")]
+    code = (
+        "import sys\n"
+        "from hmirisk.cli import main\n"
+        f"assert main({report!r}) == 0 and main({train!r}) == 0\n"
+        "print(sorted(m for m in ('urllib.request', 'ssl', 'http.client', 'numpy.ma') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.splitlines()[-1] == "[]"

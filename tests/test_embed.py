@@ -18,6 +18,7 @@ from hmirisk.embed import (
     RemoteProvider,
     cosine_similarity,
     embed_text,
+    embed_texts,
     local_embed,
     name_similarity,
 )
@@ -139,6 +140,16 @@ class TestCache:
                 embed_text(provider, "alpha", cache)
         assert file.read_bytes() == content
 
+    def test_a_batch_equals_one_text_at_a_time(self, tmp_path):
+        """A batch gives each text's one-at-a-time bits, with the cache off,
+        cold and warm, and asks the provider once per distinct text."""
+        texts = ["power factor", "terminal voltage", " power factor", "0 ELEDW002"]
+        one_by_one = [embed_text(CountingProvider(), t) for t in texts]
+        provider, cache = CountingProvider(), EmbeddingCache(tmp_path)
+        assert embed_texts(provider, texts) == one_by_one and provider.calls == 3
+        assert embed_texts(provider, texts, cache) == one_by_one and provider.calls == 6
+        assert embed_texts(provider, texts, EmbeddingCache(tmp_path)) == one_by_one and provider.calls == 6
+
     def test_empty_file_is_a_new_cache(self, tmp_path):
         file = tmp_path / f"{CountingProvider.provider_tag}.embcache"
         file.write_bytes(b"")
@@ -223,6 +234,21 @@ class TestRemoteProvider:
         monkeypatch.delenv("HMIRISK_EMBED_API_KEY", raising=False)
         RemoteProvider(embed_server, "demo-model").embed_batch(["pump"])
         assert _Handler.last_auth is None
+
+
+def test_names_go_out_in_requests_of_max_batch(embed_server, tmp_path, monkeypatch):
+    """name_similarity sends n distinct names, less those the cache holds,
+    in ceil(n / MAX_BATCH) requests and sends nothing more when asked."""
+    monkeypatch.setattr(embed, "MAX_BATCH", 2)
+    names = ["a pump", "b pump", "c pump", "a pump", "d pump", "e pump"]
+    provider = RemoteProvider(embed_server, "demo-model")
+    sim = name_similarity(provider, EmbeddingCache(tmp_path), names)
+    assert provider.calls == 3  # ceil(5 / 2)
+    assert sim("a pump", "e pump") == name_similarity()("a pump", "e pump")
+    assert provider.calls == 3
+    fresh = RemoteProvider(embed_server, "demo-model")
+    name_similarity(fresh, EmbeddingCache(tmp_path), [*names, "f pump", "g pump", "h pump"])
+    assert fresh.calls == 2  # the cache holds five; ceil(3 / 2)
 
 
 def test_name_similarity_helper():

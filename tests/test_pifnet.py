@@ -157,6 +157,22 @@ class TestPredict:
         assert model.standardizer is not None
         assert evaluate(model, rows) == 1.0
 
+    @pytest.mark.parametrize(
+        "features, name",
+        [((1e308, 1e308, 1e308), "standardized features"), ((1e308, 1e308, -1e308), "class probabilities")],
+        ids=["standardized", "probabilities"],
+    )
+    def test_an_overflow_is_an_error_not_a_warning(self, features, name):
+        """Finite features far outside the training data are a ValueError
+        naming what overflowed; numpy warns of nothing (warnings are errors
+        in this suite)."""
+        model = init_model(0, LABELS)
+        train(model, separable_rows())
+        if name == "standardized features":  # a std below 1 takes 1e308 past the float range
+            model.standardizer = Standardizer(model.standardizer.mean, np.full(3, 0.5))
+        with pytest.raises(ValueError, match=f"^{name} are not finite: the features lie too far outside the training data$"):
+            predict(model, features)
+
 
 class TestStandardizer:
     def test_fit_transform(self):
@@ -345,6 +361,25 @@ class TestPersistence:
         save_model(init_model(1, labels), tmp_path / "labels.npz")
         with pytest.raises(ValueError, match=re.escape(f"label_order must be distinct strings, got {shown})")):
             load_model(tmp_path / "labels.npz")
+
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            ("param_W1", (0, 0), np.inf, "param_W1: holds a NaN or an infinity"),
+            ("running_mean2", 0, np.nan, "running_mean2: holds a NaN or an infinity"),
+            ("std_std", 0, np.nan, "std_std: holds a NaN or an infinity"),
+            ("std_std", 2, 0.0, "std_std: must be positive, got ["),
+            ("running_var1", 3, -1e-3, "running_var1: must be non-negative"),
+        ],
+        ids=["inf-weight", "nan-running-mean", "nan-std", "zero-std", "negative-variance"],
+    )
+    def test_numbers_a_prediction_cannot_use_are_rejected(self, tmp_path, name, index, value, message):
+        model = init_model(5, LABELS)
+        train(model, separable_rows())
+        pifnet._named_arrays(model)[name][index] = value
+        save_model(model, tmp_path / "poisoned.npz")
+        with pytest.raises(ValueError, match=f"^not a readable model file \\({re.escape(message)}"):
+            load_model(tmp_path / "poisoned.npz")
 
     def test_shape_claimed_in_header_checked_before_reading(self, tmp_path):
         """A member whose .npy header claims 10**13 floats is rejected by

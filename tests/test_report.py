@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -152,7 +153,9 @@ class TestFiles:
 
     def test_duration_series_long_format(self):
         samples = {"P_1": PathSamples(durations=[1.0, 2.0], attempts=2)}
-        lines = duration_series_csv(samples, {"P_1": "N_root"}).strip().splitlines()
+        buf = io.StringIO()
+        duration_series_csv(samples, {"P_1": "N_root"}, buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines == ["category,path_id,duration_s", "N_root,P_1,1", "N_root,P_1,2"]
 
 
