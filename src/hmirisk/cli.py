@@ -22,6 +22,7 @@ from .ingest import align_lines, load_procedures, merge_samples, path_samples
 from .metrics import compared_names, metric_vector, metrics_csv_rows
 from .pifnet import (
     PIF_WEIGHT_TABLE,
+    Standardizer,
     evaluate,
     init_model,
     kfold_cv,
@@ -138,8 +139,12 @@ def _session_files(paths: list[str]) -> list[Path]:
     return files
 
 
+def _text(path: str | Path) -> str:
+    return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped, lines end in "\n"
+
+
 def _json(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+    text = _text(path)
     try:
         return json.loads(text)
     except RecursionError:
@@ -147,7 +152,7 @@ def _json(path: str | Path):
 
 
 def _lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+    return _text(path).splitlines()
 
 
 def _load(path: str | Path, parse, read=_json):
@@ -159,24 +164,26 @@ def _load(path: str | Path, parse, read=_json):
         raise ValueError(f"{path}: {err}") from None
 
 
-# Session bytes a forked worker needs to pay for itself. On 2 CPUs a 2-way
-# split of the ingest fold cost 8-26 ms more CPU than the serial fold at
-# every size; it was no faster at 0.27 MB, and at 4.2 MB (128 sessions) it
-# took 126 ms against 175 ms, for 187 ms of CPU against 175 ms.
-_MIN_FOLD_BYTES = 2 << 20
-
-
-def _chunk_count(total_bytes: int) -> int:
-    """Processes for a fold of ``total_bytes``: one per usable CPU, but no
-    more than the bytes pay for, and one where fork is unavailable."""
-    return max(1, min(forked.usable_cpus(), total_bytes // _MIN_FOLD_BYTES))
+# A fold of fewer session bytes than _MIN_FOLD_BYTES runs in one process.
+# On 2 CPUs, report on 1 and 2 MiB of sessions was not steadily faster with a
+# forked child claiming batches (medians of 11 runs, 3 rounds: 225-271 ms in
+# one process against 203-229 ms at 1 MiB, 220-246 against 170-269 ms at
+# 2 MiB) and took up to 90 ms more CPU; at 4 MiB it took 171-222 ms against
+# 280-307 ms. A larger fold goes out in contiguous batches of about
+# _BATCH_BYTES that the processes claim in turn. On the 16 MB campaign of
+# bench/corpus.py, batches of 0.25, 0.5, 1 and 2 MiB gave report op_s
+# medians of 0.439, 0.431, 0.430 and 0.435 s (4 rounds of 12 s runs), and
+# 1 MiB the lowest CPU (0.763 s against 0.781 s at 0.5 MiB).
+_MIN_FOLD_BYTES = 4 << 20
+_BATCH_BYTES = 1 << 20
 
 
 def _split(files: list[Path], n: int | None = None) -> list[list[Path]]:
-    """``files`` in ``n`` (by default ``_chunk_count`` of their bytes)
-    contiguous chunks, in order, of about equal bytes: a file goes to the
-    chunk its byte midpoint falls in. An unreadable file weighs one byte;
-    its error comes from the fold."""
+    """``files`` in ``n`` contiguous batches, in order, of about equal bytes:
+    a file goes to the batch its byte midpoint falls in. By default one batch
+    where a second process would not pay (one usable CPU, or fewer bytes
+    than _MIN_FOLD_BYTES), else batches of about _BATCH_BYTES. An
+    unreadable file weighs one byte; its error comes from the fold."""
     weights = []
     for f in files:
         try:
@@ -184,7 +191,8 @@ def _split(files: list[Path], n: int | None = None) -> list[list[Path]]:
         except OSError:
             weights.append(1)
     total, start = sum(weights), 0
-    n = n or _chunk_count(total)
+    if n is None:
+        n = 1 if forked.usable_cpus() < 2 or total < _MIN_FOLD_BYTES else -(-total // _BATCH_BYTES)
     chunks: list[list[Path]] = [[] for _ in range(n)]
     for f, weight in zip(files, weights):
         chunks[(2 * start + weight) * n // (2 * total)].append(f)
@@ -193,13 +201,13 @@ def _split(files: list[Path], n: int | None = None) -> list[list[Path]]:
 
 
 def _fold_files(files: list[Path], align):
-    """Per-path samples of the files, aligned one at a time, and their
-    (sessions, steps, unaligned steps) tally."""
+    """Per-path samples of the files, aligned one at a time from their text,
+    and their (sessions, steps, unaligned steps) tally."""
     tally = [0, 0, 0]
 
     def traces():
         for f in files:
-            trace = _load(f, align, _lines)
+            trace = _load(f, align, _text)
             tally[0] += 1
             tally[1] += len(trace.steps)
             tally[2] += len(trace.unaligned)
@@ -211,9 +219,11 @@ def _fold_files(files: list[Path], align):
 def _fold(files: list[Path], align, meanwhile, *, _chunks: int | None = None):
     """Per-path samples and the ingest tally of the session files, equal to a
     serial fold in file order (its error too), and the result of
-    ``meanwhile()``. The files are split into contiguous chunks, one per
-    process: this process runs ``meanwhile`` and folds the first chunk, and
-    a forked child (``forked.fork_map``) folds each other one."""
+    ``meanwhile()``. The files go out in contiguous batches (``_split``,
+    ``_chunks`` of them when given) to ``forked.fork_map``: this process runs
+    ``meanwhile`` and folds the first batch, a forked child folds each of
+    the next ones, and then every process claims the next unfolded batch
+    until none is left. The parts merge in file order."""
     tasks = [(f"{chunk[0]}: the process folding this and the next {len(chunk) - 1} session file(s)",
               partial(_fold_files, chunk, align)) for chunk in _split(files, _chunks) if chunk]
     results, extra = forked.fork_map(tasks, meanwhile)
@@ -231,6 +241,7 @@ def _training_rows(data_arg: str | None):
             raise ValueError(f"need at least 2 training rows, got {len(rows)}")
         if len({label for _, label in rows}) < 2:
             raise ValueError("training rows contain a single class")
+        Standardizer.fit([features for features, _ in rows])  # features that overflow are this file's error
         return rows
 
     return _load(data_arg, rows_of, _lines)
@@ -314,7 +325,7 @@ def _analyse(args, cfg: AppConfig) -> _Analysis:
     given = _trained_model(args.model, pif_levels=True) if getattr(args, "model", None) else None
     default = args.command == "report" and given is None
     meanwhile = partial(_train_model, cfg, args.seed, dataset.training_rows()) if default else lambda: given
-    samples, tally, model = _fold(files, lambda lines: align_lines(graph, lines, targets), meanwhile)
+    samples, tally, model = _fold(files, lambda text: align_lines(graph, text, targets), meanwhile)
     return _Analysis(graph, procedures, samples, tally, t95, model)
 
 

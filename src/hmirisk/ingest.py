@@ -148,6 +148,7 @@ _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", boo
 _JSON_NUMBERS = {int, float}  # by exact type, so bools stay out
 _ID_TYPES = {str, type(None)}
 _MAX_T_MS = 2**53 - 1  # the largest integer a float holds exactly, so every duration is exact
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line, besides "\n"
 
 
 def _event_from_record(record: Mapping[str, Any], line_no: int) -> TrackerEvent:
@@ -292,13 +293,13 @@ def align_events(
 
 def align_lines(
     g: InterfaceGraph,
-    lines: list[str],
+    lines: str | list[str],
     step_targets: Mapping[str, str] | None = None,
 ) -> AlignedTrace:
-    """``align_events(g, parse_session_log(lines), step_targets)`` for the
-    lines of one session log, without building a TrackerEvent or SessionLog:
-    the events parse_session_log checks go, as plain tuples, through the
-    loop of align_events."""
+    """``align_events(g, parse_session_log(lines), step_targets)`` for one
+    session log's list of lines, or its text (``lines.splitlines()`` in the
+    call), without building a TrackerEvent or SessionLog: the events
+    parse_session_log checks go, as plain tuples, through the loop of align_events."""
     session_id, _, events = _session_events(lines)
     return _align(g, session_id, events, step_targets)
 
@@ -312,7 +313,7 @@ def _align(
     """The alignment of :func:`align_events`, over events in the field order
     of TrackerEvent: TrackerEvents, or the plain tuples of align_lines."""
     targets = dict(step_targets or {})
-    open_steps: dict[str, _OpenStep] = {}
+    open_steps: dict[str, tuple[_OpenStep]] = {}  # each step's window, alone in a tuple
     steps: list[AlignedStep] = []
     unaligned: list[str] = []
 
@@ -321,20 +322,16 @@ def _align(
     note, click = EventKind.ERROR_ANNOTATION, EventKind.CLICK
     for t_ms, kind, point, screen_id, step_id, error_kind in events:
         if kind is start:
-            open_steps[step_id] = _OpenStep(step_id, t_ms)
+            open_steps[step_id] = (_OpenStep(step_id, t_ms),)
             continue
         if kind is end:
-            steps.append(open_steps.pop(step_id).close(t_ms, targets, unaligned))
+            steps.append(open_steps.pop(step_id)[0].close(t_ms, targets, unaligned))
             continue
         if kind is key:
             continue
         # A move, click or error annotation belongs to its own step's window,
         # or to every open window when it names no step.
-        if step_id is not None:
-            found = open_steps.get(step_id)
-            windows = (found,) if found else ()
-        else:
-            windows = tuple(open_steps.values())
+        windows = open_steps.get(step_id, ()) if step_id is not None else [w for w, in open_steps.values()]
         if kind is note:
             for state in windows:
                 state.errors.append(error_kind)
@@ -350,32 +347,31 @@ def _align(
     return AlignedTrace(session_id, tuple(steps), tuple(unaligned))
 
 
-def _line_records(lines: list[str]) -> list[dict[str, Any]] | None:
-    """The JSON object on each non-blank stripped line, decoded in one call,
-    or None where the lines need not hold one object each.
-
-    The stripped lines are joined by ",\n" into one array. When every line
-    starts with its only "{", ends with its only "}" and holds no newline,
-    no string can span a newline, so each line's last "}" closes the object
-    its first "{" opened: the array holds each line's object, equal to the
-    line decoded alone, and a line that is not valid JSON fails the decode.
-    """
-    lines = [line for line in map(str.strip, lines) if line]
-    text = ",\n".join(lines)
-    n = len(lines)
+def _text_records(text: str, line_count: int | None = None) -> list[dict[str, Any]] | None:
+    """The JSON object on each line of ``text``, decoded in one call, or None
+    where the lines (a last "\n" ends the last one) need not hold one object
+    each or are not ``line_count`` lines. When lines break only at "\n" and
+    each starts with its only "{" and ends with "}", no string spans a line
+    (a raw newline is not valid in one), so each line's "}" closes the object
+    its "{" opened: with each "\n" made ",\n", the array holds each line's
+    object, and a line that is not valid JSON fails the decode."""
+    body = text[:-1] if text[-1:] == "\n" else text
+    n = body.count("\n") + 1
     if not (
-        text[:1] == "{" and text[-1:] == "}" and text.count("\n") == n - 1
-        and text.count("{") == n == text.count("}") and text.count("},\n{") == n - 1
+        body[:1] == "{" and body[-1:] == "}" and line_count in (None, n)
+        and body.count("{") == n and body.count("}\n{") == n - 1
+        and not any(mark in body for mark in _OTHER_LINE_BREAKS)
     ):
         return None
     try:
-        return json.loads(f"[{text}]")
+        return json.loads("[" + body.replace("\n", ",\n") + "]")
     except (ValueError, RecursionError):  # a line is not valid JSON, or is nested too deeply
         return None
 
 
-def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
-    """The session id, participant id and events of one log's lines, each
+def _session_events(log: str | list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
+    """The session id, participant id and events of one log, given as its
+    text (whose lines are ``str.splitlines``'s) or as a list of lines, each
     event a plain tuple in the field order of TrackerEvent, or the ParseError
     of the first bad line. A record of the common shapes is checked inline:
     an int timestamp in [0, 2**53 - 1], a string or absent screen and step
@@ -383,15 +379,19 @@ def _session_events(lines: list[str]) -> tuple[str, str, list[tuple[Any, ...]]]:
     annotation with a known error_kind, or a key, step start or step end
     (with a step id) with neither. _event_from_record reads, or rejects, any other record. Every
     record then passes the id, order and nesting checks."""
-    records = _line_records(lines)
+    if type(log) is str:
+        records, lines = _text_records(log), log.splitlines
+    else:
+        kept = [line for line in map(str.strip, log) if line]
+        records, lines = _text_records("\n".join(kept), len(kept)), lambda: log
     if records is None:  # decoded one line at a time, so errors come in line order
-        records = (_decode_line(line.strip(), n) for n, line in enumerate(lines, start=1) if line.strip())
+        records = (_decode_line(line.strip(), n) for n, line in enumerate(lines(), start=1) if line.strip())
     numbers: list[int] = []  # of the non-blank lines, listed when first needed
 
     def line_no() -> int:
         """The number of the line of the record being checked, the len(events)-th."""
         if not numbers:
-            numbers.extend(n for n, line in enumerate(lines, start=1) if line.strip())
+            numbers.extend(n for n, line in enumerate(lines(), start=1) if line.strip())
         return numbers[len(events)]
 
     move, click, key, note = EventKind.MOVE, EventKind.CLICK, EventKind.KEY, EventKind.ERROR_ANNOTATION
@@ -479,13 +479,13 @@ def path_samples(traces: Iterable[AlignedTrace]) -> dict[str, PathSamples]:
             sample.attempts += 1
             if step.trajectory:
                 sample.traversals.append(trajectory_length(step.trajectory))
-            kinds = set(step.errors)
-            if ErrorKind.EXECUTION in kinds:
-                sample.execution_errors += 1
-            if ErrorKind.OUTCOME in kinds:
-                sample.outcome_errors += 1
-            if kinds:
+            errors = step.errors
+            if errors:
                 sample.error_steps += 1
+                if ErrorKind.EXECUTION in errors:
+                    sample.execution_errors += 1
+                if ErrorKind.OUTCOME in errors:
+                    sample.outcome_errors += 1
     return out
 
 

@@ -49,10 +49,18 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray) -> "Standardizer":
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
+    def fit(cls, X: np.ndarray | Sequence[Sequence[float]]) -> "Standardizer":
+        """The column means and stds of ``X``, as a saved model holds them in
+        float32: a mean or std beyond float32's range is an error, and a std
+        that float32 rounds to 0 is taken as 0 and becomes 1.0."""
+        X = np.asarray(X, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+            saved_std = std.astype(np.float32)
+            if not (np.isfinite(mean.astype(np.float32)).all() and np.isfinite(saved_std).all()):
+                raise ValueError("the mean or standard deviation of a feature overflows the float32 range of a model file")
+        std = np.where(saved_std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -387,24 +395,22 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]
     return folds
 
 
-def _fold_accuracies(rows, folds, fold_indices, label_order, seed: int, hyper) -> list[float]:
-    """Held-out accuracy of each fold in ``fold_indices``; fold i trains from the seed ``seed * 1000 + i``."""
-    accuracies = []
-    for fold_index in fold_indices:
-        held = set(folds[fold_index])
-        train_rows = [row for i, row in enumerate(rows) if i not in held]
-        model = init_model(seed * 1000 + fold_index, label_order)
-        train(model, train_rows, hyper)
-        accuracies.append(evaluate(model, [rows[i] for i in folds[fold_index]]))
-    return accuracies
+def _fold_accuracy(rows, folds, fold_index: int, label_order, seed: int, hyper) -> float:
+    """Held-out accuracy of fold ``fold_index``, trained from the seed ``seed * 1000 + fold_index``."""
+    held = set(folds[fold_index])
+    train_rows = [row for i, row in enumerate(rows) if i not in held]
+    model = init_model(seed * 1000 + fold_index, label_order)
+    train(model, train_rows, hyper)
+    return evaluate(model, [rows[i] for i in folds[fold_index]])
 
 
 def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfig | None = None) -> CvResult:
     """Stratified k-fold cross-validation; per-fold standardizer, no leakage.
 
-    The folds are trained in contiguous groups, one per usable CPU, each
-    group after the first in a forked child. Every fold keeps its seed, so
-    the result is the same on any number of CPUs."""
+    Each fold is one task of ``forked.fork_map``, so the folds train on
+    every usable CPU, each process claiming the next fold when it is done.
+    Every fold keeps its seed, so the result is the same on any number of
+    CPUs."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > len(rows):
@@ -412,11 +418,9 @@ def kfold_cv(rows: Sequence[tuple], k: int = 5, seed: int = 0, hyper: TrainConfi
     labels = [label for _, label in rows]
     label_order = ordered_labels(labels)
     folds = stratified_folds(labels, k, seed)
-    n = min(forked.usable_cpus(), k)
-    groups = [range(i * k // n, (i + 1) * k // n) for i in range(n)]
-    tasks = [(f"the process training folds {g.start + 1}-{g.stop} of {k}",
-              partial(_fold_accuracies, rows, folds, g, label_order, seed, hyper)) for g in groups]
-    accuracies = [a for group in forked.fork_map(tasks)[0] for a in group]
+    tasks = [(f"the process training fold {i + 1} of {k}", partial(_fold_accuracy, rows, folds, i, label_order, seed, hyper))
+             for i in range(k)]
+    accuracies = forked.fork_map(tasks)[0]
     mean = sum(accuracies) / len(accuracies)
     variance = sum((a - mean) ** 2 for a in accuracies) / (len(accuracies) - 1)
     return CvResult(tuple(accuracies), mean, math.sqrt(variance))

@@ -11,13 +11,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmirisk import cli, embed
+from hmirisk import cli, embed, forked
 from hmirisk.cli import main
 from hmirisk.graph import load_graph
 from hmirisk.ingest import align_events, align_lines, parse_session_log
@@ -197,10 +198,11 @@ class TestFold:
         procedures = tmp_path / "procs.json"
         procedures.write_text(json.dumps(json.loads(plan_file.read_text())["procedures"]))
         inputs = ["--graph", str(graph_file), "--sessions", str(sessions_dir)]
-        assert all(cli._split(sorted(sessions_dir.glob("*.jsonl")), 3))  # three children's worth of files
+        assert all(cli._split(sorted(sessions_dir.glob("*.jsonl")), 3))  # three processes' worth of files
         seen = {}
-        for chunks in (1, 2, 3):
-            out = tmp_path / f"chunks{chunks}"
+        for cpus, chunks in [(forked.usable_cpus(), 1), (forked.usable_cpus(), 2), (forked.usable_cpus(), 3), (3, 3)]:
+            monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}-chunks{chunks}"
             for command in ("report", "hfe"):
                 argv = [command, *inputs, "--procedures", str(procedures), "--out", str(out / command)]
                 assert _main_in_chunks(monkeypatch, chunks, argv) == 0
@@ -211,10 +213,11 @@ class TestFold:
                 str(p.relative_to(out)): re.sub(rb'"generated_at": "[^"]*"', b"", p.read_bytes())
                 for p in sorted(out.rglob("*")) if p.is_file()
             }
-            seen[chunks] = (written, capsys.readouterr().out)
-        assert len(seen[1][0]) == 6
-        assert seen[1][1] == "aligned 18 steps from 6 session(s); 0 unaligned\n"
-        assert seen[1] == seen[2] == seen[3]
+            seen[cpus, chunks] = (written, capsys.readouterr().out)
+        serial, *others = seen.values()
+        assert len(serial[0]) == 6
+        assert serial[1] == "aligned 18 steps from 6 session(s); 0 unaligned\n"
+        assert others == [serial] * 3
 
     @pytest.mark.parametrize(
         "bad", [((1, 1),), ((0, 1),), ((0, 2), (1, 0))], ids=["chunk1", "chunk0", "chunks0and1"]
@@ -231,11 +234,13 @@ class TestFold:
         for command in (["ingest"], ["report", "--out", str(tmp_path / "report")]):
             argv = [*command, "--graph", str(graph_file), "--sessions", *map(str, files)]
             errors = []
-            for n in (1, 2, 3):
-                assert _main_in_chunks(monkeypatch, n, argv) == 2
-                errors.append(capsys.readouterr().err)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+                for n in (1, 2, 3):
+                    assert _main_in_chunks(monkeypatch, n, argv) == 2
+                    errors.append(capsys.readouterr().err)
             assert errors[0].startswith(f"error: {first}: line 1: not valid JSON") and errors[0].count("\n") == 1
-            assert errors == [errors[0]] * 3
+            assert errors == [errors[0]] * 9
 
     def test_a_child_that_exits_without_a_result_is_an_error(self, graph_file, sessions_dir, monkeypatch, capsys):
         parent, fold_files = os.getpid(), cli._fold_files
@@ -253,6 +258,111 @@ class TestFold:
             f"error: {second[0]}: the process folding this and the next {len(second) - 1} session file(s) "
             "exited with code 3 before sending its result\n"
         )
+
+
+    def test_a_process_that_is_done_claims_the_next_batch(self, graph_file, sessions_dir, tmp_path, monkeypatch):
+        """Two processes, three batches: while this process is held in
+        ``meanwhile``, the child folds batch 1, then claims batch 2, so this
+        process folds batch 0 alone; the parts merge as the serial fold."""
+        files = sorted(sessions_dir.glob("*.jsonl"))
+        graph, folded, fold_files = load_graph(json.loads(graph_file.read_text())), tmp_path / "folded", cli._fold_files
+
+        def recording(batch, align):
+            result = fold_files(batch, align)
+            with folded.open("a") as out:
+                out.write(f"{os.getpid()} {files.index(batch[0])}\n")
+            return result
+
+        def meanwhile():
+            deadline = time.monotonic() + 60
+            while len(folded.read_text().splitlines()) < 2 if folded.exists() else True:
+                assert time.monotonic() < deadline, "the child did not fold batches 1 and 2"
+                time.sleep(0.01)
+            return "trained"
+
+        def align(text):
+            return align_lines(graph, text)
+
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_fold_files", recording)
+        firsts = [files.index(batch[0]) for batch in cli._split(files, 3)]
+        samples, tally, extra = cli._fold(files, align, meanwhile, _chunks=3)
+        by_batch = {firsts.index(int(first)): int(pid) for pid, first in map(str.split, folded.read_text().splitlines())}
+        assert by_batch == {0: os.getpid(), 1: by_batch[1], 2: by_batch[1]} and by_batch[1] != os.getpid()
+        assert extra == "trained"
+        assert (samples, tally) == cli._fold(files, align, lambda: None, _chunks=1)[:2]
+
+    def test_a_fold_leaves_no_file_descriptor_open(self, graph_file, sessions_dir, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+        files = sorted(sessions_dir.glob("*.jsonl"))
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert _main_in_chunks(monkeypatch, 3, ["ingest", "--graph", str(graph_file), "--sessions", *map(str, files)]) == 0
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_many_tasks_on_two_processes_come_back_in_order(monkeypatch):
+    """Claims never block, whatever the task count: 40,000 tasks on two
+    processes return every result in task order."""
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        started = time.monotonic()
+        results, extra = forked.fork_map([(f"task {i}", functools.partial(int, i)) for i in range(40_000)], lambda: "meanwhile")
+        elapsed = time.monotonic() - started
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert results == list(range(40_000)) and extra == "meanwhile"
+    assert elapsed < 20
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_each_task_runs_once_on_more_processes_than_cpus(tmp_path, monkeypatch):
+    """Four processes on two CPUs claim 2,000 tasks: every task runs exactly
+    once, which a lost or doubled claim would break."""
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 4)
+    ran = tmp_path / "ran"
+
+    def task(index):
+        fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{index}\n".encode())
+        finally:
+            os.close(fd)
+        return index
+
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        results, _ = forked.fork_map([(f"task {i}", functools.partial(task, i)) for i in range(2_000)])
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert results == list(range(2_000))
+    assert sorted(map(int, ran.read_text().split())) == list(range(2_000))
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_meanwhile_ends_the_claims(tmp_path, monkeypatch):
+    """The error of ``meanwhile`` reaches the caller once the child's first
+    task is done: no child claims another task for a call that failed."""
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    ran = tmp_path / "ran"
+
+    def task(index):
+        time.sleep(0.05)
+        with ran.open("a") as out:
+            out.write(f"{index}\n")
+
+    def meanwhile():
+        raise RuntimeError("meanwhile failed")
+
+    with pytest.raises(RuntimeError, match="^meanwhile failed$"):
+        forked.fork_map([(f"task {i}", functools.partial(task, i)) for i in range(20)], meanwhile)
+    assert ran.read_text() == "1\n"
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_commands_fork_without_multiprocessing():
@@ -849,6 +959,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "blank_label": tmp_path / "blank_label.csv",
         "overflow_data": tmp_path / "overflow_data.csv",
         "poisoned_model": tmp_path / "poisoned.npz",
+        "subnormal_std_data": tmp_path / "subnormal_std_data.csv",
+        "subnormal_std_model": tmp_path / "subnormal_std.npz",
+        "overflow_training": tmp_path / "overflow_training.csv",
     }
     files["broken"].write_text('{"screens": [')
     files["no_roots"].write_text(json.dumps({"screens": [{"id": "S", "width_px": 10, "height_px": 10}], "elements": []}))
@@ -974,6 +1087,13 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
     poisoned.params["W1"][0, 0] = np.inf
     poisoned.standardizer.std[:] = (np.nan, 1.0, 0.0)
     save_model(poisoned, files["poisoned_model"])
+    # Training rows whose vd std (about 5e-51) float32 rounds to 0, and the
+    # model pif train writes from them; rows whose vd sum overflows.
+    files["subnormal_std_data"].write_text(
+        "path_id,vd,sid,is,label\nP_1,0,0,0,HSI0\nP_2,1e-50,1,1,HSI1\nP_3,0,2,2,HSI1\nP_4,1e-50,3,3,HSI0\n"
+    )
+    assert main(["pif", "train", "--data", str(files["subnormal_std_data"]), "--model-out", str(files["subnormal_std_model"])]) == 0
+    files["overflow_training"].write_text("path_id,vd,sid,is,label\nP_1,1e308,0,0,HSI0\nP_2,1e308,1,1,HSI1\nP_3,1e308,2,2,HSI1\n")
     return files
 
 
@@ -984,6 +1104,7 @@ _BAD_CACHE = "{tmp}/%s/local-trigram-v1.embcache: cache record at byte 5: length
 _FOREIGN_CACHE = "{tmp}/%s/local-trigram-v1.embcache: not an embedding cache file: header %r, expected b'HMEC\\x01'"
 _OVERFLOW = "class probabilities are not finite: the features lie too far outside the training data"
 _POISONED = "{poisoned_model}: not a readable model file (param_W1: holds a NaN or an infinity)"
+_OVERFLOW_TRAINING = "{overflow_training}: the mean or standard deviation of a feature overflows the float32 range of a model file"
 
 # command, argv, expected exit code, what every error line must name
 _EXIT_CODES = {
@@ -1059,6 +1180,8 @@ _EXIT_CODES = {
         (["--config", "{zero_epochs}", "--model-out", "{tmp}/trained.npz"], 2, "{zero_epochs}: config pif.epochs: must be positive, got 0"),
         (["--data", "{bom_data}", "--model-out", "{tmp}/trained.npz"], 0, None),
         (["--data", "{blank_label}", "--model-out", "{tmp}/trained.npz"], 2, "{blank_label}: line 2: empty label in 'P_1,0,0,0,'"),
+        (["--data", "{subnormal_std_data}", "--model-out", "{tmp}/trained.npz"], 0, None),
+        (["--data", "{overflow_training}", "--model-out", "{tmp}/overflowed.npz"], 2, _OVERFLOW_TRAINING),
     ],
     "pif cv": [
         (["--data", "{data}", "--k", "3"], 0, None),
@@ -1070,6 +1193,7 @@ _EXIT_CODES = {
         (["--data", "{skew}", "--k", "2"], 2, "--k: 2 folds of {skew} leave training split 2 with the single label HSI0"),
         (["--data", "{data}", "--config", "{deep}"], 2, "{deep}: not valid JSON (nested too deeply)"),
         (["--data", "{data}", "--config", "{bom_config}"], 2, "{bom_config}: config pif.epochs: must be positive, got 0"),
+        (["--data", "{overflow_training}", "--k", "2"], 2, _OVERFLOW_TRAINING),
     ],
     "pif predict": [
         (["--model", "{model}", "--features", "5,5,5"], 0, None),
@@ -1091,6 +1215,7 @@ _EXIT_CODES = {
         (["--model", "{model}", "--features", "1e308,-1e308,1e308"], 2, "--features: " + _OVERFLOW),
         (["--model", "{model}", "--data", "{overflow_data}"], 2, "{overflow_data}: line 3: " + _OVERFLOW),
         (["--model", "{poisoned_model}", "--features", "5,5,5"], 2, _POISONED),
+        (["--model", "{subnormal_std_model}", "--features", "0,1,1"], 0, None),
     ],
     "report": [
         ([*_SESSIONS, "{sessions}", "--procedures", "{procedures}", "--out", "{tmp}/report"], 0, None),
@@ -1134,6 +1259,14 @@ def test_exit_code_of_every_command(command, argv, code, named, cli_inputs, caps
         assert lines and all(
             line.startswith(f"error: {named}") or line.startswith("error: [Errno 2] ") and named in line for line in lines
         )
+
+
+def test_training_rows_that_overflow_write_no_model(cli_inputs, capsys):
+    """The error is the one line of the data file; no model file is left."""
+    model = cli_inputs["tmp"] / "overflowed.npz"
+    assert main(["pif", "train", "--data", str(cli_inputs["overflow_training"]), "--model-out", str(model)]) == 2
+    assert capsys.readouterr().err == "error: " + _OVERFLOW_TRAINING.format(**cli_inputs) + "\n"
+    assert not model.exists()
 
 
 def test_unreachable_embedding_endpoint_exits_two(cli_inputs, monkeypatch, capsys):

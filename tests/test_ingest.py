@@ -533,6 +533,38 @@ class TestAlignLines:
     def test_crafted_logs_match_reference(self, lines):
         self._check(_screen_a_graph(), lines)
 
+    def _check_text(self, g, text):
+        """align_lines on a log's text against the reference on its splitlines."""
+        whole = _aligned_outcome(lambda t: align_lines(g, t, _TARGETS), text)
+        assert whole == _aligned_outcome(lambda t: align_events(g, _reference_parse(t.splitlines()), _TARGETS), text), text
+        return whole
+
+    def test_a_text_matches_the_reference_on_mutated_logs(self):
+        g = _screen_a_graph()
+        rng = random.Random(20261021)
+        for _ in range(1000):
+            self._check_text(g, "\n".join(_mutated_log(rng)) + rng.choice(["", "\n", "\n\n", " \n"]))
+
+    @pytest.mark.parametrize("mark", list("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), ids=lambda mark: f"{ord(mark):#06x}")
+    def test_a_text_breaks_lines_where_splitlines_does(self, mark):
+        """Each line break of str.splitlines other than "\\n", in a string
+        value or between fields, splits the line, so line 1 is not valid JSON."""
+        for text in (_START.replace('"S1"', f'"S{mark}1"'), _START.replace(", ", f",{mark}", 1)):
+            text += "\n" + _line(t_ms=20, kind="step_end", step_id="s1") + "\n"
+            assert self._check_text(_screen_a_graph(), text)[0] is ParseError
+
+    def test_a_text_of_one_object_per_line_is_decoded_in_one_call(self, monkeypatch):
+        calls, loads = [], json.loads
+
+        def counted(text):
+            calls.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(ingest.json, "loads", counted)
+        lines = [_START, _line(t_ms=5, kind="move", x=10, y=20, screen="A", step_id="s1"), _line(t_ms=9, kind="step_end", step_id="s1")]
+        assert align_lines(_screen_a_graph(), "\n".join(lines) + "\n", _TARGETS) == align_lines(_screen_a_graph(), lines, _TARGETS)
+        assert len(calls) == 2 and calls[0] == calls[1] == "[" + ",\n".join(lines) + "]"
+
     def test_odd_record_alone_leaves_the_inline_check(self, monkeypatch):
         """A digit-string timestamp is read by _event_from_record, once; the
         other records of its log stay on the inline check."""

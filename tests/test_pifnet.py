@@ -269,7 +269,7 @@ def cv_on(monkeypatch):
 
 class TestParallelKFold:
     def test_result_does_not_depend_on_the_cpu_count(self, cv_on):
-        """One process, two uneven groups (2 and 3 folds), one process per fold."""
+        """One process, two processes that claim folds in turn, and one process per fold."""
         rows = dataset.training_rows()
         expected = CvResult((1.0, 0.875, 0.875, 0.75, 0.8571428571428571), 0.8714285714285713, 0.08874838314135126)
         for cpus in (1, 2, 8):
@@ -296,7 +296,7 @@ class TestParallelKFold:
             return original(model, train_rows, hyper)
 
         monkeypatch.setattr(pifnet, "train", dying)
-        message = "the process training folds 2-3 of 3 exited with code 7 before sending its result"
+        message = "the process training fold 2 of 3 exited with code 7 before sending its result"
         with pytest.raises(ChildProcessError, match=f"^{message}$"):
             cv_on(2, separable_rows(per_class=3), 3, 0)
 
