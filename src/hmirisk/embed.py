@@ -65,6 +65,20 @@ def _finalize(raw: Sequence[float], provider_tag: str) -> EmbeddingVector:
     return EmbeddingVector(tuple(quantized.tolist()), provider_tag)
 
 
+def _vector_fault(values, size: int | None = None) -> str | None:
+    """Why ``values`` cannot be an embedding, or None: it must be non-empty
+    and finite (of ``size`` values, if given), with a positive norm that
+    does not overflow."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0 or values.size != (size or values.size):
+        return f"has {values.size} values" + (f", vector 0 has {size}" if size else "")
+    if not np.isfinite(values).all():
+        return "holds a non-finite value"
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    return None if 0.0 < norm < np.inf else f"has norm {norm}"
+
+
 def cosine_similarity(u, v) -> float:
     """dot(u, v) / (|u| |v|); symmetric, raises on dim mismatch or zero norm."""
     a = np.asarray(u.values if isinstance(u, EmbeddingVector) else u, dtype=np.float64)
@@ -117,7 +131,7 @@ class RemoteProvider:
         self.provider_tag = f"remote-{model}"
         self.calls = 0  # requests actually sent, for cache verification
 
-    def _post(self, texts: Sequence[str]) -> list[list[float]]:
+    def _post(self, texts: Sequence[str]) -> list[np.ndarray]:
         import urllib.error, urllib.request  # here, not at the top: they load ssl, http.client and email
         payload = json.dumps({"model": self.model, "input": list(texts)}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
@@ -131,13 +145,14 @@ class RemoteProvider:
                 self.calls += 1
                 with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
                     body = json.loads(response.read().decode("utf-8"))
-                vectors = body["vectors"]
+                vectors = [np.array([float(x) for x in vec]) for vec in body["vectors"]]
                 if len(vectors) != len(texts):
-                    raise EmbeddingTransportError(
-                        f"service returned {len(vectors)} vectors for {len(texts)} inputs"
-                    )
-                return [[float(x) for x in vec] for vec in vectors]
-            except (urllib.error.URLError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+                    raise EmbeddingTransportError(f"service returned {len(vectors)} vectors for {len(texts)} inputs")
+                for i, vec in enumerate(vectors):
+                    if fault := _vector_fault(vec, len(vectors[0])):
+                        raise EmbeddingTransportError(f"vector {i} of the reply {fault}")
+                return vectors
+            except (urllib.error.URLError, OSError, KeyError, TypeError, ValueError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an HTTP error status carries the open response
                 last_error = exc
@@ -145,8 +160,8 @@ class RemoteProvider:
                     time.sleep(BACKOFF_S * (2**attempt))
         raise EmbeddingTransportError(f"embedding request failed after {RETRIES + 1} attempts: {last_error}")
 
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        out: list[list[float]] = []
+    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        out: list[np.ndarray] = []
         for start in range(0, len(texts), MAX_BATCH):
             out.extend(self._post(texts[start : start + MAX_BATCH]))
         return out
@@ -160,7 +175,8 @@ class EmbeddingCache:
     A non-empty file with any other header is an error naming the file.
     A record that runs past the end of the file is an interrupted append
     and is ignored; a complete record whose length is not ``36 + 4 * dim``
-    is an error naming the file and the record's byte offset. Appends are
+    is an error naming the file and the record's byte offset, and so is a
+    vector that is empty, not finite or of zero norm. Appends are
     not synchronized, so one process at a time should write a cache
     directory.
     """
@@ -192,6 +208,8 @@ class EmbeddingCache:
                 raise ValueError(f"{path}: cache record at byte {offset - 4}: length {length} does not fit its header")
             key = blob[offset : offset + 32]
             values = np.frombuffer(blob, dtype="<f4", count=(length - 36) // 4, offset=offset + 36)
+            if fault := _vector_fault(values):
+                raise ValueError(f"{path}: cache record at byte {offset - 4}: vector {fault}")
             self._mem[(provider_tag, bytes(key))] = values.copy()
             offset += length
         self._loaded.add(provider_tag)

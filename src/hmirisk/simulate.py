@@ -5,18 +5,18 @@ drawn from Lognormal(ln median, sigma) per path by lognormal_durations,
 errors from independent Bernoulli draws per step, and cursor
 trajectories are piecewise-linear with bounded jitter.
 
-generate_sessions checks the plan and resolves each step's target element
-and screen once. Sessions are drawn one by one: each draws all its
-randomness (durations, start gaps, waypoint counts, jitters, click points,
-error uniforms) in six array calls on its own counter-based Philox key
-(64-bit, algorithm pinned by numpy), hashed from (plan seed, participant,
-session index); one Philox per call is re-keyed for each session, which
-gives the stream of a fresh one. Sessions are independent and output is
-reproducible: same plan, same bytes. The schedule, the geometry and the
-events are then computed for blocks of sessions of at most 512 steps in
-all (one session when it alone is longer), so memory does not grow with
-the plan. The layout moves no bit: every operation is elementwise or on
-integers.
+generate_sessions checks the plan's targets and resolves each step's
+target element and screen once (a PathPlan checks its own numbers when it
+is built). Sessions are drawn one by one: each draws all its randomness
+(durations, start gaps, waypoint counts, jitters, click points, error
+uniforms) in six array calls on its own fresh counter-based Philox (64-bit
+key, algorithm pinned by numpy), keyed by a hash of (plan seed,
+participant, session index), so no state passes from one session to the
+next. Sessions are independent and output is reproducible: same plan,
+same bytes. The schedule, the geometry and the events are then computed
+for blocks of sessions of at most 512 steps in all (one session when it
+alone is longer), so memory does not grow with the plan. The layout moves
+no bit: every operation is elementwise or on integers.
 RNG_ALGORITHM names the stream; whatever changes the bytes a seed gives
 must change it.
 """
@@ -52,7 +52,7 @@ class PathPlan:
     p_execution: float = 0.0
     p_outcome: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         checks = (
             ("median_s", self.median_s, 0.0 < self.median_s < math.inf, "a positive finite number"),
             ("sigma", self.sigma, 0.0 <= self.sigma < math.inf, "a non-negative finite number"),
@@ -104,8 +104,6 @@ class _Steps:
     """A plan's procedure steps, checked and resolved once, as per-step arrays."""
 
     def __init__(self, g: InterfaceGraph, plan: ScenarioPlan):
-        for path_plan in plan.paths.values():
-            path_plan.validate()
         targets = {}  # canonical path id -> (path plan, target element)
         for path_id, path_plan in plan.paths.items():
             path = resolve_path(g, path_id)
@@ -142,25 +140,11 @@ _BLOCK_STEPS = 512
 _new = tuple.__new__  # builds a TrackerEvent from its six fields without a keyword call
 
 
-def _rekey(rng: np.random.Generator, key: int) -> None:
-    """Reset ``rng``'s Philox to the state a fresh ``Philox(key=key)`` starts
-    in: the same stream, without building a Philox (and the unused
-    entropy-seeded SeedSequence it makes) for every session."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _draw(steps: _Steps, rng: np.random.Generator, key: int) -> tuple[np.ndarray, ...]:
-    """One session's randomness, in six array calls on its own Philox key
-    (``rng`` re-keyed): durations, start gaps, waypoint counts, jitters,
-    click fractions and error uniforms."""
-    _rekey(rng, key)
+def _draw(steps: _Steps, key: int) -> tuple[np.ndarray, ...]:
+    """One session's randomness, in six array calls on a fresh Philox keyed
+    ``key``: durations, start gaps, waypoint counts, jitters, click
+    fractions and error uniforms."""
+    rng = np.random.Generator(np.random.Philox(key=key))
     n = len(steps.step_ids)
     return (
         lognormal_durations(steps.median_s, steps.sigma, n, rng),
@@ -172,11 +156,11 @@ def _draw(steps: _Steps, rng: np.random.Generator, key: int) -> tuple[np.ndarray
     )
 
 
-def _draw_block(steps: _Steps, rng: np.random.Generator, sessions: list[tuple[int, str, str]]) -> list[SessionLog]:
+def _draw_block(steps: _Steps, sessions: list[tuple[int, str, str]]) -> list[SessionLog]:
     """The sessions (key, session id, participant id) of one block: each
     draws on its own key, then the schedule, the geometry and the events
     of the whole block are computed at once."""
-    draws = zip(*(_draw(steps, rng, key) for key, _, _ in sessions))
+    draws = zip(*(_draw(steps, key) for key, _, _ in sessions))
     durations, gaps, n_way, jitter, click_u, error_u = map(np.stack, draws)
     too_long = ~(durations < _MAX_DURATION_S).all(axis=1)
     if too_long.any():
@@ -236,8 +220,7 @@ def generate_sessions(g: InterfaceGraph, plan: ScenarioPlan) -> list[SessionLog]
         for index in range(plan.sessions_per_participant)
     ]
     block = max(1, _BLOCK_STEPS // len(steps.step_ids))
-    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each session
-    return [log for i in range(0, len(sessions), block) for log in _draw_block(steps, rng, sessions[i : i + block])]
+    return [log for i in range(0, len(sessions), block) for log in _draw_block(steps, sessions[i : i + block])]
 
 
 def write_sessions(logs: Iterable[SessionLog], out_dir: str | Path) -> list[str]:
@@ -272,15 +255,13 @@ def plan_from_document(document: Mapping, g: InterfaceGraph) -> ScenarioPlan:
         owner = f"path {raw['path_id']!r}"
         if raw["path_id"] in paths:
             raise ValueError(f"{owner} is listed twice")
-        path_plan = PathPlan(
+        paths[raw["path_id"]] = PathPlan(
             raw["path_id"],
             number_field(raw, "median_s", owner),
             number_field(raw, "sigma", owner, SIGMA_DEFAULT),
             number_field(raw, "p_execution", owner, 0.0),
             number_field(raw, "p_outcome", owner, 0.0),
         )
-        path_plan.validate()
-        paths[path_plan.path_id] = path_plan
     return ScenarioPlan(
         procedures=procs,
         paths=paths,

@@ -939,6 +939,9 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         "no_scheme": tmp_path / "no_scheme.json",
         "short_cache": tmp_path / "short_cache.json",
         "big_dim_cache": tmp_path / "big_dim_cache.json",
+        "nan_cache": tmp_path / "nan_cache.json",
+        "dim0_cache": tmp_path / "dim0_cache.json",
+        "zero_cache": tmp_path / "zero_cache.json",
         "two_targets": tmp_path / "two_targets.json",
         "respelled_plan": tmp_path / "respelled_plan.json",
         "flipped_model": tmp_path / "flipped.npz",
@@ -1042,11 +1045,15 @@ def cli_inputs(graph_file, plan_file, sessions_dir, tiny_training_csv, tmp_path)
         {"procedure_id": "A", "steps": [{"step_id": "s1", "target_path": "N_11"}]},
         {"procedure_id": "B", "steps": [{"step_id": "s1", "target_path": "P_12"}]},
     ]))
-    # A cache file whose one record is too short to hold its header, and one
-    # whose header claims a million floats.
+    # A cache file whose one record is too short to hold its header, one
+    # whose header claims a million floats, and records that fit their
+    # header but hold a NaN, no value, or only zeros.
     records = {
         "short_cache": struct.pack("<I", 4) + b"abcd",
         "big_dim_cache": struct.pack("<I", 44) + bytes(32) + struct.pack("<I", 10**6) + bytes(8),
+        "nan_cache": struct.pack("<I", 48) + bytes(32) + struct.pack("<I3f", 3, math.nan, 1.0, 0.0),
+        "dim0_cache": struct.pack("<I", 36) + bytes(32) + struct.pack("<I", 0),
+        "zero_cache": struct.pack("<I", 48) + bytes(32) + struct.pack("<I", 3) + bytes(12),
     }
     for name, record in records.items():
         (tmp_path / name).mkdir()
@@ -1101,6 +1108,7 @@ _SESSIONS = ["--graph", "{graph}", "--sessions"]
 _UNKNOWN_TARGET = "{unknown_target}: procedure 'PR', step 's1': path 'P_999' has no terminal node in the graph"
 _NO_NAME = "{no_name_graph}: element 'N_12': a name is needed to compare it with its screen"
 _BAD_CACHE = "{tmp}/%s/local-trigram-v1.embcache: cache record at byte 5: length %d does not fit its header"
+_BAD_CACHE_VECTOR = "{tmp}/%s/local-trigram-v1.embcache: cache record at byte 5: vector %s"
 _FOREIGN_CACHE = "{tmp}/%s/local-trigram-v1.embcache: not an embedding cache file: header %r, expected b'HMEC\\x01'"
 _OVERFLOW = "class probabilities are not finite: the features lie too far outside the training data"
 _POISONED = "{poisoned_model}: not a readable model file (param_W1: holds a NaN or an infinity)"
@@ -1163,6 +1171,10 @@ _EXIT_CODES = {
          "{no_endpoint}: config embed.endpoint: must be set when embed.provider is 'remote'"),
         ([*_SESSIONS, "{sessions}", "--config", "{short_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("short_cache", 4)),
         ([*_SESSIONS, "{sessions}", "--config", "{big_dim_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE % ("big_dim_cache", 44)),
+        ([*_SESSIONS, "{sessions}", "--config", "{nan_cache}", "--out", "{tmp}/metrics"], 2,
+         _BAD_CACHE_VECTOR % ("nan_cache", "holds a non-finite value")),
+        ([*_SESSIONS, "{sessions}", "--config", "{dim0_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE_VECTOR % ("dim0_cache", "has 0 values")),
+        ([*_SESSIONS, "{sessions}", "--config", "{zero_cache}", "--out", "{tmp}/metrics"], 2, _BAD_CACHE_VECTOR % ("zero_cache", "has norm 0.0")),
         ([*_SESSIONS, "{sessions}", "--config", "{no_scheme}", "--out", "{tmp}/metrics"], 2,
          "{no_scheme}: config embed.endpoint: must be an http:// or https:// URL, got 'embed-service'"),
         ([*_SESSIONS, "{sessions}", "--config", "{foreign_cache}", "--out", "{tmp}/metrics"], 2,

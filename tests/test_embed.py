@@ -5,11 +5,13 @@ import json
 import math
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from hmirisk import embed
+from hmirisk.cli import main
 from hmirisk.embed import (
     EmbeddingCache,
     EmbeddingTransportError,
@@ -162,6 +164,7 @@ class TestCache:
 class _Handler(http.server.BaseHTTPRequestHandler):
     fail_next = 0
     last_auth = None
+    reply = None  # when set, the reply's vectors for n input texts, in place of local_embed's
 
     def do_POST(self):
         _Handler.last_auth = self.headers.get("Authorization")
@@ -171,7 +174,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        vectors = [list(local_embed(t).values) for t in body["input"]]
+        if _Handler.reply is not None:
+            vectors = _Handler.reply(len(body["input"]))
+        else:
+            vectors = [list(local_embed(t).values) for t in body["input"]]
         payload = json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -194,7 +200,32 @@ def embed_server():
     thread.join()
 
 
+# Replies no embedding can come from: n input texts -> the reply's vectors,
+# and the fault each one is reported as.
+_BAD_REPLIES = {
+    "nan": (lambda n: [[math.nan] * 3] * n, "vector 0 of the reply holds a non-finite value"),
+    "infinity": (lambda n: [[1.0, math.inf, 0.0]] * n, "vector 0 of the reply holds a non-finite value"),
+    "two lengths": (lambda n: [[1.0, 0.0, 0.0]] + [[1.0, 0.0, 0.0, 0.0]] * (n - 1), "vector 1 of the reply has 4 values, vector 0 has 3"),
+    "zero": (lambda n: [[0.0] * 3] * n, "vector 0 of the reply has norm 0.0"),
+    "empty": (lambda n: [[]] * n, "vector 0 of the reply has 0 values"),
+    "norm overflow": (lambda n: [[1e308] * 3] * n, "vector 0 of the reply has norm inf"),
+}
+
+
 class TestRemoteProvider:
+    @pytest.mark.parametrize(
+        "reply, fault",
+        [*_BAD_REPLIES.values(), (lambda n: [[1.0, 0.0, 0.0]] * (n + 1), "service returned 3 vectors for 2 inputs")],
+        ids=[*_BAD_REPLIES, "one vector too many"],
+    )
+    def test_a_reply_that_is_no_embedding_is_a_transport_error(self, embed_server, tmp_path, monkeypatch, reply, fault):
+        """Checked where it enters: no retry, and nothing reaches the cache."""
+        monkeypatch.setattr(_Handler, "reply", reply)
+        provider = RemoteProvider(embed_server, "demo-model")
+        with pytest.raises(EmbeddingTransportError, match=f"^{re.escape(fault)}$"):
+            embed_texts(provider, ["a pump", "b pump"], EmbeddingCache(tmp_path))
+        assert provider.calls == 1 and not list(tmp_path.iterdir())
+
     def test_round_trip_and_batching(self, embed_server, monkeypatch):
         monkeypatch.setattr(embed, "MAX_BATCH", 2)
         provider = RemoteProvider(embed_server, "demo-model")
@@ -249,6 +280,23 @@ def test_names_go_out_in_requests_of_max_batch(embed_server, tmp_path, monkeypat
     fresh = RemoteProvider(embed_server, "demo-model")
     name_similarity(fresh, EmbeddingCache(tmp_path), [*names, "f pump", "g pump", "h pump"])
     assert fresh.calls == 2  # the cache holds five; ceil(3 / 2)
+
+
+@pytest.mark.parametrize("reply, fault", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
+def test_metrics_on_a_reply_that_is_no_embedding_is_one_error_of_the_endpoint(
+    embed_server, graph_file, sessions_dir, tmp_path, monkeypatch, capsys, reply, fault
+):
+    """One line naming embed.endpoint, exit 2, no warning and no cache file."""
+    monkeypatch.setattr(_Handler, "reply", reply)
+    config = tmp_path / "remote.json"
+    cache = tmp_path / "cache"
+    config.write_text(json.dumps({"embed": {"provider": "remote", "endpoint": embed_server, "cache_dir": str(cache)}}))
+    argv = ["metrics", "--config", str(config), "--graph", str(graph_file), "--sessions", str(sessions_dir)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "metrics")]) == 2
+    assert capsys.readouterr().err == f"error: embed.endpoint: {embed_server}: {fault}\n"
+    assert not list(cache.glob("*.embcache"))
 
 
 def test_name_similarity_helper():

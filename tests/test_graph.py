@@ -148,7 +148,31 @@ class TestValidateGraph:
             load_graph(graph_to_document(g))
 
 
+    def test_edge_to_a_missing_child_is_dangling_child(self):
+        root = InterfaceElement("R", "r", ElementKind.SYSTEM_ROOT, "S", (1, 1))
+        g = InterfaceGraph([root], [("R", "X")], [self._screen()])
+        assert [(v.element_id, v.rule) for v in validate_graph(g)] == [("X", "dangling-child")]
+
+    def test_screens_without_extent_are_zero_diagonal(self):
+        root = InterfaceElement("R", "r", ElementKind.SYSTEM_ROOT, "S", (0, 0))
+        g = InterfaceGraph([root], [], [Screen("S", 0, 0)])
+        assert [(v.element_id, v.rule) for v in validate_graph(g)] == [(None, "zero-diagonal")]
+
+    def test_no_screens_is_a_zero_diagonal_and_each_element_an_unknown_screen(self):
+        root = InterfaceElement("R", "r", ElementKind.SYSTEM_ROOT, "S", (1, 1))
+        g = InterfaceGraph([root], [], [])
+        assert g.layout_diagonal == 0.0
+        assert [(v.element_id, v.rule) for v in validate_graph(g)] == [("R", "unknown-screen")]
+
+
 class TestResolvePath:
+    def test_cyclic_parent_chain_is_an_error(self):
+        a = InterfaceElement("A", "a", ElementKind.PARAMETER_GROUP, "S", (1, 1))
+        b = InterfaceElement("B", "b", ElementKind.PARAMETER, "S", (2, 2))
+        g = InterfaceGraph([a, b], [("A", "B"), ("B", "A")], [Screen("S", 100, 100)])
+        with pytest.raises(GraphError, match="^cycle while resolving 'B' at 'B'$"):
+            resolve_path(g, "B")
+
     def test_path_encoding_p110(self, electrical_branch_graph):
         path = resolve_path(electrical_branch_graph, "P_110")
         assert path.node_chain == ("N_100", "N_110")

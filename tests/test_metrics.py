@@ -34,6 +34,10 @@ class TestVisualDensity:
     def test_43_element_screen(self):
         assert visual_density(elements(43), "E7") == pytest.approx(1 / 43)
 
+    def test_no_elements(self):
+        with pytest.raises(ValueError, match="^screen has no elements$"):
+            visual_density([], "E0")
+
     def test_target_absent(self):
         with pytest.raises(ValueError):
             visual_density(elements(3), "E9")
@@ -74,6 +78,11 @@ class TestInterferenceDensity:
         numer_plain = with_plain * (len(others) + 1)
         assert numer_plain == pytest.approx(numer_base)  # numerator unchanged
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+    def test_threshold_outside_the_unit_interval_rejected(self, designated_sim, theta):
+        with pytest.raises(ValueError, match=f"^theta must be in \\(0, 1\\], got {theta}$"):
+            semantic_interference_density("T", ["a"], designated_sim, theta=theta)
+
     def test_threshold_above_one_empties_numerator(self):
         exact = lambda a, b: 1.0
         ratio, names = semantic_interference_density("T", ["a", "b"], exact, theta=1.0)
@@ -90,6 +99,10 @@ class TestInteractionSpan:
 
     def test_published_row_ratio(self):
         assert interaction_span(511.59, 2654.05) == pytest.approx(511.59 / 2654.05, abs=1e-12)
+
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="^trajectory needs at least one point$"):
+            trajectory_length([])
 
     def test_non_positive_normalizer(self):
         with pytest.raises(ValueError):

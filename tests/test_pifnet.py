@@ -19,12 +19,14 @@ import hmirisk.pifnet as pifnet
 from hmirisk import dataset, forked
 from hmirisk.pifnet import (
     CvResult,
+    PifModel,
     Standardizer,
     TrainConfig,
     evaluate,
     init_model,
     kfold_cv,
     load_model,
+    ordered_labels,
     load_training_csv,
     loss_and_gradients,
     pif_weights,
@@ -56,6 +58,13 @@ class TestInitModel:
     def test_different_seeds_differ(self):
         a, b = init_model(1, LABELS), init_model(2, LABELS)
         assert any(not np.array_equal(a.params[k], b.params[k]) for k in a.params)
+
+    def test_no_labels_rejected(self):
+        with pytest.raises(ValueError, match="^label_order must be nonempty$"):
+            PifModel([])
+
+    def test_labels_without_digits_order_before_numbered_ones_by_prefix(self):
+        assert ordered_labels(["B", "A10", "A2", "A", "A2"]) == ("A", "A2", "A10", "B")
 
     def test_output_width_tracks_labels(self):
         assert init_model(0, LABELS).params["W3"].shape == (32, 3)
@@ -106,6 +115,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="single class"):
             train(model, [((0.0, 0.0, 0.0), "HSI0"), ((1.0, 1.0, 1.0), "HSI0")])
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 training rows$"):
+            train(init_model(0, LABELS), [((0.0, 0.0, 0.0), "HSI0")])
+
+    def test_label_outside_the_label_order_rejected(self):
+        rows = [((0.0, 0.0, 0.0), "HSI0"), ((1.0, 1.0, 1.0), "HSI9")]
+        with pytest.raises(ValueError, match=re.escape("row label 'HSI9' not in label order ['HSI0', 'HSI1', 'HSI5']")):
+            train(init_model(0, LABELS), rows)
+
     def test_non_finite_features_rejected(self):
         model = init_model(0, LABELS)
         rows = [((float("nan"), 0.0, 0.0), "HSI0"), ((1.0, 1.0, 1.0), "HSI1")]
@@ -136,6 +154,12 @@ class TestPredict:
         train(model, rows)
         for features, label in rows:
             assert predict(model, features)[0] == label
+
+    def test_non_finite_feature_rejected(self):
+        model = init_model(0, LABELS)
+        train(model, separable_rows(), TrainConfig(epochs=5))
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            predict(model, (math.nan, 0.0, 0.0))
 
     def test_untrained_model_rejected(self):
         with pytest.raises(ValueError, match="not trained"):
@@ -380,6 +404,15 @@ class TestPersistence:
         save_model(model, tmp_path / "poisoned.npz")
         with pytest.raises(ValueError, match=f"^not a readable model file \\({re.escape(message)}"):
             load_model(tmp_path / "poisoned.npz")
+
+    def test_member_of_an_unsupported_npy_version_rejected(self, tmp_path):
+        good, bad = tmp_path / "good.npz", tmp_path / "v3.npz"
+        save_model(init_model(1, LABELS), good)
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                dst.writestr(name, np.lib.format.magic(3, 0) + bytes(16) if name == "param_W0.npy" else src.read(name))
+        with pytest.raises(ValueError, match=re.escape("not a readable model file (param_W0: unsupported .npy format version (3, 0))")):
+            load_model(bad)
 
     def test_shape_claimed_in_header_checked_before_reading(self, tmp_path):
         """A member whose .npy header claims 10**13 floats is rejected by

@@ -74,6 +74,8 @@ class TestFitTimeModel:
     def test_rejects_empty_and_non_positive(self):
         with pytest.raises(ValueError):
             fit_time_model([])
+        with pytest.raises(ValueError, match="^empty sample$"):
+            sample_median_lower([])
         with pytest.raises(ValueError):
             fit_time_model([1.0, 0.0])
 
@@ -91,6 +93,11 @@ class TestFitTimeModel:
         assert model.median() == pytest.approx(100.0)
         empirical = model_from_samples_or_p95([4.0, 4.0, 4.0], t95=158.5)
         assert empirical.median() == pytest.approx(4.0)  # empirical wins
+
+    def test_neither_durations_nor_p95_rejected(self):
+        for durations in (None, []):
+            with pytest.raises(ValueError, match="^need durations or a t95 value$"):
+                model_from_samples_or_p95(durations)
 
 
 class TestTailProb:
@@ -211,6 +218,11 @@ class TestDetectErrorPaths:
         )
         for alpha in (0.0, 0.5, 1.0, 10.0):
             assert set(detect_error_paths(samples, alpha)) == {"P_A", "P_C"}
+
+    def test_negative_alpha_rejected(self):
+        samples = samples_of({"P_A": [1.0] * 3}, {"P_A": (1, 0)})
+        with pytest.raises(ValueError, match="^alpha must be non-negative, got -1$"):
+            detect_error_paths(samples, alpha=-1)
 
     def test_kinds_union(self):
         samples = samples_of({"P_A": [1.0] * 3}, {"P_A": (1, 1)})
